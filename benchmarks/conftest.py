@@ -75,18 +75,13 @@ def run_once(benchmark, fn, *args, **kwargs):
     re-simulating."""
     from repro.experiments.executor import Cell
     from repro.experiments.results import ExperimentTable
-    from repro.multiscalar import active_kernel
 
     cache = _bench_cache()
-    # the kernel rides in the key even though results are bit-identical
-    # across kernels: a REPRO_KERNEL=batched session must measure the
-    # batched kernel, not fetch tables the event kernel cached
     cell = Cell.make(
         "bench",
         fn.__name__,
         args=[repr(a) for a in args],
         kwargs={k: repr(v) for k, v in sorted(kwargs.items())},
-        kernel=active_kernel(),
     )
     key = cell.key() if cache is not None else None
     record = cache.get(key) if cache is not None else None

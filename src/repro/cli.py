@@ -45,7 +45,7 @@ exit-code contract: **0** — the command ran and found nothing wrong;
 threshold, a soundness violation against the oracle, an unaffordable
 predictor slice under ``pdg --strict``, leak-relevant findings, a
 squash on a statically-proven non-aliasing pair, two runs that differ,
-a benchmark regression past the baseline tolerance); **2** — usage
+an adaptive-sweep benchmark below its floor); **2** — usage
 error (unknown workload, unreadable file, unparsable target, unknown
 run id, missing snapshot).
 """
@@ -63,10 +63,8 @@ from repro.core.stats import speedup
 from repro.experiments import ALL_EXPERIMENTS
 from repro.frontend import analyze_trace, run_program
 from repro.multiscalar import (
-    KERNELS,
     MultiscalarConfig,
     MultiscalarSimulator,
-    active_kernel,
     available_policies,
     make_policy,
 )
@@ -115,22 +113,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "else no recording",
         )
 
-    def add_kernel_flag(p):
-        p.add_argument(
-            "--kernel", choices=KERNELS, default=None,
-            help="simulation kernel: 'cycle' (reference scan), 'event' "
-            "(event-driven scheduler), or 'batched' (columnar batched "
-            "kernel; falls back per cell when unsupported).  All three "
-            "produce bit-identical results.  Default: $REPRO_KERNEL, "
-            "else 'event'.  Exported to worker processes.",
-        )
-
     p_sim = sub.add_parser("simulate", help="run one timing simulation")
     p_sim.add_argument("workload")
     p_sim.add_argument("--policy", default="esync", choices=POLICIES)
     p_sim.add_argument("-n", "--stages", type=int, default=8)
     p_sim.add_argument("--scale", default="test")
-    add_kernel_flag(p_sim)
     add_telemetry_flags(p_sim)
     add_ledger_flag(p_sim)
 
@@ -138,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("workload")
     p_cmp.add_argument("-n", "--stages", type=int, default=8)
     p_cmp.add_argument("--scale", default="test")
-    add_kernel_flag(p_cmp)
     add_telemetry_flags(p_cmp)
 
     def add_executor_flags(p):
@@ -220,7 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="COLUMN",
         help="additionally render COLUMN as a text bar chart",
     )
-    add_kernel_flag(p_exp)
     add_executor_flags(p_exp)
     add_telemetry_flags(p_exp)
     add_ledger_flag(p_exp)
@@ -275,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="adaptive rung count (default: enough that at most eta "
         "configs reach full scale)",
     )
-    add_kernel_flag(p_sweep)
     add_executor_flags(p_sweep)
     add_telemetry_flags(p_sweep)
     add_ledger_flag(p_sweep)
@@ -316,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stable worker name for the result stream and lease "
         "records (default: pid + random suffix)",
     )
-    add_kernel_flag(p_worker)
 
     p_prof = sub.add_parser(
         "profile", help="profile one workload end to end (wall clock)"
@@ -532,9 +515,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench-report",
         help="benchmark trajectory and regression check",
         description="Summarise BENCH_history.jsonl (one line per "
-        "benchmark session, keyed by git SHA) and flag hot-path "
-        "regressions of more than 25%% against "
-        "benchmarks/hotpath_baseline.json. Exit codes: 0 no "
+        "benchmark session, keyed by git SHA) and gate the adaptive "
+        "sweep's savings and top-1 agreement. Exit codes: 0 no "
         "regression, 1 regression flagged, 2 no benchmark data.",
     )
     p_bench.add_argument(
@@ -544,10 +526,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--results", default="BENCH_results.json", metavar="FILE",
         help="latest benchmark results JSON (default: BENCH_results.json)",
-    )
-    p_bench.add_argument(
-        "--baseline", default=os.path.join("benchmarks", "hotpath_baseline.json"),
-        metavar="FILE", help="pinned hot-path baseline to compare against",
     )
     p_bench.add_argument("--json", action="store_true", dest="as_json")
     return parser
@@ -657,7 +635,6 @@ def cmd_simulate(args) -> int:
                 "policy": args.policy,
                 "stages": args.stages,
                 "scale": args.scale,
-                "kernel": active_kernel(),
             },
             fingerprints=fingerprints,
             phases=PROFILER.summary(since=mark),
@@ -966,7 +943,6 @@ def _experiment_serial(args, keys) -> int:
                 "which": args.which,
                 "scale": args.scale,
                 "experiments": keys,
-                "kernel": active_kernel(),
             },
             fingerprints=_cell_fingerprints(experiment_cells(keys, args.scale)),
             phases=PROFILER.summary(since=mark),
@@ -1012,7 +988,6 @@ def _experiment_executor(args, keys, jobs) -> int:
                 "which": args.which,
                 "scale": args.scale,
                 "experiments": keys,
-                "kernel": active_kernel(),
             },
             fingerprints=_cell_fingerprints(experiment_cells(keys, args.scale)),
             executor=report.counters(),
@@ -1144,7 +1119,6 @@ def cmd_sweep(args) -> int:
             "policies": policies,
             "overrides": {k: list(v) for k, v in overrides.items()},
             "scale": args.scale,
-            "kernel": active_kernel(),
         }
         if policy_overrides:
             config["policy_overrides"] = {
@@ -1831,14 +1805,6 @@ def _read_bench_history(path) -> list:
     return out
 
 
-def _hotpath_of(results) -> Optional[dict]:
-    """The hotpath record inside a benchmark results list, if any."""
-    for record in results or []:
-        if isinstance(record, dict) and "hotpath" in record:
-            return record["hotpath"]
-    return None
-
-
 def _adaptive_of(results) -> Optional[dict]:
     """The adaptive-sweep record inside a benchmark results list."""
     for record in results or []:
@@ -1853,7 +1819,7 @@ ADAPTIVE_SAVINGS_FLOOR = 0.60
 
 
 def cmd_bench_report(args) -> int:
-    """Benchmark trajectory + >25% hot-path regression check."""
+    """Benchmark trajectory + adaptive-sweep regression gate."""
     history = _read_bench_history(args.history)
     latest_results = None
     try:
@@ -1873,43 +1839,7 @@ def cmd_bench_report(args) -> int:
         )
         return 2
 
-    try:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError):
-        baseline = {}
-    tolerance = baseline.get("tolerance", 1.25)
-
-    hotpath = _hotpath_of(latest_results)
     regressions = []
-    drifts = []
-    if hotpath is not None:
-        for leg in ("warm", "cold", "batched"):
-            measured = hotpath.get("%s_speedup" % leg)
-            reference = baseline.get("%s_speedup" % leg)
-            if measured is None or reference is None:
-                continue
-            floor = round(reference / tolerance, 2)
-            # drift is informational (signed % vs the pinned baseline);
-            # only falling below baseline/tolerance is a regression
-            drifts.append(
-                {
-                    "leg": leg,
-                    "measured": measured,
-                    "baseline": reference,
-                    "drift_pct": round(100.0 * (measured - reference) / reference, 1),
-                }
-            )
-            if measured < floor:
-                regressions.append(
-                    {
-                        "leg": leg,
-                        "measured": measured,
-                        "baseline": reference,
-                        "floor": floor,
-                    }
-                )
-
     adaptive = _adaptive_of(latest_results)
     if adaptive is not None:
         savings = adaptive.get("savings")
@@ -1918,52 +1848,38 @@ def cmd_bench_report(args) -> int:
                 {
                     "leg": "adaptive-savings",
                     "measured": savings,
-                    "baseline": ADAPTIVE_SAVINGS_FLOOR,
                     "floor": ADAPTIVE_SAVINGS_FLOOR,
                 }
             )
         if adaptive.get("top1_match") is False:
             regressions.append(
-                {
-                    "leg": "adaptive-top1",
-                    "measured": False,
-                    "baseline": True,
-                    "floor": True,
-                }
+                {"leg": "adaptive-top1", "measured": False, "floor": True}
             )
 
     trajectory = []
     for entry in history:
-        point = {
-            "git_sha": entry.get("git_sha"),
-            "time": entry.get("time"),
-            "scale": entry.get("scale"),
-            "benchmarks": len(entry.get("results") or []),
-            "total_seconds": round(
-                sum(
-                    r.get("seconds", 0.0)
-                    for r in entry.get("results") or []
-                    if isinstance(r, dict)
+        trajectory.append(
+            {
+                "git_sha": entry.get("git_sha"),
+                "time": entry.get("time"),
+                "scale": entry.get("scale"),
+                "benchmarks": len(entry.get("results") or []),
+                "total_seconds": round(
+                    sum(
+                        r.get("seconds", 0.0)
+                        for r in entry.get("results") or []
+                        if isinstance(r, dict)
+                    ),
+                    3,
                 ),
-                3,
-            ),
-        }
-        hp = _hotpath_of(entry.get("results"))
-        if hp is not None:
-            point["warm_speedup"] = hp.get("warm_speedup")
-            point["cold_speedup"] = hp.get("cold_speedup")
-            point["batched_speedup"] = hp.get("batched_speedup")
-        trajectory.append(point)
+            }
+        )
 
     if args.as_json:
         print(
             json.dumps(
                 {
                     "history": trajectory,
-                    "hotpath": hotpath,
-                    "baseline": baseline,
-                    "tolerance": tolerance,
-                    "drift": drifts,
                     "adaptive": adaptive,
                     "regressions": regressions,
                 },
@@ -1976,10 +1892,7 @@ def cmd_bench_report(args) -> int:
 
     if trajectory:
         print("benchmark history (%s):" % args.history)
-        print(
-            "%-10s %-19s %-6s %6s %10s %6s %6s %7s"
-            % ("sha", "when", "scale", "n", "total", "warm", "cold", "batched")
-        )
+        print("%-10s %-19s %-6s %6s %10s" % ("sha", "when", "scale", "n", "total"))
         for point in trajectory:
             when = (
                 datetime.fromtimestamp(point["time"]).strftime("%Y-%m-%d %H:%M:%S")
@@ -1987,77 +1900,42 @@ def cmd_bench_report(args) -> int:
                 else "-"
             )
             print(
-                "%-10s %-19s %-6s %6d %9.1fs %6s %6s %7s"
+                "%-10s %-19s %-6s %6d %9.1fs"
                 % (
                     point.get("git_sha") or "-",
                     when,
                     point.get("scale") or "-",
                     point["benchmarks"],
                     point["total_seconds"],
-                    point.get("warm_speedup", "-"),
-                    point.get("cold_speedup", "-"),
-                    point.get("batched_speedup") or "-",
                 )
             )
     else:
         print("no benchmark history at %s" % args.history)
-    if hotpath is None and adaptive is None:
-        print("no hot-path record in the latest results; regression check skipped")
+    if adaptive is None:
+        print("no adaptive-sweep record in the latest results; regression check skipped")
         return 0
-    if hotpath is not None:
-        print(
-            "hot path: warm %sx (baseline %sx), cold %sx (baseline %sx), "
-            "batched kernel %sx (baseline %sx), tolerance %sx"
-            % (
-                hotpath.get("warm_speedup", "?"),
-                baseline.get("warm_speedup", "?"),
-                hotpath.get("cold_speedup", "?"),
-                baseline.get("cold_speedup", "?"),
-                hotpath.get("batched_speedup", "?"),
-                baseline.get("batched_speedup", "?"),
-                tolerance,
-            )
+    print(
+        "adaptive sweep: %.1f%% of full-scale units saved "
+        "(%.2f vs %.0f exhaustive, floor %.0f%%), top-1 %s"
+        % (
+            100.0 * (adaptive.get("savings") or 0.0),
+            adaptive.get("adaptive_units", 0.0),
+            adaptive.get("exhaustive_units", 0.0),
+            100.0 * ADAPTIVE_SAVINGS_FLOOR,
+            "matches exhaustive"
+            if adaptive.get("top1_match")
+            else "DIVERGES from exhaustive",
         )
-        for drift in drifts:
-            print(
-                "drift: %s %+0.1f%% vs baseline (%sx measured, %sx pinned)"
-                % (
-                    drift["leg"],
-                    drift["drift_pct"],
-                    drift["measured"],
-                    drift["baseline"],
-                )
-            )
-    if adaptive is not None:
-        print(
-            "adaptive sweep: %.1f%% of full-scale units saved "
-            "(%.2f vs %.0f exhaustive, floor %.0f%%), top-1 %s"
-            % (
-                100.0 * (adaptive.get("savings") or 0.0),
-                adaptive.get("adaptive_units", 0.0),
-                adaptive.get("exhaustive_units", 0.0),
-                100.0 * ADAPTIVE_SAVINGS_FLOOR,
-                "matches exhaustive"
-                if adaptive.get("top1_match")
-                else "DIVERGES from exhaustive",
-            )
-        )
+    )
     if regressions:
         for reg in regressions:
             print(
-                "REGRESSION: %s speedup %sx fell below %sx "
-                "(baseline %sx / tolerance %sx)"
-                % (
-                    reg["leg"],
-                    reg["measured"],
-                    reg["floor"],
-                    reg["baseline"],
-                    tolerance,
-                ),
+                "REGRESSION: %s measured %s, floor %s"
+                % (reg["leg"], reg["measured"], reg["floor"]),
                 file=sys.stderr,
             )
         return 1
-    print("no regression: all legs within tolerance of the pinned baseline")
+    print("no regression: the adaptive sweep is within its floor")
     return 0
 
 
@@ -2066,10 +1944,6 @@ def main(argv=None) -> int:
     # the raw argv rides along for the run ledger (tests pass argv
     # explicitly, so sys.argv would be the test runner's)
     args._argv = list(argv) if argv is not None else sys.argv[1:]
-    if getattr(args, "kernel", None):
-        # via the environment so MultiscalarConfig defaults pick it up
-        # everywhere, including forked/spawned executor workers
-        os.environ["REPRO_KERNEL"] = args.kernel
     handler = {
         "workloads": cmd_workloads,
         "trace": cmd_trace,

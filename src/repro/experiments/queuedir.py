@@ -239,6 +239,11 @@ class QueueDir:
                 continue
             with os.fdopen(fd, "w") as fh:
                 fh.write(json.dumps({"worker": worker_id, "pid": os.getpid()}))
+            if self.is_done(task_id):
+                # completed since we listed it: complete() marks the task
+                # done before it drops the lease we just won
+                self.release(task_id)
+                continue
             task = self._read_task(task_id)
             if task is None:
                 self.release(task_id)

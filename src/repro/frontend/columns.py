@@ -1,61 +1,31 @@
-"""Struct-of-arrays view of a decoded trace.
+"""Per-task aggregates and trace-pure derivations of a decoded trace.
 
-:class:`TraceColumns` materialises the per-entry fields of a
-:class:`~repro.frontend.trace.Trace` as dense parallel columns — NumPy
-arrays when NumPy is importable, ``array``/``bytearray`` columns
-otherwise — plus the per-task aggregates the batched kernel commits
-with.  It is built once per decoded trace (memoized on the trace's
-shared :class:`~repro.frontend.static_index.TraceIndex`) and shared,
-read-only, by every simulation over that trace.
+:class:`TraceColumns` holds what the simulator's issue loop
+(:mod:`repro.multiscalar.batched`) reads per task rather than per entry
+— instruction, load and store counts and the load seqs each task
+commits — plus a generic memo, :meth:`TraceColumns.derived`, for
+anything else that is a pure function of the trace (cache bank/set/tag
+geometry, sequencer prediction streams, ...).  The per-entry columns
+themselves live on the :class:`~repro.frontend.static_index.TraceIndex`.
 
-The column view is *derived*: the per-entry ``__slots__`` objects stay
-the source of truth, and the property suite in
-``tests/frontend/test_trace_columns.py`` pins the equivalence.  Encoding
-conventions for fields that are ``Optional`` on the object view:
-
-- ``addr``: ``-1`` where the entry has no effective address
-- ``taken``: ``-1`` not a conditional branch, ``0`` not taken, ``1`` taken
-
-Anything else a consumer derives from the columns (cache geometry,
-sequencer prediction streams, ...) hangs off the generic
-:meth:`TraceColumns.derived` memo so concurrent cells over one trace
-compute it once.
+It is built once per decoded trace (memoized on the trace's shared
+index) and shared, read-only, by every simulation over that trace.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Callable, Dict, List
 
-try:  # NumPy is optional: the column view degrades to array/list columns
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+HAVE_NUMPY = False  # read by benchmark reports; the columns are plain lists
 
 
 class TraceColumns:
-    """Dense parallel columns over one trace, plus per-task aggregates."""
+    """Per-task aggregates of one trace, plus the derivation memo."""
 
     __slots__ = (
         "n",
         "n_tasks",
-        # per-entry columns (NumPy arrays when available)
-        "pc",
-        "addr",
-        "task_id",
-        "task_pc",
-        "next_pc",
-        "taken",
-        "is_load",
-        "is_store",
-        "is_memory",
-        "fu_code",
-        "rd",
-        "index_in_task",
-        # per-task aggregates (plain lists: scalar-indexed in hot loops)
+        "_addr",
         "task_n_instr",
         "task_n_loads",
         "task_n_stores",
@@ -63,53 +33,12 @@ class TraceColumns:
         "_derived",
     )
 
-    def __init__(self, trace, index):
-        entries = trace.entries
-        n = index.n
-        self.n = n
+    def __init__(self, index):
+        self.n = index.n
         self.n_tasks = index.n_tasks
+        self._addr = index.addr
         self._derived: Dict[Any, Any] = {}
 
-        addr = [-1] * n
-        task_pc = [0] * n
-        next_pc = [0] * n
-        taken = [-1] * n
-        for seq, entry in enumerate(entries):
-            if entry.addr is not None:
-                addr[seq] = entry.addr
-            task_pc[seq] = entry.task_pc
-            next_pc[seq] = entry.next_pc
-            if entry.taken is not None:
-                taken[seq] = 1 if entry.taken else 0
-
-        if HAVE_NUMPY:
-            self.pc = _np.asarray(index.pc, dtype=_np.int64)
-            self.addr = _np.asarray(addr, dtype=_np.int64)
-            self.task_id = _np.asarray(index.task_id, dtype=_np.int64)
-            self.task_pc = _np.asarray(task_pc, dtype=_np.int64)
-            self.next_pc = _np.asarray(next_pc, dtype=_np.int64)
-            self.taken = _np.asarray(taken, dtype=_np.int8)
-            self.is_load = _np.frombuffer(bytes(index.is_load), dtype=_np.uint8)
-            self.is_store = _np.frombuffer(bytes(index.is_store), dtype=_np.uint8)
-            self.is_memory = _np.frombuffer(bytes(index.is_memory), dtype=_np.uint8)
-            self.fu_code = _np.frombuffer(bytes(index.fu_code), dtype=_np.uint8)
-            self.rd = _np.asarray(index.rd, dtype=_np.int64)
-            self.index_in_task = _np.asarray(index.index_in_task, dtype=_np.int64)
-        else:
-            self.pc = array("q", index.pc)
-            self.addr = array("q", addr)
-            self.task_id = array("q", index.task_id)
-            self.task_pc = array("q", task_pc)
-            self.next_pc = array("q", next_pc)
-            self.taken = array("b", taken)
-            self.is_load = bytes(index.is_load)
-            self.is_store = bytes(index.is_store)
-            self.is_memory = bytes(index.is_memory)
-            self.fu_code = bytes(index.fu_code)
-            self.rd = array("q", index.rd)
-            self.index_in_task = array("q", index.index_in_task)
-
-        # per-task aggregates consumed by the batched commit loop
         n_tasks = index.n_tasks
         self.task_n_instr = [0] * n_tasks
         self.task_n_loads = [0] * n_tasks
@@ -148,24 +77,17 @@ class TraceColumns:
         """Per-entry ``(bank, set, tag)`` columns for a banked cache shape.
 
         Returned as plain Python lists (scalar-indexed in the issue loop).
-        Entries with no effective address carry the ``addr = -1`` sentinel
-        through the floor-div/mod pipeline; they are never accessed because
-        only memory entries reach the cache.  NumPy and Python floor
-        division agree on negatives, so both builds produce identical
-        columns.
+        Entries with no effective address get zeros; they are never
+        accessed because only memory entries reach the cache.
         """
 
         def build():
-            if HAVE_NUMPY:
-                block = self.addr // block_bytes
-                bank = block % banks
-                set_ = (block // banks) % sets_per_bank
-                tag = block // banks // sets_per_bank
-                return bank.tolist(), set_.tolist(), tag.tolist()
             bank_col = [0] * self.n
             set_col = [0] * self.n
             tag_col = [0] * self.n
-            for seq, addr in enumerate(self.addr):
+            for seq, addr in enumerate(self._addr):
+                if addr is None:
+                    continue
                 block = addr // block_bytes
                 bank_col[seq] = block % banks
                 in_bank = block // banks

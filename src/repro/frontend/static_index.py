@@ -73,7 +73,7 @@ class TraceIndex:
         "prior_task_stores",
         "all_store_seqs",
         "addr_producer",
-        # memoized struct-of-arrays view (repro.frontend.columns)
+        # memoized per-task aggregates (repro.frontend.columns)
         "_columns",
     )
 
@@ -206,18 +206,12 @@ class TraceIndex:
             if rd is not None and rd != 0:
                 last_writer[rd] = entry.seq
 
-    def columns(self, trace):
-        """The struct-of-arrays view of ``trace``, memoized on this index.
-
-        ``trace`` must be the trace this index was built from; the
-        column view carries the per-entry fields the index does not
-        (next_pc, taken, task_pc) plus the per-task aggregates of the
-        batched kernel.  Sharing the memo with the index means
-        ``share_index`` semantics carry over: simulators given a private
-        index also get private columns.
-        """
+    def columns(self):
+        """The per-task aggregates and derivation memo of this trace,
+        memoized on this index (see
+        :class:`~repro.frontend.columns.TraceColumns`)."""
         if self._columns is None:
             from repro.frontend.columns import TraceColumns
 
-            self._columns = TraceColumns(trace, self)
+            self._columns = TraceColumns(self)
         return self._columns

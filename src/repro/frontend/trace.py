@@ -160,13 +160,13 @@ class Trace:
         return self._index
 
     def columns(self):
-        """The trace's shared struct-of-arrays column view.
+        """The trace's shared per-task aggregates and derivation memo.
 
         Memoized on the shared index (one build per decoded trace); see
         :class:`~repro.frontend.columns.TraceColumns`.  Like the index,
-        the columns are immutable and shared between concurrent runs.
+        they are immutable and shared between concurrent runs.
         """
-        return self.index().columns(self)
+        return self.index().columns()
 
     def dependence_edges(self):
         """Iterate over true dependence edges as (store_entry, load_entry)."""

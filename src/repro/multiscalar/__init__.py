@@ -5,7 +5,6 @@ from repro.multiscalar.explain import ExplainReport, SquashLedger, explain_progr
 from repro.multiscalar.config import (
     FU_COUNTS,
     FU_LATENCIES,
-    KERNELS,
     MultiscalarConfig,
     active_kernel,
     eight_stage,
@@ -36,7 +35,6 @@ __all__ = [
     "ExplainReport",
     "FU_COUNTS",
     "FU_LATENCIES",
-    "KERNELS",
     "SquashLedger",
     "active_kernel",
     "explain_program",

@@ -1,38 +1,45 @@
-"""The columnar batched simulation kernel.
+"""The simulator's issue loop.
 
-A flattened, monomorphic port of the event-driven scheduler in
-:mod:`repro.multiscalar.processor`, specialised for the common grid
-shape (oracle register model, telemetry off).  The object kernel pays
-for its generality in CPython dispatch: the inner scan crosses several
-method boundaries per entry (``_try_issue`` → ``_intra_task_gate`` →
-``policy.may_issue_load`` → ``deny_hints`` → ``_park`` →
-``cache.access``), each re-hoisting its attribute loads.  This kernel
-advances many entries per step inside ONE loop body over shared
-struct-of-arrays columns (:class:`~repro.frontend.columns.TraceColumns`):
+:meth:`~repro.multiscalar.processor.MultiscalarSimulator.run` runs every
+simulation here: every policy, every register model, telemetry on or
+off.  The loop is event-driven.  A stage is rescanned only when
+something that could change one of its issue decisions happened, and a
+denied entry is *parked* on the conditions under which the denial could
+lift: an instruction issuing, a store address resolving, a threshold on
+the oldest unresolved or unexecuted store, a commit, or a timed wake.
+Parked entries are skipped until one of their conditions fires.
+
+All of it runs inside ONE loop body over shared struct-of-arrays
+columns, so the inner scan crosses no method boundary per entry:
 
 - stateless policy decisions (NEVER/ALWAYS/WAIT/PSYNC) are inlined as
-  vectorised-predicate dispatch on precomputed columns — no per-load
-  method calls at all;
+  predicate dispatch on precomputed columns, with their wake conditions
+  registered at the deny site;
 - trace-pure streams are precomputed once per decoded trace and shared
   across every (config, policy) cell: the cache bank/set/tag geometry
   and the sequencer's correct/mispredict stream (a pure function of the
   task-PC sequence);
 - stateful policies (the MDPT/MDST mechanism family, store sets, VSYNC)
-  keep their object callbacks — the *kernel* around them is still flat,
-  so their runs speed up too while every table update stays
-  bit-identical.
+  keep their object callbacks and report their wake conditions through
+  :meth:`~repro.multiscalar.policies.SpeculationPolicy.deny_hints`;
+- the speculative register models (``conservative``/``always``/
+  ``predict``) take operand readiness from
+  ``MultiscalarSimulator._source_ready_time``.  Their stale-value rules
+  have no wake conditions, so a register denial never parks and its
+  stage is rescanned next cycle;
+- telemetry sits behind one ``tel_on`` flag read once per run.
 
-Bit-identity with the object kernel is the contract, not a goal: the
-port preserves statement order, the no-rollback semantics of
-``_park``, the shared hint list across store resolution and issue, the
-mid-scan squash behaviour of VSYNC (iteration continues over the
-pre-squash entry list), and the compaction arithmetic — all of it
-enforced by ``tests/multiscalar/test_kernel_differential.py``.
+Violations, squashes, register violations and the i-cache fetch
+schedule are cold paths and stay methods of the simulator.
 
-Runs the kernel cannot reproduce exactly fall back to the object path
-(see :func:`supports`): the speculative register models issue on stale
-values whose wake conditions the event plans do not track, and
-telemetry instrumentation points are deliberately not replicated here.
+The per-cycle scan in ``tests/multiscalar/reference.py`` is the
+specification: it re-derives every decision each cycle.  The
+differential harness (``tests/multiscalar/test_kernel_differential.py``)
+holds this loop equal to it in every statistic and squash cause, which
+is why statement order matters here: a park that fails keeps the
+registrations it already made, store address resolution and issue share
+one hint list, and a mid-scan squash (VSYNC) leaves the scan iterating
+the pre-squash entry list.
 """
 
 from __future__ import annotations
@@ -84,23 +91,6 @@ _KIND_OF = {
 }
 
 
-def supports(sim) -> bool:
-    """Can the batched kernel reproduce this run bit-identically?
-
-    Two features stay on the object path:
-
-    - non-oracle register models (``conservative``/``always``/
-      ``predict``): they issue on stale register values whose
-      availability the event wake plans do not track, so the object
-      kernel runs them under the cycle scheduler semantics;
-    - telemetry-instrumented runs: the kernel does not replicate the
-      per-load stall traces and counters (results are identical either
-      way — the telemetry A/B suite holds the object path to that — so
-      instrumented runs just take the instrumented kernel).
-    """
-    return sim.config.register_speculation == "oracle" and not sim._tel_on
-
-
 def _sequencer_stream(task_pcs, history):
     """Replay the path predictor over the static task-PC sequence.
 
@@ -118,15 +108,14 @@ def _sequencer_stream(task_pcs, history):
 
 
 def run_batched(sim) -> SpeculationStats:
-    """Run ``sim`` to completion on the batched kernel.
+    """Run ``sim`` to completion; returns its stats.
 
-    Mirrors ``MultiscalarSimulator._run_object`` state-for-state: every
-    run attribute is created on ``sim`` (policies, the sanitizer, the
-    squash ledger, and the cold-path squash machinery all read them)
-    and aliased to locals; containers are shared by reference, so
-    mutations made by ``sim`` methods called from here stay visible.
-    Only the scalars (``_head``, ``_next_dispatch``) need explicit
-    syncing before any call that can read them.
+    Run state that policies, the sanitizer, the squash ledger or the
+    simulator's cold paths read is created on ``sim`` and aliased to
+    locals; containers are shared by reference, so mutations made by
+    ``sim`` methods called from here stay visible.  Only the scalars
+    (``_head``, ``_next_dispatch``) need explicit syncing before any
+    call that can read them.
     """
     cfg = sim.config
     n = sim.n
@@ -135,9 +124,10 @@ def run_batched(sim) -> SpeculationStats:
     kind = _KIND_OF.get(type(policy), _STATEFUL)
     stateful = kind == _STATEFUL
 
-    cols = sim._index.columns(sim.trace)
+    cols = sim._index.columns()
 
-    # ---- per-run state, exactly as the object run() creates it ----
+    # ---- per-run state: on ``sim`` where its methods or the policy
+    # read it, local otherwise ----
     done: List[Optional[int]] = [None] * n
     sim.done = done
     sim.issued = issued = [False] * n
@@ -145,15 +135,13 @@ def run_batched(sim) -> SpeculationStats:
     sim.issue_time = issue_time
     sim._completed = completed = [False] * n
     sim._epoch = epochs = [0] * n
-    sim._reg_spec_mode = cfg.register_speculation
+    sim._reg_spec_mode = reg_mode = cfg.register_speculation
     sim._reg_learned = set()
     events: List[tuple] = []
-    sim._events = events
     pending_class: Dict[int, str] = {}
     sim._pending_class = pending_class
     sim._issue_floor = issue_floor = [0] * n_tasks
 
-    sim._unissued_stores = unissued_stores = _LazyMinSet(sim.all_store_seqs)
     sim._unexecuted_stores = unexecuted_stores = _LazyMinSet(sim.all_store_seqs)
     sim._unknown_addr_stores = unknown_addr = _LazyMinSet(sim.all_store_seqs)
     sim._store_perform = store_perform = [0] * n
@@ -172,7 +160,6 @@ def run_batched(sim) -> SpeculationStats:
     sim._task_live = task_live = [0] * n_tasks
     sim._head = 0
     sim._next_dispatch = 0
-    sim._last_dispatch_time = -cfg.dispatch_latency
 
     # the sequencer stream is trace-pure: prefill the whole
     # correct/mispredict schedule instead of calling record() per
@@ -188,42 +175,48 @@ def run_batched(sim) -> SpeculationStats:
     pending_correct = [True] * (n_tasks + 1)
     if n_tasks > 1:
         pending_correct[1:n_tasks] = stream
-    sim._pending_correct = pending_correct
     sim.sequencer = sequencer = PathBasedTaskPredictor(history=history)
-    sim._load_first_attempt = {}
+    load_first_attempt: Dict[int, int] = {}
+    sim._load_first_attempt = load_first_attempt
 
-    # the batched kernel IS the event-driven scheduling algorithm
-    # (bit-identical to the cycle scheduler by construction); sim-side
-    # wake helpers (note_load_wake) must see skip mode enabled
-    sim._skip_enabled = True
+    # event scheduling: a stage is rescanned when dirty or when its
+    # timed wake is due.  Wake registrations carry (task id, entry seq):
+    # firing one unparks that entry and dirties its stage.
     sim._task_dirty = dirty = [True] * n_tasks
     next_try: List[float] = [0] * n_tasks
-    sim._task_next_try = next_try
-    wake_on_issue: Dict[int, List[tuple]] = {}
-    sim._wake_on_issue = wake_on_issue
-    resolve_watchers: Dict[int, List[tuple]] = {}
-    sim._resolve_watchers = resolve_watchers
-    addr_watchers: List[tuple] = []
-    sim._addr_watchers = addr_watchers
-    exec_watchers: List[tuple] = []
-    sim._exec_watchers = exec_watchers
-    commit_watchers: List[tuple] = []
-    sim._commit_watchers = commit_watchers
+    wake_on_issue: Dict[int, List[tuple]] = {}  # producer seq -> regs
+    resolve_watchers: Dict[int, List[tuple]] = {}  # store seq -> regs
+    addr_watchers: List[tuple] = []  # (threshold seq, task, seq) heap
+    exec_watchers: List[tuple] = []  # (threshold seq, task, seq) heap
+    commit_watchers: List[tuple] = []  # (task threshold, task, seq) heap
     sim._entry_parked = parked = bytearray(n)
     entry_wake: List[float] = [0.0] * n
-    sim._entry_wake = entry_wake
+    # scan-prefix memo, one per task: the leading run of its unissued
+    # list known to be skippable (dead slots and entries parked beyond
+    # *wake*).  ``pos`` list slots are skipped wholesale, entering the
+    # scan with ``considered`` already counted; unparking an entry at
+    # or below ``last`` (and any squash, compaction or due timed wake)
+    # drops the memo back to a full scan.
     sim._scan_pos = scan_pos = [0] * n_tasks
     sim._scan_considered = scan_considered = [0] * n_tasks
     scan_wake: List[float] = [_INF] * n_tasks
     sim._scan_wake = scan_wake
     sim._scan_last = scan_last = [-1] * n_tasks
 
-    sim._fu_limits = fu_limits = [cfg.fu_counts[cls] for cls in FU_ORDER]
+    fu_limits = [cfg.fu_counts[cls] for cls in FU_ORDER]
     latencies = [cfg.fu_latencies[cls] for cls in FU_ORDER]
+
+    stages = cfg.stages
+    tel_on = sim._tel_on
+    if tel_on:
+        metrics = sim.telemetry.metrics
+        trace_sink = sim.telemetry.trace
+        for stage in range(stages):
+            trace_sink.thread_name(stage, "stage %d" % stage)
 
     policy.bind(sim)
 
-    # ---- hoisted locals (the whole point of this kernel) ----
+    # ---- hoisted locals ----
     stats = sim.stats
     task_of = sim.task_of
     index_in_task = sim.index_in_task
@@ -245,38 +238,8 @@ def run_batched(sim) -> SpeculationStats:
     src_p1, src_p2 = cols.derived("src_pair", _build_src_pair)
     far_horizon = _FAR_HORIZON
 
-    # more dict-of-the-object-kernel -> column conversions: the oracle
-    # producer of each load (-1 = none), the earlier same-task stores
-    # gating each load (None = none), and the static completion latency
-    # of every non-memory entry (latency depends on the config, so the
-    # memo key carries it)
-    producers = sim.producers
-
-    def _build_producer_col():
-        col = [-1] * n
-        for load_seq, store_seq in producers.items():
-            if store_seq is not None:
-                col[load_seq] = store_seq
-        return col
-
-    producer_col = cols.derived("producer_col", _build_producer_col)
-
-    prior_task_stores = sim.prior_task_stores
-
-    def _build_prior_stores_col():
-        col: List[Optional[List[int]]] = [None] * n
-        for load_seq, stores in prior_task_stores.items():
-            col[load_seq] = stores
-        return col
-
-    prior_stores_col = cols.derived("prior_stores_col", _build_prior_stores_col)
-
-    fu_code = cols.fu_code
-
-    def _build_static_lat():
-        return [latencies[fu_code[s]] for s in range(n)]
-
-    static_lat = cols.derived(("static_lat", tuple(latencies)), _build_static_lat)
+    producer_get = sim.producers.get  # a load's oracle producer store
+    prior_stores_get = sim.prior_task_stores.get  # earlier same-task stores
     dependents_get = sim.dependents.get
     addr_producer_get = sim.addr_producer.get
     c_addr = sim._c_addr
@@ -284,11 +247,12 @@ def run_batched(sim) -> SpeculationStats:
     c_is_store = sim._c_is_store
     c_is_memory = sim._c_is_memory
     c_fu = sim._c_fu
+    c_pc = sim._c_pc
+    c_rd = sim._c_rd
 
     unknown_set = unknown_addr._set
     unknown_min = unknown_addr.minimum
     unknown_discard = unknown_addr.discard
-    unissued_discard = unissued_stores.discard
     unexecuted_min = unexecuted_stores.minimum
     unexecuted_discard = unexecuted_stores.discard
     wake_on_issue_pop = wake_on_issue.pop
@@ -316,6 +280,11 @@ def run_batched(sim) -> SpeculationStats:
 
     find_violation = sim._find_violation
     handle_violation = sim._handle_violation
+    find_register_violation = sim._find_register_violation
+    handle_register_violation = sim._handle_register_violation
+    source_ready_time = sim._source_ready_time
+    oracle_regs = reg_mode == "oracle"
+    reg_violations = reg_mode in ("always", "predict")
     schedule_fetch = sim._schedule_fetch
     may_issue_load = policy.may_issue_load
     deny_hints = policy.deny_hints
@@ -323,7 +292,6 @@ def run_batched(sim) -> SpeculationStats:
     on_task_dispatched = policy.on_task_dispatched
     on_task_committed = policy.on_task_committed
 
-    stages = cfg.stages
     rs_window = cfg.rs_window
     issue_width = cfg.issue_width
     fetch_width = cfg.fetch_width
@@ -342,7 +310,7 @@ def run_batched(sim) -> SpeculationStats:
     while head < n_tasks:
         progressed = False
 
-        # ---- completion events (_process_events) --------------------
+        # ---- completion events --------------------------------------
         store_completed = False
         while events and events[0][0] <= now:
             time, seq, epoch = heappop(events)
@@ -360,6 +328,12 @@ def run_batched(sim) -> SpeculationStats:
                     violator = find_violation(seq, time)
                     if violator is not None:
                         handle_violation(seq, violator, time)
+            if reg_violations and c_rd[seq] > 0:
+                sim._head = head
+                sim._next_dispatch = next_dispatch
+                violator = find_register_violation(seq, time)
+                if violator is not None:
+                    handle_register_violation(seq, violator, time)
         if store_completed and exec_watchers:
             m = unexecuted_min()
             while exec_watchers and (m is None or exec_watchers[0][0] <= m):
@@ -372,7 +346,7 @@ def run_batched(sim) -> SpeculationStats:
                     scan_wake[t_id] = _INF
                     scan_last[t_id] = -1
 
-        # ---- dispatch (_try_dispatch) -------------------------------
+        # ---- dispatch -----------------------------------------------
         while next_dispatch < n_tasks and next_dispatch - head < stages:
             task_id = next_dispatch
             ready = last_dispatch_time + dispatch_latency
@@ -403,7 +377,7 @@ def run_batched(sim) -> SpeculationStats:
             progressed = True
         sim._next_dispatch = next_dispatch
 
-        # ---- issue (_issue_phase with everything inlined) -----------
+        # ---- issue ---------------------------------------------------
         for task_id in range(head, next_dispatch):
             if not dirty[task_id] and next_try[task_id] > now:
                 continue
@@ -443,19 +417,19 @@ def run_batched(sim) -> SpeculationStats:
             new_pos = pfx_pos
             new_considered = considered
             new_wake = pfx_wake
-            # Two-tier prefix absorption.  The *leading* inert run (the
-            # object kernel's memo) absorbs any parked entry, timed or
-            # not — its wake folds into new_wake and resets the memo
-            # when due.  Past the first action point, scans keep
-            # absorbing (``growing``) but only entries that cannot
-            # poison the memo's wake: dead entries and parks whose wake
+            # Two-tier prefix absorption.  The *leading* inert run
+            # absorbs any parked entry, timed or not — its wake folds
+            # into new_wake and resets the memo when due.  Past the
+            # first action point, scans keep absorbing (``growing``)
+            # but only entries that cannot poison the memo's wake:
+            # dead entries and parks whose wake
             # is event-registered (nt == _INF) or at least _FAR_HORIZON
             # out.  Near timed parks there would make pfx_wake fire
             # nearly every cycle and throw the whole prefix away —
             # measurably worse than not absorbing at all.  Stateful
-            # runs stop growing at the first *action* point like the
-            # object kernel: a mid-scan squash (VSYNC) resets the memos
-            # of every task whose prefix could hide revived entries.
+            # runs stop growing at the first *action* point: a mid-scan
+            # squash (VSYNC) resets the memos of every task whose
+            # prefix could hide revived entries.
             growing = True
             leading = True
             far = now + far_horizon
@@ -499,7 +473,8 @@ def run_batched(sim) -> SpeculationStats:
                             nt_plan = fetch
                         break
                 if considered <= rs_window and c_is_store[seq] and seq in unknown_set:
-                    # ---- _resolve_store_address inline ----
+                    # ---- store address resolution: known once the
+                    #      base register is ready ----
                     producer = addr_producer_get(seq)
                     res_ok = True
                     if producer is not None:
@@ -544,11 +519,11 @@ def run_batched(sim) -> SpeculationStats:
                     if shared_hints:
                         del shared_hints[:]
                     break
-                # ---- _try_issue inline (event-plan path) ----
+                # ---- try to issue ----
                 # Deny sites park *directly* when they can: each site
                 # has just verified its own wake condition, so the
-                # generic hint-list round trip (_park re-validating
-                # every registration) is pure overhead.  direct_nt is
+                # generic hint-list round trip (re-validating every
+                # registration) is pure overhead.  direct_nt is
                 # the park's timed wake (_INF for pure event wakes);
                 # the trailer finishes the park.  Sites that may run
                 # with hints already pending (a store whose address
@@ -556,32 +531,17 @@ def run_batched(sim) -> SpeculationStats:
                 ok = False
                 direct_nt = None
                 while True:  # single-pass block: break == return
-                    # register producers, unrolled (at most two sources)
-                    ready = 0
-                    producer = src_p1[seq]
-                    if producer >= 0:
-                        p_done = done[producer]
-                        if p_done is None:
-                            if shared_hints:
-                                shared_hints.append((WAKE_ISSUE, producer))
-                            else:
-                                # producer provably unissued: register now
-                                wake_on_issue_setdefault(producer, []).append(
-                                    (task_id, seq)
-                                )
-                                direct_nt = _INF
-                            break
-                        p_task = task_of[producer]
-                        if p_task != task_id:
-                            p_done += hop * (task_id - p_task)
-                        ready = p_done
-                        producer = src_p2[seq]
+                    if oracle_regs:
+                        # register producers, unrolled (at most two sources)
+                        ready = 0
+                        producer = src_p1[seq]
                         if producer >= 0:
                             p_done = done[producer]
                             if p_done is None:
                                 if shared_hints:
                                     shared_hints.append((WAKE_ISSUE, producer))
                                 else:
+                                    # producer provably unissued: register now
                                     wake_on_issue_setdefault(producer, []).append(
                                         (task_id, seq)
                                     )
@@ -590,14 +550,40 @@ def run_batched(sim) -> SpeculationStats:
                             p_task = task_of[producer]
                             if p_task != task_id:
                                 p_done += hop * (task_id - p_task)
-                            if p_done > ready:
-                                ready = p_done
-                    if ready > now:
-                        if shared_hints:
-                            shared_hints.append((WAKE_TIME, ready))
-                        else:
-                            direct_nt = ready
-                        break
+                            ready = p_done
+                            producer = src_p2[seq]
+                            if producer >= 0:
+                                p_done = done[producer]
+                                if p_done is None:
+                                    if shared_hints:
+                                        shared_hints.append((WAKE_ISSUE, producer))
+                                    else:
+                                        wake_on_issue_setdefault(producer, []).append(
+                                            (task_id, seq)
+                                        )
+                                        direct_nt = _INF
+                                    break
+                                p_task = task_of[producer]
+                                if p_task != task_id:
+                                    p_done += hop * (task_id - p_task)
+                                if p_done > ready:
+                                    ready = p_done
+                        if ready > now:
+                            if shared_hints:
+                                shared_hints.append((WAKE_TIME, ready))
+                            else:
+                                direct_nt = ready
+                            break
+                    else:
+                        # stale-value register models: no wake condition,
+                        # so the entry stays unparked and its stage is
+                        # rescanned next cycle
+                        sim._head = head
+                        ready = source_ready_time(seq, task_id, now)
+                        if ready < 0 or ready > now:
+                            if shared_hints:
+                                del shared_hints[:]
+                            break
                     fu = c_fu[seq]
                     if counters[fu] >= fu_limits[fu]:
                         # a full complement already issued into this
@@ -609,12 +595,13 @@ def run_batched(sim) -> SpeculationStats:
                         break
                     if c_is_load[seq]:
                         addr = c_addr[seq]
-                        # ---- _intra_task_gate inline ----
+                        # ---- intra-task dependences are never
+                        #      speculated (Section 5) ----
                         # loads reach here with shared_hints empty (the
                         # resolve step runs for stores only), so every
                         # gate deny parks directly
                         gated = False
-                        pts = prior_stores_col[seq]
+                        pts = prior_stores_get(seq)
                         if pts is not None:
                             for store_seq in pts:
                                 if store_seq in unknown_set:
@@ -639,37 +626,38 @@ def run_batched(sim) -> SpeculationStats:
                                         break
                         if gated:
                             break
+                        if tel_on:
+                            load_first_attempt.setdefault(seq, now)
                         # ---- policy.may_issue_load / deny_hints,
-                        #      specialised per stateless kind ----
+                        #      specialised per stateless kind; a deny
+                        #      sets direct_nt or leaves shared hints ----
                         if kind == _ALWAYS:
                             pass
                         elif kind == _PSYNC:
-                            producer = producer_col[seq]
-                            if producer >= 0 and not issued[producer]:
+                            producer = producer_get(seq)
+                            if producer is not None and not issued[producer]:
                                 wake_on_issue_setdefault(producer, []).append(
                                     (task_id, seq)
                                 )
                                 direct_nt = _INF
-                                break
                         elif kind == _NEVER:
                             m = unknown_min()
-                            producer = producer_col[seq]
+                            producer = producer_get(seq)
                             if (m is not None and m < seq) or (
-                                producer >= 0 and not issued[producer]
+                                producer is not None and not issued[producer]
                             ):
                                 # registration order mirrors deny_hints:
                                 # ADDR_MIN, then ISSUE
                                 if m is not None and m < seq:
                                     heappush(addr_watchers, (seq, task_id, seq))
-                                if producer >= 0 and not issued[producer]:
+                                if producer is not None and not issued[producer]:
                                     wake_on_issue_setdefault(producer, []).append(
                                         (task_id, seq)
                                     )
                                 direct_nt = _INF
-                                break
                         elif kind == _WAIT:
-                            producer = producer_col[seq]
-                            if producer >= 0 and task_of[producer] >= head:
+                            producer = producer_get(seq)
+                            if producer is not None and task_of[producer] >= head:
                                 m = unknown_min()
                                 if (m is not None and m < seq) or not issued[
                                     producer
@@ -689,7 +677,6 @@ def run_batched(sim) -> SpeculationStats:
                                             producer, []
                                         ).append((task_id, seq))
                                     direct_nt = _INF
-                                    break
                         else:
                             sim._head = head
                             if not may_issue_load(seq, now):
@@ -700,7 +687,12 @@ def run_batched(sim) -> SpeculationStats:
                                     # the policy does not model its wake
                                     # conditions: re-ask every cycle
                                     shared_hints.append((WAKE_TIME, now + 1))
-                                break
+                        if direct_nt is not None or shared_hints:
+                            if tel_on:
+                                metrics.counter("policy.load_denials").inc()
+                            break
+                        if tel_on:
+                            metrics.counter("policy.load_grants").inc()
                     if c_is_memory[seq]:
                         # ---- BankedCache.access inline over the
                         #      precomputed geometry columns ----
@@ -724,12 +716,12 @@ def run_batched(sim) -> SpeculationStats:
                             tags[set_idx] = tag
                             completion = start + miss_latency
                     else:
-                        completion = now + static_lat[seq]
+                        completion = now + latencies[fu]
                     counters[fu] += 1
                     issued[seq] = True
                     issue_time[seq] = now
                     done[seq] = completion
-                    # ---- _fire_issue_wakes inline ----
+                    # ---- wake the entries parked on this issue ----
                     if seq in wake_on_issue:
                         for t_id, s in wake_on_issue_pop(seq):
                             parked[s] = 0
@@ -740,7 +732,6 @@ def run_batched(sim) -> SpeculationStats:
                                 scan_wake[t_id] = _INF
                                 scan_last[t_id] = -1
                     if c_is_store[seq]:
-                        unissued_discard(seq)
                         unknown_discard(seq)
                         if addr_watchers:
                             m = unknown_min()
@@ -768,9 +759,23 @@ def run_batched(sim) -> SpeculationStats:
                         if stateful:
                             # VSYNC may squash from in here; the scan
                             # then keeps iterating the pre-squash entry
-                            # list, exactly like the object kernel
+                            # list
                             sim._head = head
                             on_store_issued(seq, now)
+                    if tel_on and c_is_load[seq]:
+                        first = load_first_attempt.pop(seq, now)
+                        wait = now - first
+                        metrics.histogram("load.wait_cycles").observe(wait)
+                        if wait > 0:
+                            pc = c_pc[seq]
+                            trace_sink.complete(
+                                "load stall pc=%d" % pc,
+                                ts=first,
+                                dur=wait,
+                                tid=task_id % stages,
+                                cat="stall",
+                                args={"seq": seq, "pc": pc, "task": task_id},
+                            )
                     heappush(events, (completion, seq, epochs[seq]))
                     ok = True
                     break
@@ -805,8 +810,9 @@ def run_batched(sim) -> SpeculationStats:
                         else:
                             growing = False
                 elif shared_hints:
-                    # ---- _park inline (no rollback on failure: earlier
-                    # registrations stay, exactly like the object path) ----
+                    # ---- park on the hint list (a hint that already
+                    #      holds ends the park; registrations made
+                    #      before it stay) ----
                     nt = _INF
                     park_ok = True
                     for kind_h, arg in shared_hints:
@@ -887,7 +893,7 @@ def run_batched(sim) -> SpeculationStats:
             else:
                 next_try[task_id] = _INF
 
-        # ---- commit (_try_commit) -----------------------------------
+        # ---- commit -------------------------------------------------
         while head < n_tasks and remaining[head] == 0:
             task_id = head
             stats.committed_instructions += task_n_instr[task_id]
@@ -901,6 +907,19 @@ def run_batched(sim) -> SpeculationStats:
             else:
                 stats.breakdown.nn += task_n_loads[task_id]
             stats.tasks_committed += 1
+            if tel_on:
+                dispatch = dispatch_time[task_id]
+                trace_sink.complete(
+                    "task %d" % task_id,
+                    ts=dispatch,
+                    dur=max(1, now - dispatch),
+                    tid=task_id % stages,
+                    cat="task",
+                    args={
+                        "task_pc": task_pcs[task_id],
+                        "instructions": task_n_instr[task_id],
+                    },
+                )
             if stateful:
                 sim._head = head
                 sim._next_dispatch = next_dispatch
@@ -908,7 +927,7 @@ def run_batched(sim) -> SpeculationStats:
             head += 1
             sim._head = head
             progressed = True
-            if commit_watchers:  # _fire_commit_watchers inline
+            if commit_watchers:
                 while commit_watchers and commit_watchers[0][0] < head:
                     _, t_id, s = heappop(commit_watchers)
                     parked[s] = 0
@@ -925,7 +944,7 @@ def run_batched(sim) -> SpeculationStats:
             idle_cycles = 0
             now += 1
             continue
-        # ---- _next_event_time inline --------------------------------
+        # ---- idle: jump to the next time anything can change --------
         candidates = []
         while events:
             time, seq, epoch = events[0]
@@ -971,7 +990,6 @@ def run_batched(sim) -> SpeculationStats:
     # ---- finalise ----------------------------------------------------
     sim._head = head
     sim._next_dispatch = next_dispatch
-    sim._last_dispatch_time = last_dispatch_time
     cache.hits += cache_hits
     cache.misses += cache_misses
     cache.bank_conflict_cycles += cache_conflicts
@@ -979,4 +997,7 @@ def run_batched(sim) -> SpeculationStats:
     sequencer.mispredictions = total_mispredictions
     stats.cycles = now
     stats.control_mispredictions = total_mispredictions
+    if tel_on:
+        sim._publish_run_metrics()
+        policy.publish_telemetry(sim.telemetry)
     return stats

@@ -10,39 +10,21 @@ Table 2 categories.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.isa.opcodes import FUClass
 from repro.memsys.cache import CacheConfig
 
+def active_kernel() -> str:
+    """The name of the simulator's one issue loop
+    (:mod:`repro.multiscalar.batched`), as benchmark reports print it."""
+    return "batched"
+
+
 #: Functional-unit latencies in cycles (paper Table 2; "SP/DP" single and
 #: double precision).  The memory latency listed here is address
 #: generation only — cache access time comes from the cache model.
-#: Registered simulation kernels, in increasing order of specialisation.
-#: ``cycle`` and ``event`` name the two issue-scan schedulers of the
-#: object kernel; ``batched`` selects the columnar struct-of-arrays
-#: kernel (repro.multiscalar.batched) which falls back to the object
-#: event path whenever a run needs features it does not support.
-KERNELS = ("cycle", "event", "batched")
-
-
-def active_kernel() -> str:
-    """The kernel a default-constructed config would select right now.
-
-    Mirrors the ``MultiscalarConfig`` default chain: ``REPRO_KERNEL``
-    wins, then ``REPRO_SCHEDULER``, then the ``event`` default.  Used
-    by cache keys and ledger records that must name the kernel without
-    building a config.
-    """
-    return (
-        os.environ.get("REPRO_KERNEL", "")
-        or os.environ.get("REPRO_SCHEDULER", "")
-        or "event"
-    )
-
-
 FU_LATENCIES: Dict[FUClass, int] = {
     FUClass.SIMPLE_INT: 1,
     FUClass.COMPLEX_INT: 4,
@@ -117,29 +99,6 @@ class MultiscalarConfig:
     # (Section 5.2).  Off by default: fetch is then ideal at fetch_width
     # instructions per cycle.
     model_icache: bool = False
-    # Issue-scan scheduling strategy:
-    #   "event" - a stage is rescanned only when something that could
-    #             change its issue decisions happened (operand wake-ups,
-    #             store address/perform thresholds, commits, timed
-    #             stalls).  Bit-identical to "cycle" by construction —
-    #             scans that are skipped are exactly the provably
-    #             no-op ones — and verified by the A/B suite.
-    #   "cycle" - the legacy per-cycle rescan of every in-flight stage.
-    # The REPRO_SCHEDULER environment variable overrides the default.
-    scheduler: str = field(
-        default_factory=lambda: os.environ.get("REPRO_SCHEDULER", "event")
-    )
-    # Simulation kernel:
-    #   "cycle"/"event" - the object kernel under the matching scheduler
-    #                     (setting these also forces `scheduler`)
-    #   "batched"       - the columnar struct-of-arrays kernel
-    #                     (repro.multiscalar.batched); `scheduler` is left
-    #                     alone because it names the object fallback path
-    #                     used when the batched kernel cannot run a config
-    # Empty (the default) resolves to `scheduler`, so existing configs
-    # and the REPRO_SCHEDULER variable keep their meaning.  The
-    # REPRO_KERNEL environment variable overrides the default.
-    kernel: str = field(default_factory=lambda: os.environ.get("REPRO_KERNEL", ""))
 
     def __post_init__(self):
         if self.stages <= 0:
@@ -157,20 +116,6 @@ class MultiscalarConfig:
             raise ValueError(
                 "register_speculation must be oracle/conservative/always/"
                 "predict, got %r" % (self.register_speculation,)
-            )
-        if self.scheduler not in ("event", "cycle"):
-            raise ValueError(
-                "scheduler must be event or cycle, got %r" % (self.scheduler,)
-            )
-        if not self.kernel:
-            self.kernel = self.scheduler
-        elif self.kernel in ("event", "cycle"):
-            # the object kernels *are* the schedulers: keep both fields
-            # coherent so downstream code can branch on either
-            self.scheduler = self.kernel
-        elif self.kernel != "batched":
-            raise ValueError(
-                "kernel must be one of %s, got %r" % ("/".join(KERNELS), self.kernel)
             )
 
     def make_cache_config(self) -> CacheConfig:

@@ -35,9 +35,9 @@ from repro.telemetry import NULL_TELEMETRY
 
 
 # Wake-hint kinds returned by :meth:`SpeculationPolicy.deny_hints`.
-# The event-driven scheduler uses them to decide when a denied load's
-# stage must be rescanned; each hint names one condition under which
-# the policy's answer could change.
+# The simulator's event-driven issue loop uses them to decide when a
+# denied load's stage must be rescanned; each hint names one condition
+# under which the policy's answer could change.
 WAKE_TIME = 0      # rescan at the absolute cycle in ``arg``
 WAKE_ISSUE = 1     # rescan when instruction ``arg`` issues
 WAKE_ADDR_MIN = 2  # rescan once no store older than ``arg`` has an unknown address
@@ -58,24 +58,25 @@ class SpeculationPolicy:
     def may_issue_load(self, seq, now) -> bool:
         """May the operand-ready load *seq* access memory at *now*?
 
-        Under the legacy cycle scheduler this is consulted once per
-        cycle per ready load until it returns True.  The event-driven
-        scheduler instead consults it only on cycles where one of the
-        load's :meth:`deny_hints` conditions fired — the grant/deny
-        *decisions* are identical, the number of consultations is not.
+        The per-cycle reference scan (``tests/multiscalar/reference.py``)
+        consults this once per cycle per ready load until it returns
+        True.  The simulator's event-driven loop consults it only on
+        cycles where one of the load's :meth:`deny_hints` conditions
+        fired — the grant/deny *decisions* are identical, the number of
+        consultations is not.
         """
         raise NotImplementedError
 
     def deny_hints(self, seq, now):
         """Why was load *seq* just denied, as wake conditions?
 
-        Called by the event-driven scheduler immediately after
+        Called by the event-driven issue loop immediately after
         :meth:`may_issue_load` returned False.  Returns a list of
         ``(WAKE_*, arg)`` tuples that together cover every way the
         denial could lift; the load's stage is rescanned when any of
         them fires.  Returning None (the default, and the safe answer
         for any policy that does not model its own wake conditions)
-        makes the scheduler fall back to rescanning the stage every
+        makes the loop fall back to rescanning the stage every
         cycle — always correct, merely slower.
         """
         return None
@@ -357,7 +358,7 @@ class MechanismPolicy(SpeculationPolicy):
         self._defer(seq, "reward_all", seq)
         self._wake_time[seq] = now + 1
         note = getattr(self.sim, "note_load_wake", None)
-        if note is not None:  # facade sims in tests lack the scheduler
+        if note is not None:  # facade sims in tests lack the issue loop
             note(seq)
 
     def on_store_issued(self, seq, now):

@@ -22,24 +22,12 @@ not executed; their cost is modeled as a dispatch delay
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.core.stats import SpeculationStats
-from repro.frontend.static_index import FU_ORDER, NUM_FU_CLASSES, TraceIndex
 from repro.memsys.cache import BankedCache
-from repro.memsys.icache import InstructionCache
 from repro.multiscalar.config import MultiscalarConfig
-from repro.multiscalar.policies import (
-    WAKE_ADDR_MIN,
-    WAKE_COMMIT,
-    WAKE_EXEC_MIN,
-    WAKE_ISSUE,
-    WAKE_RESOLVE,
-    WAKE_TIME,
-    AlwaysPolicy,
-    SpeculationPolicy,
-)
-from repro.multiscalar.sequencer import PathBasedTaskPredictor
+from repro.multiscalar.policies import AlwaysPolicy, SpeculationPolicy
 from repro.telemetry import NULL_TELEMETRY
 
 _INF = float("inf")
@@ -84,17 +72,12 @@ class MultiscalarSimulator:
         config=None,
         policy: Optional[SpeculationPolicy] = None,
         telemetry=None,
-        share_index=True,
         sanitizer=None,
         squash_ledger=None,
     ):
         self.trace = trace
         self.config = config or MultiscalarConfig()
         self.policy = policy or AlwaysPolicy()
-        # share_index=True adopts the trace's memoized TraceIndex, so a
-        # grid of simulators over one trace builds the static structures
-        # once; False forces a private rebuild (benchmarks, paranoia)
-        self._share_index = share_index
         self.cache = BankedCache(self.config.make_cache_config())
         self.stats = SpeculationStats()
         # instrumentation is opt-in: the null default makes every sink
@@ -120,7 +103,7 @@ class MultiscalarSimulator:
     # ------------------------------------------------------------------
 
     def _prepare_static(self):
-        """Adopt (or build) the trace's static index.
+        """Adopt the trace's static index.
 
         Everything here is a function of the trace alone; the
         :class:`~repro.frontend.static_index.TraceIndex` memoized on the
@@ -129,12 +112,7 @@ class MultiscalarSimulator:
         tests read them), and the ``_c_*`` names are the columnar views
         the hot loops index by ``seq``.
         """
-        trace = self.trace
-        index_fn = getattr(trace, "index", None)
-        if self._share_index and index_fn is not None:
-            index = index_fn()
-        else:
-            index = TraceIndex(trace)
+        index = self.trace.index()
         self._index = index
         self.n = index.n
         self.tasks = index.tasks
@@ -216,143 +194,16 @@ class MultiscalarSimulator:
     # ------------------------------------------------------------------
 
     def run(self) -> SpeculationStats:
-        """Run the simulation on the configured kernel.
+        """Run the simulation to completion and return its stats.
 
-        ``config.kernel == "batched"`` selects the columnar kernel
-        (:mod:`repro.multiscalar.batched`) whenever it supports the run
-        (oracle register model, telemetry off); anything it cannot
-        reproduce bit-identically falls back to this object kernel
-        under ``config.scheduler``.  Results are bit-identical across
-        kernels — the differential harness in
-        ``tests/multiscalar/test_kernel_differential.py`` enforces it.
+        The issue loop lives in :mod:`repro.multiscalar.batched`; this
+        class holds the static index, the helpers policies call, and the
+        cold paths the loop calls (violations, squash, register
+        violations, the i-cache fetch schedule).
         """
-        if self.config.kernel == "batched":
-            from repro.multiscalar import batched
+        from repro.multiscalar.batched import run_batched
 
-            if batched.supports(self):
-                return batched.run_batched(self)
-        return self._run_object()
-
-    def _run_object(self) -> SpeculationStats:
-        cfg = self.config
-        n = self.n
-
-        self.done: List[Optional[int]] = [None] * n
-        self.issued = [False] * n
-        self.issue_time: List[Optional[int]] = [None] * n
-        self._completed = [False] * n  # completion event processed
-        self._epoch = [0] * n
-        self._reg_spec_mode = cfg.register_speculation
-        self._reg_learned = set()  # (producer PC, consumer PC) known dependent
-        self._events: List[tuple] = []  # (time, seq, epoch)
-        self._pending_class: Dict[int, str] = {}
-        self._issue_floor = [0] * self.n_tasks  # re-issue gate after squash
-
-        self._unissued_stores = _LazyMinSet(self.all_store_seqs)
-        self._unexecuted_stores = _LazyMinSet(self.all_store_seqs)
-        self._unknown_addr_stores = _LazyMinSet(self.all_store_seqs)
-        self._store_perform = [0] * n  # time a store's data enters the ARB
-
-        self._dispatch_time: List[Optional[int]] = [None] * self.n_tasks
-        self._fetch_time: Dict[int, int] = {}
-        self._icaches = (
-            [InstructionCache() for _ in range(cfg.stages)]
-            if cfg.model_icache
-            else None
-        )
-        self._remaining = [len(seqs) for seqs in self.tasks]
-        self._task_unissued: Dict[int, List[int]] = {}
-        # unissued entries per task.  The _task_unissued lists are
-        # compacted lazily, so their length overstates the real
-        # population; this counter is the authoritative one.
-        self._task_live = [0] * self.n_tasks
-        self._head = 0
-        self._next_dispatch = 0
-        self._last_dispatch_time = -cfg.dispatch_latency
-        self._pending_correct = [True] * (self.n_tasks + 1)
-
-        self.sequencer = PathBasedTaskPredictor(history=cfg.predictor_history)
-        self._load_first_attempt: Dict[int, int] = {}
-        if self._tel_on:
-            trace_sink = self.telemetry.trace
-            for stage in range(cfg.stages):
-                trace_sink.thread_name(stage, "stage %d" % stage)
-
-        # event-driven issue scheduling: a stage is rescanned only when
-        # dirty (something observable happened) or its timed wake is due.
-        # Skipping is enabled only for the oracle register model — the
-        # speculative register models issue on stale values whose
-        # availability the wake plans do not track.
-        self._skip_enabled = (
-            cfg.scheduler == "event" and cfg.register_speculation == "oracle"
-        )
-        self._task_dirty = [True] * self.n_tasks
-        self._task_next_try: List[float] = [0] * self.n_tasks
-        # wake registries.  Every registration carries (task id, entry
-        # seq): firing unparks that entry and dirties its stage.
-        self._wake_on_issue: Dict[int, List[tuple]] = {}  # producer seq -> regs
-        self._resolve_watchers: Dict[int, List[tuple]] = {}  # store seq -> regs
-        self._addr_watchers: List[tuple] = []  # (threshold, task, seq) heap
-        self._exec_watchers: List[tuple] = []  # (threshold, task, seq) heap
-        self._commit_watchers: List[tuple] = []  # (task threshold, task, seq) heap
-        # per-entry parking: an entry whose denial produced a full wake
-        # plan is skipped by subsequent scans (even while its stage is
-        # otherwise active) until one of its conditions fires or its
-        # timed wake arrives.  Squash unparks everything it resets.
-        self._entry_parked = bytearray(n)
-        self._entry_wake: List[float] = [0.0] * n
-        # scan-prefix memo, one per task: the leading run of its
-        # unissued list known to be skippable (dead slots and entries
-        # parked strictly beyond *wake*).  ``pos`` list slots are
-        # skipped wholesale, entering the scan with ``considered``
-        # already counted; any unpark of an entry at or below ``last``
-        # (and any squash, compaction, or due timed wake) invalidates
-        # the memo back to a full scan.
-        nt_count = self.n_tasks
-        self._scan_pos = [0] * nt_count
-        self._scan_considered = [0] * nt_count
-        self._scan_wake: List[float] = [_INF] * nt_count
-        self._scan_last = [-1] * nt_count
-
-        # per-class limits and latencies as lists indexed by fu_code
-        self._fu_limits = [cfg.fu_counts[cls] for cls in FU_ORDER]
-        latencies = [cfg.fu_latencies[cls] for cls in FU_ORDER]
-
-        self.policy.bind(self)
-
-        now = 0
-        idle_cycles = 0
-        while self._head < self.n_tasks:
-            progressed = False
-            progressed |= self._process_events(now)
-            progressed |= self._try_dispatch(now)
-            progressed |= self._issue_phase(now, latencies)
-            progressed |= self._try_commit(now)
-            if self._head >= self.n_tasks:
-                break
-            if progressed:
-                idle_cycles = 0
-                now += 1
-                continue
-            next_time = self._next_event_time(now)
-            if next_time is not None and next_time > now:
-                now = next_time
-                idle_cycles = 0
-            else:
-                now += 1
-                idle_cycles += 1
-                if idle_cycles > 100_000:
-                    raise SimulationError(
-                        "no progress for %d cycles at t=%d (head task %d of %d)"
-                        % (idle_cycles, now, self._head, self.n_tasks)
-                    )
-
-        self.stats.cycles = now
-        self.stats.control_mispredictions = self.sequencer.mispredictions
-        if self._tel_on:
-            self._publish_run_metrics()
-            self.policy.publish_telemetry(self.telemetry)
-        return self.stats
+        return run_batched(self)
 
     def _publish_run_metrics(self):
         """End-of-run gauges (simulated-time totals and machine shape)."""
@@ -367,45 +218,7 @@ class MultiscalarSimulator:
         metrics.gauge("config.stages").set(self.config.stages)
         metrics.gauge("policy.name").set(self.policy.name)
 
-    # -- dispatch ----------------------------------------------------------
-
-    def _dispatch_ready_time(self, task_id, now) -> Optional[int]:
-        base = self._last_dispatch_time + self.config.dispatch_latency
-        if self._pending_correct[task_id]:
-            return base
-        last_prev = self.tasks[task_id - 1][-1]
-        resolve = self.done[last_prev]
-        if resolve is None or not self.issued[last_prev]:
-            return None  # misprediction not resolved yet
-        return max(base, resolve + self.config.mispredict_penalty)
-
-    def _try_dispatch(self, now) -> bool:
-        progressed = False
-        while (
-            self._next_dispatch < self.n_tasks
-            and self._next_dispatch - self._head < self.config.stages
-        ):
-            task_id = self._next_dispatch
-            ready = self._dispatch_ready_time(task_id, now)
-            if ready is None or ready > now:
-                break
-            self._dispatch_time[task_id] = now
-            self._last_dispatch_time = now
-            self._task_dirty[task_id] = True
-            self._task_next_try[task_id] = now
-            self._task_unissued[task_id] = list(self.tasks[task_id])
-            self._task_live[task_id] = len(self.tasks[task_id])
-            if self._icaches is not None:
-                self._schedule_fetch(task_id, now)
-            self._next_dispatch += 1
-            self.policy.on_task_dispatched(task_id, now)
-            if task_id + 1 < self.n_tasks:
-                correct = self.sequencer.record(self.task_pcs[task_id + 1])
-                self._pending_correct[task_id + 1] = correct
-            progressed = True
-        return progressed
-
-    # -- issue -------------------------------------------------------------
+    # -- cold paths of the issue loop ---------------------------------------
 
     def _reg_avail(self, producer, task_id) -> Optional[int]:
         """When *producer*'s value is usable in *task_id*, or None."""
@@ -489,382 +302,6 @@ class MultiscalarSimulator:
                 self._fetch_time[seq] = cursor
             cursor += 1
 
-    def _fetch_ready(self, seq, task_id) -> int:
-        if self._icaches is not None:
-            return self._fetch_time.get(seq, self._dispatch_time[task_id])
-        return (
-            self._dispatch_time[task_id]
-            + self.index_in_task[seq] // self.config.fetch_width
-        )
-
-    def _resolve_store_address(self, seq, task_id, now, plan=None) -> bool:
-        """Mark a store's address as known once its base register is ready.
-
-        Returns True when the address resolved this cycle.  When *plan*
-        is given (event scheduling), each early-out appends the wake
-        condition under which resolution should be retried.  The caller
-        (:meth:`_issue_phase`) has already established that the store is
-        fetched and past its stage's issue floor.
-        """
-        cfg = self.config
-        producer = self.addr_producer.get(seq)
-        if producer is not None:
-            done = self.done[producer]
-            if done is None:
-                if plan is not None:
-                    plan.append((WAKE_ISSUE, producer))
-                return False
-            avail = done
-            producer_task = self.task_of[producer]
-            if producer_task != task_id:
-                avail += cfg.ring_hop_latency * (task_id - producer_task)
-            if avail + cfg.agen_latency > now:
-                if plan is not None:
-                    plan.append((WAKE_TIME, avail + cfg.agen_latency))
-                return False
-        self._unknown_addr_stores.discard(seq)
-        if self._skip_enabled:
-            self._fire_addr_watchers()
-            self._fire_resolve_watchers(seq)
-        return True
-
-    def _intra_task_gate(self, seq, addr, now, plan=None) -> bool:
-        """Intra-task dependences are never speculated (Section 5)."""
-        unknown = self._unknown_addr_stores
-        c_addr = self._c_addr
-        done_arr = self.done
-        for store_seq in self.prior_task_stores.get(seq, ()):
-            if store_seq in unknown:
-                if plan is not None:
-                    plan.append((WAKE_RESOLVE, store_seq))
-                return False
-            if c_addr[store_seq] == addr:
-                done = done_arr[store_seq]
-                if done is None:
-                    if plan is not None:
-                        plan.append((WAKE_ISSUE, store_seq))
-                    return False
-                if done > now:
-                    if plan is not None:
-                        plan.append((WAKE_TIME, done))
-                    return False
-        return True
-
-    def _try_issue(self, seq, task_id, now, counters, latencies, plan=None) -> bool:
-        # fetch and issue-floor gating already happened in _issue_phase
-        cfg = self.config
-        if plan is not None:
-            # oracle-model fast path (skip mode implies the oracle
-            # register model): consumers wait exactly for their
-            # producers' ring-forwarded values
-            ready = 0
-            done_arr = self.done
-            task_of = self.task_of
-            hop = cfg.ring_hop_latency
-            for producer in self.src_producers[seq]:
-                done = done_arr[producer]
-                if done is None:
-                    plan.append((WAKE_ISSUE, producer))
-                    return False
-                producer_task = task_of[producer]
-                if producer_task != task_id:
-                    done += hop * (task_id - producer_task)
-                if done > ready:
-                    ready = done
-            if ready > now:
-                plan.append((WAKE_TIME, ready))
-                return False
-        else:
-            src_ready = self._source_ready_time(seq, task_id, now)
-            if src_ready < 0 or src_ready > now:
-                return False
-        fu = self._c_fu[seq]
-        if counters[fu] >= self._fu_limits[fu]:
-            # the scan already issued a full complement into this class;
-            # retry as soon as the units free (next cycle) — without
-            # this hint the entry could be parked on unrelated earlier
-            # hints (e.g. a store's address-resolution wake) and miss it
-            if plan is not None:
-                plan.append((WAKE_TIME, now + 1))
-            return False
-        is_load = self._c_is_load[seq]
-        if is_load:
-            if not self._intra_task_gate(seq, self._c_addr[seq], now, plan):
-                return False
-            if self._tel_on:
-                self._load_first_attempt.setdefault(seq, now)
-            if not self.policy.may_issue_load(seq, now):
-                if self._tel_on:
-                    self.telemetry.metrics.counter("policy.load_denials").inc()
-                if plan is not None:
-                    hints = self.policy.deny_hints(seq, now)
-                    if hints:
-                        plan.extend(hints)
-                    else:
-                        # the policy does not model its wake conditions:
-                        # re-ask every cycle (legacy behavior)
-                        plan.append((WAKE_TIME, now + 1))
-                return False
-            if self._tel_on:
-                self.telemetry.metrics.counter("policy.load_grants").inc()
-        if self._c_is_memory[seq]:
-            completion = self.cache.access(self._c_addr[seq], now + cfg.agen_latency)
-        else:
-            completion = now + latencies[fu]
-        counters[fu] += 1
-        self.issued[seq] = True
-        self.issue_time[seq] = now
-        self.done[seq] = completion
-        if self._skip_enabled:
-            self._fire_issue_wakes(seq)
-        if self._c_is_store[seq]:
-            self._unissued_stores.discard(seq)
-            self._unknown_addr_stores.discard(seq)
-            if self._skip_enabled:
-                self._fire_addr_watchers()
-                self._fire_resolve_watchers(seq)
-            self._store_perform[seq] = now + 1
-            self.policy.on_store_issued(seq, now)
-        if self._tel_on and is_load:
-            first = self._load_first_attempt.pop(seq, now)
-            wait = now - first
-            pc = self._c_pc[seq]
-            self.telemetry.metrics.histogram("load.wait_cycles").observe(wait)
-            if wait > 0:
-                self.telemetry.trace.complete(
-                    "load stall pc=%d" % pc,
-                    ts=first,
-                    dur=wait,
-                    tid=task_id % self.config.stages,
-                    cat="stall",
-                    args={"seq": seq, "pc": pc, "task": task_id},
-                )
-        heapq.heappush(self._events, (completion, seq, self._epoch[seq]))
-        return True
-
-    def _issue_phase(self, now, latencies) -> bool:
-        progressed = False
-        cfg = self.config
-        rs_window = cfg.rs_window
-        issue_width = cfg.issue_width
-        skip = self._skip_enabled
-        dirty = self._task_dirty
-        next_try = self._task_next_try
-        unknown_addr = self._unknown_addr_stores
-        issued_flags = self.issued
-        live = self._task_live
-        fetch_width = cfg.fetch_width
-        index_in_task = self.index_in_task
-        c_is_store = self._c_is_store
-        parked = self._entry_parked
-        entry_wake = self._entry_wake
-        scan_pos = self._scan_pos
-        scan_considered = self._scan_considered
-        scan_wake = self._scan_wake
-        scan_last = self._scan_last
-        shared_hints: List[tuple] = []
-        for task_id in range(self._head, self._next_dispatch):
-            if skip:
-                if not dirty[task_id] and next_try[task_id] > now:
-                    continue
-                dirty[task_id] = False
-            if self._dispatch_time[task_id] > now:
-                continue
-            if not live[task_id]:
-                if skip:
-                    # nothing in flight for this stage; only a squash
-                    # (which dirties every stage) can repopulate it
-                    next_try[task_id] = _INF
-                continue
-            floor = self._issue_floor[task_id]
-            if floor > now:
-                # provably a no-op scan: nothing may issue or resolve
-                # before the post-squash restart floor
-                if skip:
-                    next_try[task_id] = floor
-                continue
-            unissued = self._task_unissued[task_id]
-            counters = [0] * NUM_FU_CLASSES
-            issued_count = 0
-            resolved = False
-            unparked = 0  # denials without a full wake plan
-            nt_plan = _INF  # earliest timed rescan of this stage
-            # fetch gating, hoisted out of the per-entry helpers: fetch
-            # times are nondecreasing in program order within a task
-            # (sequential fetch), so the first unfetched entry ends the
-            # scan — nothing behind it can issue or resolve this cycle
-            fetch_times = self._fetch_time if self._icaches is not None else None
-            dispatch = self._dispatch_time[task_id]
-            # without an i-cache the fetch time is a pure function of
-            # position: entries at index >= fetch_limit are not fetched
-            # yet, so one comparison replaces the per-entry division
-            fetch_limit = (now - dispatch + 1) * fetch_width
-            # resume past the memoized skippable prefix (invalid once
-            # its earliest timed wake is due)
-            pfx_pos = scan_pos[task_id]
-            pfx_wake = scan_wake[task_id]
-            if pfx_pos and now >= pfx_wake:
-                pfx_pos = 0
-                pfx_wake = _INF
-            if pfx_pos:
-                considered = scan_considered[task_id]
-                new_last = scan_last[task_id]
-                if pfx_wake < nt_plan:
-                    nt_plan = pfx_wake
-                entries = unissued[pfx_pos:]
-            else:
-                considered = 0
-                new_last = -1
-                entries = unissued
-            new_pos = pfx_pos
-            new_considered = considered
-            new_wake = pfx_wake
-            growing = True  # still extending the skippable prefix
-            for seq in entries:
-                if issued_flags[seq]:
-                    if growing:
-                        new_pos += 1
-                    continue  # dead entry awaiting compaction
-                considered += 1
-                if skip and parked[seq]:
-                    wake = entry_wake[seq]
-                    if wake > now:
-                        # none of its wake conditions have fired yet,
-                        # but the per-cycle scan would still *count*
-                        # this entry — and end the whole scan here once
-                        # the window or width is exhausted, keeping
-                        # later stores from resolving this cycle
-                        if considered > rs_window or issued_count >= issue_width:
-                            break
-                        if wake < nt_plan:
-                            nt_plan = wake
-                        if growing:
-                            new_pos += 1
-                            new_considered = considered
-                            if wake < new_wake:
-                                new_wake = wake
-                            new_last = seq
-                        continue
-                    parked[seq] = 0  # its timed wake is due: rescan
-                growing = False
-                if fetch_times is None:
-                    if index_in_task[seq] >= fetch_limit:
-                        fetch = dispatch + index_in_task[seq] // fetch_width
-                        if fetch < nt_plan:
-                            nt_plan = fetch
-                        break
-                else:
-                    fetch = fetch_times.get(seq, dispatch)
-                    if fetch > now:
-                        if fetch < nt_plan:
-                            nt_plan = fetch
-                        break
-                if skip:
-                    del shared_hints[:]  # consumed synchronously by _park
-                    hints: Optional[List[tuple]] = shared_hints
-                else:
-                    hints = None
-                if (
-                    considered <= rs_window
-                    and c_is_store[seq]
-                    and seq in unknown_addr
-                ):
-                    if self._resolve_store_address(seq, task_id, now, hints):
-                        resolved = True
-                if considered > rs_window or issued_count >= issue_width:
-                    break
-                if self._try_issue(seq, task_id, now, counters, latencies, hints):
-                    issued_count += 1
-                    progressed = True
-                elif skip:
-                    if hints:
-                        wake = self._park(seq, task_id, hints, now)
-                        if wake is None:
-                            unparked += 1
-                        elif wake < nt_plan:
-                            nt_plan = wake
-                    else:
-                        # the deny produced no wake condition; fall
-                        # back to per-cycle rescans for this entry
-                        unparked += 1
-            scan_pos[task_id] = new_pos
-            scan_considered[task_id] = new_considered
-            scan_wake[task_id] = new_wake
-            scan_last[task_id] = new_last
-            if issued_count:
-                remaining = live[task_id] - issued_count
-                live[task_id] = remaining
-                if len(unissued) - remaining >= 64 and remaining * 2 < len(unissued):
-                    # mostly dead: compact so later scans stay short
-                    self._task_unissued[task_id] = [
-                        s for s in unissued if not issued_flags[s]
-                    ]
-                    # list positions shifted: the prefix memo is stale
-                    scan_pos[task_id] = 0
-                    scan_considered[task_id] = 0
-                    scan_wake[task_id] = _INF
-                    scan_last[task_id] = -1
-            if skip:
-                if issued_count or resolved or unparked:
-                    # state changed, or an unparked entry needs the
-                    # legacy per-cycle rescan
-                    next_try[task_id] = now + 1
-                elif nt_plan < _INF:
-                    next_try[task_id] = nt_plan if nt_plan > now else now + 1
-                else:
-                    # empty, or every pending entry is parked on a wake
-                    # condition that will dirty this stage when it fires
-                    next_try[task_id] = _INF
-        return progressed
-
-    # -- event-driven scheduling ----------------------------------------------
-
-    def _park(self, seq, task_id, hints, now) -> Optional[float]:
-        """Register a denied entry's wake conditions and park it.
-
-        The hint list is a disjunction: the entry is unparked (and its
-        stage dirtied) when *any* condition fires.  Returns the entry's
-        earliest timed wake (``_INF`` when purely event-driven), or
-        None when the entry could not be parked — a condition was
-        already satisfied at registration time (the watched instruction
-        issued or a threshold was crossed later in this very cycle), or
-        every hint was a timed wake that is already due.  The caller
-        then falls back to rescanning the entry next cycle, closing the
-        fire-before-register race.
-        """
-        nt = _INF
-        for kind, arg in hints:
-            if kind == WAKE_TIME:
-                if arg < nt:
-                    nt = arg
-            elif kind == WAKE_ISSUE:
-                if self.issued[arg]:
-                    return None
-                self._wake_on_issue.setdefault(arg, []).append((task_id, seq))
-            elif kind == WAKE_RESOLVE:
-                if arg not in self._unknown_addr_stores:
-                    return None
-                self._resolve_watchers.setdefault(arg, []).append((task_id, seq))
-            elif kind == WAKE_ADDR_MIN:
-                m = self._unknown_addr_stores.minimum()
-                if m is None or m >= arg:
-                    return None
-                heapq.heappush(self._addr_watchers, (arg, task_id, seq))
-            elif kind == WAKE_EXEC_MIN:
-                m = self._unexecuted_stores.minimum()
-                if m is None or m >= arg:
-                    return None
-                heapq.heappush(self._exec_watchers, (arg, task_id, seq))
-            elif kind == WAKE_COMMIT:
-                if self._head > arg:
-                    return None
-                heapq.heappush(self._commit_watchers, (arg, task_id, seq))
-        if nt <= now:
-            return None
-        self._entry_wake[seq] = nt
-        self._entry_parked[seq] = 1
-        return nt
-
     def _unpark(self, task_id, s):
         """Unpark entry *s*, dirty its stage, and drop the stage's scan
         prefix if the entry sits inside it."""
@@ -876,85 +313,11 @@ class MultiscalarSimulator:
             self._scan_wake[task_id] = _INF
             self._scan_last[task_id] = -1
 
-    def _fire_issue_wakes(self, seq):
-        watchers = self._wake_on_issue.pop(seq, None)
-        if watchers:
-            for task_id, s in watchers:
-                self._unpark(task_id, s)
-
-    def _fire_resolve_watchers(self, store_seq):
-        watchers = self._resolve_watchers.pop(store_seq, None)
-        if watchers:
-            for task_id, s in watchers:
-                self._unpark(task_id, s)
-
-    def _fire_addr_watchers(self):
-        heap = self._addr_watchers
-        if not heap:
-            return
-        m = self._unknown_addr_stores.minimum()
-        while heap and (m is None or heap[0][0] <= m):
-            _, task_id, s = heapq.heappop(heap)
-            self._unpark(task_id, s)
-
-    def _fire_exec_watchers(self):
-        heap = self._exec_watchers
-        if not heap:
-            return
-        m = self._unexecuted_stores.minimum()
-        while heap and (m is None or heap[0][0] <= m):
-            _, task_id, s = heapq.heappop(heap)
-            self._unpark(task_id, s)
-
-    def _fire_commit_watchers(self):
-        heap = self._commit_watchers
-        if not heap:
-            return
-        head = self._head
-        while heap and heap[0][0] < head:
-            _, task_id, s = heapq.heappop(heap)
-            self._unpark(task_id, s)
-
     def note_load_wake(self, seq):
         """Policy callback: a store signal will release load *seq* next
-        cycle — unpark it and rescan its stage (an event-scheduler wake
-        the generic hints cannot express)."""
-        if self._skip_enabled:
-            self._unpark(self.task_of[seq], seq)
-
-    # -- completion events ---------------------------------------------------
-
-    def _process_events(self, now) -> bool:
-        progressed = False
-        events = self._events
-        epochs = self._epoch
-        issued = self.issued
-        completed = self._completed
-        remaining = self._remaining
-        task_of = self.task_of
-        c_is_store = self._c_is_store
-        reg_violations = self._reg_spec_mode in ("always", "predict")
-        store_completed = False
-        while events and events[0][0] <= now:
-            time, seq, epoch = heapq.heappop(events)
-            if epoch != epochs[seq] or not issued[seq]:
-                continue  # stale (squashed) event
-            progressed = True
-            completed[seq] = True
-            remaining[task_of[seq]] -= 1
-            if c_is_store[seq]:
-                self._unexecuted_stores.discard(seq)
-                store_completed = True
-                violator = self._find_violation(seq, time)
-                if violator is not None:
-                    self._handle_violation(seq, violator, time)
-            if reg_violations and self._c_rd[seq] > 0:
-                violator = self._find_register_violation(seq, time)
-                if violator is not None:
-                    self._handle_register_violation(seq, violator, time)
-        if store_completed and self._skip_enabled:
-            self._fire_exec_watchers()
-        return progressed
+        cycle — unpark it and rescan its stage (a wake the generic hints
+        cannot express)."""
+        self._unpark(self.task_of[seq], seq)
 
     def _find_register_violation(self, producer, time) -> Optional[int]:
         """Earliest consumer that issued before this producer's value
@@ -1092,7 +455,6 @@ class MultiscalarSimulator:
                 if self._tel_on:
                     self._load_first_attempt.pop(seq, None)
                 if c_is_store[seq]:
-                    self._unissued_stores.add(seq)
                     self._unexecuted_stores.add(seq)
                     self._unknown_addr_stores.add(seq)
             if not reset_any:
@@ -1106,12 +468,11 @@ class MultiscalarSimulator:
             self._scan_last[task_id] = -1
             offset = task_id - first_task
             self._issue_floor[task_id] = restart + offset * cfg.squash_stagger
-        if self._skip_enabled:
-            # everything at or after the squash point changed shape;
-            # re-scan every in-flight stage from scratch
-            dirty = self._task_dirty
-            for task_id in range(self._head, self._next_dispatch):
-                dirty[task_id] = True
+        # everything at or after the squash point changed shape;
+        # re-scan every in-flight stage from scratch
+        dirty = self._task_dirty
+        for task_id in range(self._head, self._next_dispatch):
+            dirty[task_id] = True
         if self._tel_on:
             depth = self.stats.squashed_instructions - squashed_before
             self.telemetry.metrics.counter("sim.squashes").inc()
@@ -1124,74 +485,6 @@ class MultiscalarSimulator:
                 args={"first_seq": first_seq, "squashed_instructions": depth},
             )
         self.policy.on_squash(first_seq, restart)
-
-    # -- commit ---------------------------------------------------------------
-
-    def _try_commit(self, now) -> bool:
-        progressed = False
-        c_is_load = self._c_is_load
-        c_is_store = self._c_is_store
-        while self._head < self.n_tasks and self._remaining[self._head] == 0:
-            task_id = self._head
-            stats = self.stats
-            breakdown = stats.breakdown
-            for seq in self.tasks[task_id]:
-                stats.committed_instructions += 1
-                if c_is_load[seq]:
-                    stats.committed_loads += 1
-                    bucket = self._pending_class.pop(seq, "nn")
-                    setattr(breakdown, bucket, getattr(breakdown, bucket) + 1)
-                elif c_is_store[seq]:
-                    stats.committed_stores += 1
-            stats.tasks_committed += 1
-            if self._tel_on:
-                dispatch = self._dispatch_time[task_id]
-                self.telemetry.trace.complete(
-                    "task %d" % task_id,
-                    ts=dispatch,
-                    dur=max(1, now - dispatch),
-                    tid=task_id % self.config.stages,
-                    cat="task",
-                    args={
-                        "task_pc": self.task_pcs[task_id],
-                        "instructions": len(self.tasks[task_id]),
-                    },
-                )
-            self.policy.on_task_committed(task_id, now)
-            self._head += 1
-            progressed = True
-            if self._skip_enabled:
-                self._fire_commit_watchers()
-        return progressed
-
-    # -- time management --------------------------------------------------------
-
-    def _next_event_time(self, now) -> Optional[int]:
-        candidates = []
-        events = self._events
-        while events:
-            time, seq, epoch = events[0]
-            if epoch != self._epoch[seq] or not self.issued[seq]:
-                heapq.heappop(events)
-                continue
-            candidates.append(time)
-            break
-        if (
-            self._next_dispatch < self.n_tasks
-            and self._next_dispatch - self._head < self.config.stages
-        ):
-            ready = self._dispatch_ready_time(self._next_dispatch, now)
-            if ready is not None:
-                candidates.append(ready)
-        for task_id in range(self._head, self._next_dispatch):
-            dt = self._dispatch_time[task_id]
-            if dt is not None and dt > now:
-                candidates.append(dt)
-            floor = self._issue_floor[task_id]
-            if floor > now and self._task_live[task_id]:
-                candidates.append(floor)
-        future = [c for c in candidates if c > now]
-        return min(future) if future else None
 
 
 def simulate(trace, config=None, policy=None) -> SpeculationStats:

@@ -29,8 +29,9 @@ observations, mirroring the reaching-stores soundness contract in
 A contradiction is a soundness bug and a hard test failure.
 
 The sanitizer counts its events unconditionally and deterministically —
-the event/cycle schedulers must produce bit-identical counts (A/B
-tested) — and additionally publishes telemetry counters when the bound
+the simulator's issue loop and the per-cycle reference scan must produce
+bit-identical counts (A/B tested) — and additionally publishes telemetry
+counters when the bound
 simulator's registry is enabled, following the zero-overhead contract
 of :mod:`repro.telemetry`.
 """

@@ -1,13 +1,13 @@
 """A/B determinism of the hot-path optimizations.
 
-The tentpole (trace cache + columnar index + event scheduler) is only
-admissible if it is invisible in the numbers.  These tests compare the
-optimized path against the unoptimized one end to end:
+The trace cache, the shared columnar index and the event-driven issue
+loop are only admissible if they are invisible in the numbers.  These
+tests compare the optimized path against the unoptimized one end to end:
 
 * a trace that went through the binary cache round trip must simulate
   bit-identically to a freshly interpreted one, under every policy;
 * the figure-5 experiment table must be bit-identical between the
-  event-driven and the per-cycle scheduler.
+  simulator's event-driven loop and the per-cycle reference scan.
 """
 
 import pytest
@@ -18,6 +18,7 @@ from repro.frontend.trace_cache import TraceCache, clear_memory_cache
 from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator
 from repro.multiscalar.policies import POLICY_ALIASES, POLICY_FACTORIES, make_policy
 from repro.workloads import get_workload
+from tests.multiscalar.reference import run_reference
 
 ALL_POLICIES = tuple(POLICY_FACTORIES) + tuple(POLICY_ALIASES)
 
@@ -77,7 +78,8 @@ def test_figure5_table_identical_across_schedulers(monkeypatch):
 
     tables = {}
     for scheduler in ("event", "cycle"):
-        monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+        if scheduler == "cycle":
+            monkeypatch.setattr(MultiscalarSimulator, "run", run_reference)
         table = figure5_policy_speedups(scale="tiny", stage_counts=(4,))
         tables[scheduler] = (table.columns, table.rows)
     assert tables["event"] == tables["cycle"]

@@ -96,6 +96,21 @@ def test_complete_marks_done_and_releases(tmp_path):
     assert queue.claim("w2") is None
 
 
+def test_claim_skips_task_completed_after_listing(tmp_path, monkeypatch):
+    queue = QueueDir(tmp_path).init()
+    queue.enqueue(make_task("run-t000000"))
+    queue.enqueue(make_task("run-t000001"))
+    stale = queue.pending_task_ids()
+    # another worker finishes the first task after this one listed the
+    # queue: complete() marks it done, then drops its lease
+    first = queue.claim("w1")
+    queue.complete(first["id"])
+    monkeypatch.setattr(queue, "pending_task_ids", lambda: list(stale))
+    task = queue.claim("w2")
+    assert task is not None and task["id"] == "run-t000001"
+    assert not (queue.leases / "run-t000000.lease").exists()
+
+
 def test_reclaim_renames_stale_leases(tmp_path):
     queue = QueueDir(tmp_path).init()
     queue.enqueue(make_task())

@@ -1,14 +1,15 @@
-"""Property tests for the struct-of-arrays trace column view.
+"""Property tests for the columnar views of a trace.
 
 The per-entry ``__slots__`` objects remain the source of truth; the
-columns in :class:`~repro.frontend.columns.TraceColumns` are a derived,
-memoized projection that the batched kernel trusts blindly.  These
-properties pin the projection over generator-random traces: every
-column equals the object view (with the documented ``-1`` sentinels),
-the per-task aggregates match ``task_slices``, serialization and
-pickling round-trip to an identical column view, and a
-``TRACE_FORMAT_VERSION`` bump invalidates both the fingerprint and any
-previously serialized bytes.
+per-entry columns of :class:`~repro.frontend.static_index.TraceIndex`
+and the per-task aggregates of
+:class:`~repro.frontend.columns.TraceColumns` are derived, memoized
+projections that the simulator's issue loop trusts blindly.  These
+properties pin them over generator-random traces: every column equals
+the object view (``rd`` uses the ``-1`` sentinel), the per-task
+aggregates match ``task_slices``, serialization and pickling round-trip
+to identical columns, and a ``TRACE_FORMAT_VERSION`` bump invalidates
+both the fingerprint and any previously serialized bytes.
 """
 
 from pathlib import Path
@@ -41,45 +42,45 @@ configs = st.builds(
 )
 
 
-def column_lists(cols):
-    """Every per-entry column as a plain list (NumPy or fallback build)."""
-    return {
-        name: list(getattr(cols, name))
-        for name in (
-            "pc",
-            "addr",
-            "task_id",
-            "task_pc",
-            "next_pc",
-            "taken",
-            "is_load",
-            "is_store",
-            "is_memory",
-            "fu_code",
-            "rd",
-            "index_in_task",
-        )
-    }
+INDEX_COLUMNS = (
+    "pc",
+    "addr",
+    "task_id",
+    "is_load",
+    "is_store",
+    "is_memory",
+    "fu_code",
+    "rd",
+    "task_of",
+    "index_in_task",
+)
+
+TASK_COLUMNS = ("task_n_instr", "task_n_loads", "task_n_stores", "task_load_seqs")
+
+
+def column_lists(trace):
+    """Every per-entry index column and per-task aggregate as a plain list."""
+    index = trace.index()
+    cols = trace.columns()
+    out = {name: list(getattr(index, name)) for name in INDEX_COLUMNS}
+    out.update((name, list(getattr(cols, name))) for name in TASK_COLUMNS)
+    return out
 
 
 @settings(max_examples=30, deadline=None)
 @given(configs)
 def test_columns_equal_entry_object_view(config):
     trace = generate_trace(config)
-    cols = trace.columns()
-    assert cols.n == len(trace.entries)
-    got = column_lists(cols)
+    assert trace.index().n == trace.columns().n == len(trace.entries)
+    got = column_lists(trace)
     index_in_task = {}
     for entry in trace.entries:
         seq = entry.seq
         idx = index_in_task[entry.task_id] = index_in_task.get(entry.task_id, -1) + 1
         assert got["pc"][seq] == entry.pc
-        assert got["addr"][seq] == (-1 if entry.addr is None else entry.addr)
+        assert got["addr"][seq] == entry.addr
         assert got["task_id"][seq] == entry.task_id
-        assert got["task_pc"][seq] == entry.task_pc
-        assert got["next_pc"][seq] == entry.next_pc
-        taken = -1 if entry.taken is None else int(entry.taken)
-        assert got["taken"][seq] == taken
+        assert got["task_of"][seq] == entry.task_id
         assert got["is_load"][seq] == int(entry.is_load)
         assert got["is_store"][seq] == int(entry.is_store)
         assert got["is_memory"][seq] == int(entry.is_memory)
@@ -109,7 +110,7 @@ def test_columns_memoized_on_shared_index(config):
     trace = generate_trace(config)
     cols = trace.columns()
     assert trace.columns() is cols
-    assert trace.index().columns(trace) is cols
+    assert trace.index().columns() is cols
     calls = []
 
     def build():
@@ -150,22 +151,22 @@ def test_cache_geometry_matches_scalar_recompute(config, banks, block_bytes, set
 def test_serialize_round_trip_rebuilds_identical_columns(config):
     program = generate_program(config)
     trace = generate_trace(config)
-    reference = column_lists(trace.columns())
+    reference = column_lists(trace)
     fingerprint = program_fingerprint(program)
     data = serialize_trace(trace, fingerprint)
     rebuilt = deserialize_trace(data, program, fingerprint)
-    assert column_lists(rebuilt.columns()) == reference
+    assert column_lists(rebuilt) == reference
 
 
 @settings(max_examples=15, deadline=None)
 @given(configs)
 def test_pickle_strips_memos_and_rebuilds_identical_columns(config):
     trace = generate_trace(config)
-    reference = column_lists(trace.columns())
+    reference = column_lists(trace)
     clone = pickle.loads(pickle.dumps(trace))
     # the memoized index/columns never travel: workers rebuild them
     assert clone._index is None
-    assert column_lists(clone.columns()) == reference
+    assert column_lists(clone) == reference
 
 
 def test_format_version_bump_invalidates_cache(tmp_path, monkeypatch):

@@ -1,21 +1,23 @@
-"""Event-driven scheduler vs the exhaustive per-cycle scan.
+"""The event-driven issue loop vs the exhaustive per-cycle scan.
 
-The event scheduler is a pure performance optimization: for every
+The simulator's loop rescans a stage only when something that could
+change its issue decisions happened, and parks denied entries on their
+wake conditions.  That is a pure performance optimization: for every
 (workload, config, policy) cell it must produce *exactly* the cycle
-count and statistics of the legacy per-cycle scan.  These tests pin
-that equivalence over the micro-benchmark kernels — chosen because
-they exercise mis-speculation, squash, synchronization, and
-multi-producer dataflow, the paths where a missed wake-up would show
-up as a divergent cycle count.
+count, statistics and squash causes of the per-cycle scan in
+``reference.py``.  These tests pin that equivalence over the
+micro-benchmark kernels — chosen because they exercise mis-speculation,
+squash, synchronization, and multi-producer dataflow, the paths where a
+missed wake-up would show up as a divergent cycle count.
 """
 
 import pytest
 
-from repro.frontend import run_program
 from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator
 from repro.multiscalar.policies import POLICY_ALIASES, POLICY_FACTORIES, make_policy
 from repro.telemetry import make_telemetry
 from repro.workloads import get_workload
+from tests.multiscalar.reference import assert_matches_reference, run_reference
 
 ALL_POLICIES = tuple(POLICY_FACTORIES) + tuple(POLICY_ALIASES)
 
@@ -29,100 +31,53 @@ KERNELS = (
 )
 
 
-def run_both(trace, policy_name, **config_kwargs):
-    """One cell under both schedulers; return (event, cycle) stats."""
-    results = []
-    for scheduler in ("event", "cycle"):
-        config = MultiscalarConfig(scheduler=scheduler, **config_kwargs)
-        sim = MultiscalarSimulator(trace, config, make_policy(policy_name))
-        results.append(sim.run())
-    return results
-
-
-def summaries_equal(event_stats, cycle_stats):
-    return event_stats.summary() == cycle_stats.summary()
-
-
 @pytest.mark.parametrize("policy", ALL_POLICIES)
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_every_policy_matches_cycle_scheduler(kernel, policy):
     trace = get_workload(kernel).trace(scale="tiny")
-    event, cycle = run_both(trace, policy, stages=4)
-    assert summaries_equal(event, cycle), (
-        "%s/%s diverged: %r vs %r" % (kernel, policy, event.summary(), cycle.summary())
-    )
+    assert_matches_reference(trace, policy, stages=4)
 
 
 @pytest.mark.parametrize("policy", ("never", "always", "sync", "storeset"))
 def test_wider_window_matches(policy):
     trace = get_workload("micro-recurrence-d1").trace(scale="tiny")
-    event, cycle = run_both(trace, policy, stages=8, fetch_width=4)
-    assert summaries_equal(event, cycle)
+    assert_matches_reference(trace, policy, stages=8, fetch_width=4)
 
 
 @pytest.mark.parametrize(
     "register_speculation", ("conservative", "always", "predict")
 )
 def test_non_oracle_register_modes_match(register_speculation):
-    # non-oracle register speculation disables issue skipping; the event
-    # scheduler must degrade to the exact legacy scan
+    # register denials are never parked: their stage is rescanned every
+    # cycle, exactly like the per-cycle scan
     trace = get_workload("micro-conditional-reg").trace(scale="tiny")
-    event, cycle = run_both(
+    assert_matches_reference(
         trace, "sync", stages=4, register_speculation=register_speculation
     )
-    assert summaries_equal(event, cycle)
 
 
 def test_icache_model_matches():
     trace = get_workload("micro-independent").trace(scale="tiny")
-    event, cycle = run_both(trace, "esync", stages=4, model_icache=True)
-    assert summaries_equal(event, cycle)
+    assert_matches_reference(trace, "esync", stages=4, model_icache=True)
 
 
 def test_telemetry_observes_identical_cycles():
     trace = get_workload("micro-recurrence-d2").trace(scale="tiny")
     stats = {}
-    telemetry_objects = {}
-    for scheduler in ("event", "cycle"):
-        telemetry = make_telemetry()
+    for reference in (False, True):
         sim = MultiscalarSimulator(
             trace,
-            MultiscalarConfig(stages=4, scheduler=scheduler),
+            MultiscalarConfig(stages=4),
             make_policy("sync"),
-            telemetry=telemetry,
+            telemetry=make_telemetry(),
         )
-        stats[scheduler] = sim.run()
-        telemetry_objects[scheduler] = telemetry
-    assert stats["event"].summary() == stats["cycle"].summary()
-
-
-def test_shared_index_and_private_index_agree():
-    trace = get_workload("micro-multi-producer").trace(scale="tiny")
-    config = MultiscalarConfig(stages=4, scheduler="event")
-    shared = MultiscalarSimulator(
-        trace, config, make_policy("esync"), share_index=True
-    ).run()
-    private = MultiscalarSimulator(
-        trace, config, make_policy("esync"), share_index=False
-    ).run()
-    assert shared.summary() == private.summary()
-
-
-def test_scheduler_config_is_validated():
-    with pytest.raises(ValueError):
-        MultiscalarConfig(scheduler="quantum")
-
-
-def test_scheduler_default_reads_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", "cycle")
-    assert MultiscalarConfig().scheduler == "cycle"
-    monkeypatch.setenv("REPRO_SCHEDULER", "event")
-    assert MultiscalarConfig().scheduler == "event"
+        stats[reference] = run_reference(sim) if reference else sim.run()
+    assert stats[False].summary() == stats[True].summary()
 
 
 def test_simulator_reruns_are_deterministic():
     trace = get_workload("micro-path-dependent").trace(scale="tiny")
-    config = MultiscalarConfig(stages=4, scheduler="event")
+    config = MultiscalarConfig(stages=4)
     first = MultiscalarSimulator(trace, config, make_policy("storeset")).run()
     second = MultiscalarSimulator(trace, config, make_policy("storeset")).run()
     assert first.summary() == second.summary()

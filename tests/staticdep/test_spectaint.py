@@ -282,12 +282,16 @@ def test_static_priming_closes_every_gated_pair():
     assert primed.check.sound
 
 
-def test_sanitizer_counts_identical_across_schedulers():
+def test_sanitizer_counts_identical_across_schedulers(monkeypatch):
+    """The simulator's event-driven loop vs the per-cycle reference scan."""
+    from repro.multiscalar.processor import MultiscalarSimulator
+    from tests.multiscalar.reference import run_reference
+
     by_scheduler = {}
     for scheduler in ("event", "cycle"):
-        result = _leak_demo_result(
-            "always", config=MultiscalarConfig(scheduler=scheduler)
-        )
+        if scheduler == "cycle":
+            monkeypatch.setattr(MultiscalarSimulator, "run", run_reference)
+        result = _leak_demo_result("always")
         by_scheduler[scheduler] = [e.to_dict() for e in result.sanitizer.events]
     assert by_scheduler["event"] == by_scheduler["cycle"]
     assert by_scheduler["event"]  # the A/B is vacuous without events

@@ -726,13 +726,16 @@ def test_metrics_serve_missing_snapshot_exits_two(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
-def _write_bench_data(tmp_path, warm=3.5, cold=3.5, adaptive=None):
+CLEAN_ADAPTIVE = {"savings": 0.64, "top1_match": True,
+                  "adaptive_units": 11.6, "exhaustive_units": 32.0}
+
+
+def _write_bench_data(tmp_path, adaptive=None):
     history = tmp_path / "BENCH_history.jsonl"
     results = tmp_path / "BENCH_results.json"
     record = {
-        "test": "benchmarks/test_hotpath_speed.py::test_hotpath_speedups",
+        "test": "benchmarks/test_figure5_policy_speedups.py::test_figure5",
         "seconds": 9.0,
-        "hotpath": {"warm_speedup": warm, "cold_speedup": cold},
     }
     records = [record]
     if adaptive is not None:
@@ -751,7 +754,7 @@ def _write_bench_data(tmp_path, warm=3.5, cold=3.5, adaptive=None):
 
 
 def test_bench_report_clean_exits_zero(capsys, tmp_path):
-    history, results = _write_bench_data(tmp_path, warm=3.5, cold=3.5)
+    history, results = _write_bench_data(tmp_path, adaptive=CLEAN_ADAPTIVE)
     assert main(["bench-report", "--history", history,
                  "--results", results]) == 0
     out = capsys.readouterr().out
@@ -760,32 +763,24 @@ def test_bench_report_clean_exits_zero(capsys, tmp_path):
 
 
 def test_bench_report_flags_regression(capsys, tmp_path):
-    # warm 2.0x is far below baseline 3.47x / tolerance 1.25
-    history, results = _write_bench_data(tmp_path, warm=2.0, cold=3.5)
+    # 40% saved is below the 60% floor
+    history, results = _write_bench_data(
+        tmp_path, adaptive=dict(CLEAN_ADAPTIVE, savings=0.40))
     assert main(["bench-report", "--history", history,
                  "--results", results]) == 1
     captured = capsys.readouterr()
     assert "REGRESSION" in captured.err
-    assert "warm" in captured.err
+    assert "adaptive-savings" in captured.err
 
 
 def test_bench_report_json_output(capsys, tmp_path):
-    history, results = _write_bench_data(tmp_path, warm=2.0)
+    history, results = _write_bench_data(tmp_path, adaptive=CLEAN_ADAPTIVE)
     assert main(["bench-report", "--history", history,
-                 "--results", results, "--json"]) == 1
+                 "--results", results, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["regressions"][0]["leg"] == "warm"
+    assert payload["regressions"] == []
+    assert payload["adaptive"]["savings"] == 0.64
     assert payload["history"][0]["git_sha"] == "abc1234"
-
-
-def test_bench_report_prints_drift_per_leg(capsys, tmp_path):
-    history, results = _write_bench_data(tmp_path, warm=3.6, cold=3.5)
-    assert main(["bench-report", "--history", history,
-                 "--results", results]) == 0
-    out = capsys.readouterr().out
-    # 3.6 vs pinned 3.47 -> +3.7%
-    assert "drift: warm +3.7%" in out
-    assert "drift: cold" in out
 
 
 def test_bench_report_adaptive_clean(capsys, tmp_path):
