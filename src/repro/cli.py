@@ -11,8 +11,6 @@ Usage (also available as ``python -m repro``)::
     repro experiment all --scale tiny        # every table and figure
     repro experiment all --jobs 4 \\
         --cache-dir .repro-cache             # parallel + result cache
-    repro experiment all --resume \\
-        --cache-dir .repro-cache             # finish a killed run
     repro sweep sc compress --override stages=4,8 --jobs 4  # design space
     repro profile compress                   # where does wall time go?
     repro staticdep compress                 # static pairs vs the oracle
@@ -137,13 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--cache-dir", dest="cache_dir", metavar="DIR",
             default=os.environ.get("REPRO_CACHE_DIR") or None,
             help="content-addressed result cache; finished cells are "
-            "written immediately and reused on later runs (default: "
-            "$REPRO_CACHE_DIR)",
-        )
-        p.add_argument(
-            "--resume", action="store_true",
-            help="resume a partially completed run from --cache-dir "
-            "(finished cells load from the cache; only the rest execute)",
+            "written immediately and reused on later runs, so rerunning "
+            "an interrupted run resumes it (default: $REPRO_CACHE_DIR)",
         )
         p.add_argument(
             "--retries", type=int, default=1, metavar="N",
@@ -165,12 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--progress-json", metavar="FILE", dest="progress_json",
             help="append every progress event as one JSON line to FILE "
             "(the machine-readable sibling of --watch)",
-        )
-        p.add_argument(
-            "--batch", action="store_true",
-            help="group cells that share one decoded trace onto one "
-            "worker (each trace decoded exactly once per pool); pure "
-            "scheduling — results and cache keys are unchanged",
         )
         p.add_argument(
             "--backend", choices=("local", "inline", "queue-dir"), default=None,
@@ -743,9 +730,6 @@ def _resolved_jobs(args):
 
 def _check_executor_usage(args) -> Optional[int]:
     """Exit code 2 for inconsistent executor flags, else None."""
-    if args.resume and not args.cache_dir:
-        print("error: --resume requires --cache-dir", file=sys.stderr)
-        return 2
     backend = _resolved_backend_name(args)
     if backend not in (None, "local", "inline", "queue-dir"):
         print("error: unknown backend %r" % backend, file=sys.stderr)
@@ -1081,7 +1065,6 @@ def cmd_sweep(args) -> int:
                 metrics=metrics,
                 trace=trace,
                 progress=progress,
-                batch=args.batch,
                 backend=backend,
             )
             result = adaptive.result
@@ -1099,7 +1082,6 @@ def cmd_sweep(args) -> int:
                 metrics=metrics,
                 trace=trace,
                 progress=progress,
-                batch=args.batch,
                 backend=backend,
             )
     except ValueError as exc:

@@ -110,7 +110,7 @@ def run_all(
         experiments: iterable of experiment ids (default: all of them).
         cache_dir: content-addressed result cache directory; finished
             cells are written immediately and reloaded on re-invocation,
-            which is also the ``--resume`` checkpoint mechanism.
+            so rerunning an interrupted run resumes it.
         timeout: per-cell wall-clock budget in seconds.
         retries: re-attempts per FAILED cell.
         metrics/trace: optional telemetry sinks for executor counters

@@ -170,7 +170,6 @@ def adaptive_sweep(
     metrics=None,
     trace=None,
     progress=None,
-    batch: bool = False,
     backend=None,
 ) -> AdaptiveResult:
     """Successive halving over the (config × workload) grid.
@@ -178,8 +177,9 @@ def adaptive_sweep(
     Accepts the same grid and executor arguments as
     :func:`~repro.experiments.sweeps.sweep` plus the halving knobs;
     always routes cells through the executor (any backend), so caching,
-    retries, fault tolerance, and the determinism contract apply
-    per rung.  See the module docstring for the algorithm and its
+    trace-sharing chunks, retries, fault tolerance, and the determinism
+    contract apply per rung.  A queue-dir backend keeps its workers
+    across rungs.  See the module docstring for the algorithm and its
     determinism guarantees.
     """
     if metric not in METRICS:
@@ -255,7 +255,6 @@ def adaptive_sweep(
                 metrics=metrics,
                 trace=trace,
                 progress=progress,
-                batch=batch,
                 backend=backend,
             )
             report = executor.run(cells)

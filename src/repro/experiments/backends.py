@@ -2,44 +2,45 @@
 
 The :class:`~repro.experiments.executor.Executor` owns everything that
 must not vary across backends — cache scan, content-addressed keys,
-retry budget, result validation, progress events, telemetry — and
-delegates only the question of *where cells physically run* to an
-:class:`ExecutorBackend`:
+the plan of cell groups, the retry loop, result validation, progress
+events, telemetry — and delegates only the question of *where cells
+physically run* to an :class:`ExecutorBackend`:
 
 * :class:`InlineBackend` — in this process, one cell at a time.  The
   test backend, and what ``--jobs 1`` uses.
-* :class:`LocalPoolBackend` — the ``ProcessPoolExecutor`` fan-out with
-  solo retries and crash containment (the historical default for
-  ``--jobs N``).
+* :class:`LocalPoolBackend` — a ``ProcessPoolExecutor`` fan-out, one
+  fresh pool per round (the default for ``--jobs N``).
 * :class:`QueueDirBackend` — work-stealing over a shared queue
   directory (:mod:`repro.experiments.queuedir`): the driver publishes
-  cell shards as task files, any number of ``repro worker`` processes
+  cell groups as task files, any number of ``repro worker`` processes
   claim them with ``O_CREAT|O_EXCL`` lease files, and the driver tails
   their JSONL result streams, reclaiming leases whose heartbeat stops.
 
-Every backend reports outcomes through ``executor._deliver``, so the
-determinism contract (serial ≡ parallel ≡ distributed, bit-identical
-payloads) holds by construction: backends schedule, they never touch
-payloads.
+A backend runs one round at a time: :meth:`ExecutorBackend.run` gets
+groups of cell indices, runs each cell once, and yields ``(index, raw
+outcome)`` as cells finish.  It never retries, validates, or caches,
+so the determinism contract (serial ≡ parallel ≡ distributed,
+bit-identical payloads) holds by construction.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import os
 import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.experiments.executor import (
+    FAILED,
     OK,
     CellError,
-    _batch_worker,
     _pool_context,
-    _validated,
+    _run_group,
     _worker,
     default_run_cell,
 )
@@ -52,13 +53,7 @@ from repro.experiments.queuedir import (
 
 
 class ExecutorBackend:
-    """Strategy for physically executing planned cell groups.
-
-    ``execute`` receives the owning executor (for run_cell/timeout/
-    retry policy and the ``_deliver`` result channel), the execution
-    plan (groups of pending indices), and the cells with their cache
-    keys.  It returns the number of retries it performed.
-    """
+    """Strategy for physically executing planned cell groups."""
 
     #: short name used by ``--backend`` and reports
     name = "base"
@@ -66,7 +61,23 @@ class ExecutorBackend:
     #: executor prewarms shared caches in the parent first if so)
     forks = True
 
-    def execute(self, executor, plan, cells, keys) -> int:
+    def worker_count(self, executor) -> Optional[int]:
+        """Worker processes this backend runs for *executor*, or None
+        when the fleet is external and its size unknown."""
+        return executor.jobs
+
+    def hold_open(self):
+        """Context manager the executor holds around all of its rounds."""
+        return contextlib.nullcontext(self)
+
+    def run(self, executor, groups: List[List[int]], attempt: int) -> Iterator[Tuple[int, dict]]:
+        """Run every cell of *groups* once, as attempt number *attempt*.
+
+        Yields ``(index, outcome)`` for each cell as it finishes; the
+        outcome is the raw :func:`~repro.experiments.executor._worker`
+        record.  ``executor._task(group)`` gives the specs and keys to
+        ship, ``executor.run_cell`` and ``executor.timeout`` the rest.
+        """
         raise NotImplementedError
 
 
@@ -76,107 +87,59 @@ class InlineBackend(ExecutorBackend):
     name = "inline"
     forks = False
 
-    def execute(self, executor, plan, cells, keys) -> int:
-        # batch grouping only reorders execution (group members run
-        # back-to-back over the per-process trace memo); per-cell
-        # seeding keeps payloads identical in any order
-        retried = 0
-        for group in plan:
-            for index in group:
-                attempts = 0
-                while True:
-                    attempts += 1
-                    outcome = _validated(
-                        _worker(
-                            executor.run_cell,
-                            cells[index].spec(),
-                            keys[index],
-                            executor.timeout,
-                        )
-                    )
-                    if outcome["status"] == OK or not executor._attempts_left(attempts):
-                        break
-                    retried += 1
-                if outcome["status"] != OK and len(group) > 1:
-                    executor._note_group_failure(index)
-                executor._deliver(index, outcome, attempts)
-        return retried
+    def worker_count(self, executor) -> Optional[int]:
+        return 1
+
+    def run(self, executor, groups, attempt):
+        for group in groups:
+            specs, keys = executor._task(group)
+            for index, spec, key in zip(group, specs, keys):
+                yield index, _worker(executor.run_cell, spec, key, executor.timeout)
+
+
+def _crashed(exc: BaseException) -> dict:
+    """The outcome of a cell whose pool worker died before reporting it."""
+    now = time.time()
+    return {
+        "pid": None,
+        "started": now,
+        "finished": now,
+        "status": FAILED,
+        "payload": None,
+        "error": "worker crashed: %s: %s" % (type(exc).__name__, exc),
+    }
 
 
 class LocalPoolBackend(ExecutorBackend):
-    """Fan groups out to a local ``ProcessPoolExecutor``."""
+    """Fan groups out to a local ``ProcessPoolExecutor``.
+
+    Each round gets a fresh pool, so the cells a hard worker crash
+    took down really run again when the executor retries them.
+    """
 
     name = "local"
     forks = True
 
-    def execute(self, executor, plan, cells, keys) -> int:
-        retried = 0
+    def run(self, executor, groups, attempt):
         with ProcessPoolExecutor(
-            max_workers=min(executor.jobs, len(plan)), mp_context=_pool_context()
+            max_workers=min(executor.jobs, len(groups)), mp_context=_pool_context()
         ) as pool:
-            inflight: Dict[object, Tuple[List[int], int]] = {}
-
-            def submit(indices, attempts):
-                if len(indices) == 1:
-                    future = pool.submit(
-                        _worker,
-                        executor.run_cell,
-                        cells[indices[0]].spec(),
-                        keys[indices[0]],
-                        executor.timeout,
-                    )
-                else:
-                    future = pool.submit(
-                        _batch_worker,
-                        executor.run_cell,
-                        [cells[i].spec() for i in indices],
-                        [keys[i] for i in indices],
-                        executor.timeout,
-                    )
-                inflight[future] = (indices, attempts)
-
-            for group in plan:
-                submit(group, 1)
-            while inflight:
-                done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-                for future in done:
-                    indices, attempts = inflight.pop(future)
-                    try:
-                        raw = future.result()
-                        outcomes = raw if isinstance(raw, list) else [raw]
-                        if len(outcomes) != len(indices):
-                            raise RuntimeError(
-                                "batch returned %d outcomes for %d cells"
-                                % (len(outcomes), len(indices))
-                            )
-                    except Exception as exc:
-                        # a worker that died hard (BrokenProcessPool, ...)
-                        crash = {
-                            "pid": None,
-                            "started": time.time(),
-                            "finished": time.time(),
-                            "status": "failed",
-                            "payload": None,
-                            "error": "worker crashed: %s: %s" % (type(exc).__name__, exc),
-                        }
-                        outcomes = [dict(crash) for _ in indices]
-                    for index, outcome in zip(indices, outcomes):
-                        outcome = _validated(outcome)
-                        if outcome["status"] != OK and len(indices) > 1:
-                            # a cell that failed inside a group runs solo
-                            # from now on — including on a future --resume
-                            executor._note_group_failure(index)
-                        if outcome["status"] != OK and executor._attempts_left(attempts):
-                            retried += 1
-                            try:
-                                # retries run solo: a group-wide failure
-                                # (dead worker) must not respawn the group
-                                submit([index], attempts + 1)
-                                continue
-                            except Exception:
-                                pass  # pool unusable; record the failure
-                        executor._deliver(index, outcome, attempts)
-        return retried
+            futures = {}
+            for group in groups:
+                specs, keys = executor._task(group)
+                try:
+                    future = pool.submit(_run_group, executor.run_cell, specs, keys, executor.timeout)
+                except BrokenProcessPool as exc:  # a worker died mid-submission
+                    future = Future()
+                    future.set_exception(exc)
+                futures[future] = group
+            for future in as_completed(futures):
+                group = futures[future]
+                try:
+                    outcomes = future.result()
+                except Exception as exc:  # a worker died hard, or its result did not unpickle
+                    outcomes = [_crashed(exc) for _ in group]
+                yield from zip(group, outcomes)
 
 
 class QueueDirBackend(ExecutorBackend):
@@ -229,29 +192,28 @@ class QueueDirBackend(ExecutorBackend):
         self._held = 0
         self._queue: Optional[QueueDir] = None
 
+    @contextlib.contextmanager
     def hold_open(self):
-        """Keep workers alive across several ``execute`` calls.
+        """Keep the queue and its workers alive across several rounds.
 
-        Multi-phase drivers (the adaptive sweep runs one executor per
-        rung) wrap their phases in this context manager so the worker
-        fleet — spawned *and* external — survives between phases; the
-        stop sentinel is written once, on exit.
+        The executor holds it around the rounds of one run, and
+        multi-phase drivers (the adaptive sweep runs one executor per
+        rung) around their phases, so the worker fleet — spawned *and*
+        external — is started once; the stop sentinel is written once,
+        when the outermost hold exits.
         """
-        backend = self
+        self._held += 1
+        try:
+            yield self
+        finally:
+            self._held -= 1
+            if self._held == 0 and self._queue is not None:
+                self._shutdown(self._queue)
+                self._queue = None
 
-        class _Session:
-            def __enter__(self):
-                backend._held += 1
-                return backend
-
-            def __exit__(self, *exc):
-                backend._held -= 1
-                if backend._held == 0 and backend._queue is not None:
-                    backend._shutdown(backend._queue)
-                    backend._queue = None
-                return False
-
-        return _Session()
+    def worker_count(self, executor) -> Optional[int]:
+        # an external fleet (workers=0) has unknown size
+        return self._spawn_count(executor) or None
 
     # -- worker management -------------------------------------------------
 
@@ -299,7 +261,7 @@ class QueueDirBackend(ExecutorBackend):
 
     def _spawn(self, executor, queue: QueueDir, count: int) -> None:
         # top up to *count* live workers (a held-open session keeps the
-        # fleet from a previous execute() alive; don't double it)
+        # fleet from a previous round alive; don't double it)
         if self.threads:
             self._threads = [t for t in self._threads if t.is_alive()]
             deficit = count - len(self._threads)
@@ -357,15 +319,19 @@ class QueueDirBackend(ExecutorBackend):
 
     # -- driver ------------------------------------------------------------
 
-    def execute(self, executor, plan, cells, keys) -> int:
-        queue = QueueDir(self.queue_dir).init()
-        self._queue = queue
-        try:
-            # a sentinel left by an earlier run on the same directory
-            # would make every fresh worker exit immediately
-            os.unlink(queue.root / STOP_SENTINEL)
-        except OSError:
-            pass
+    def _open(self) -> QueueDir:
+        if self._queue is None:
+            self._queue = QueueDir(self.queue_dir).init()
+            try:
+                # a sentinel left by an earlier run on the same directory
+                # would make every fresh worker exit immediately
+                os.unlink(self._queue.root / STOP_SENTINEL)
+            except OSError:
+                pass
+        return self._queue
+
+    def run(self, executor, groups, attempt):
+        queue = self._open()
         nonce = os.urandom(4).hex()
         if executor.run_cell is default_run_cell:
             cell_path: Optional[str] = None
@@ -377,79 +343,53 @@ class QueueDirBackend(ExecutorBackend):
                     raise
                 cell_path = None  # thread workers get the callable directly
 
-        counter = itertools.count()
-        # key -> [index, attempts, group_size]; the single source of
-        # truth for what is still owed.  Duplicate results (a reclaimed
-        # worker finishing late) hit a missing key and are dropped —
-        # safe, because payloads are pure functions of the spec.
-        outstanding: Dict[str, List[int]] = {}
-        retried = 0
-
-        def enqueue(indices: List[int], attempts: int) -> None:
-            task_id = "%s-t%06d" % (nonce, next(counter))
-            for i in indices:
-                outstanding[keys[i]] = [i, attempts, len(indices)]
+        # key -> index: what this round still owes.  The executor sends
+        # each key once, so keys are unique here; duplicate results (a
+        # reclaimed worker finishing late) hit a missing key and are
+        # dropped — safe, because payloads are pure functions of the spec.
+        outstanding: Dict[str, int] = {}
+        for number, group in enumerate(groups):
+            specs, keys = executor._task(group)
+            outstanding.update(zip(keys, group))
             queue.enqueue(
                 {
-                    "id": task_id,
+                    "id": "%s-t%06d" % (nonce, number),
                     "run": nonce,
-                    "attempt": attempts,
-                    "specs": [cells[i].spec() for i in indices],
-                    "keys": [keys[i] for i in indices],
+                    "attempt": attempt,
+                    "specs": specs,
+                    "keys": keys,
                     "timeout": executor.timeout,
                     "run_cell": cell_path,
                 }
             )
-
-        for group in plan:
-            enqueue(group, 1)
         self._spawn(executor, queue, self._spawn_count(executor))
         offsets: Dict[str, int] = {}
         last_reclaim = time.monotonic()
-        try:
-            while outstanding:
-                progressed = False
-                for record in queue.read_new_results(offsets):
-                    key = record.get("key")
-                    entry = outstanding.get(key) if isinstance(key, str) else None
-                    if entry is None:
-                        continue  # duplicate or foreign record
-                    outcome = record.get("outcome")
-                    if not isinstance(outcome, dict) or "status" not in outcome:
-                        continue
-                    outcome = dict(
-                        {"started": 0.0, "finished": 0.0, "payload": None, "error": None},
-                        **outcome,
-                    )
-                    index, attempts, group_size = entry
-                    if outcome["status"] != OK:
-                        if record.get("run") != nonce or record.get("attempt") != attempts:
-                            continue  # stale failure from a reclaimed attempt
-                        if group_size > 1:
-                            executor._note_group_failure(index)
-                        if executor._attempts_left(attempts):
-                            retried += 1
-                            del outstanding[key]
-                            enqueue([index], attempts + 1)
-                            progressed = True
-                            continue
-                    del outstanding[key]
-                    executor._deliver(index, outcome, attempts)
-                    progressed = True
-                if not outstanding:
-                    break
-                if not progressed:
-                    now = time.monotonic()
-                    if now - last_reclaim >= max(self.lease_timeout / 4, self.poll_interval):
-                        queue.reclaim_stale(self.lease_timeout)
-                        last_reclaim = now
-                    self._maintain_workers(executor, queue)
-                    time.sleep(self.poll_interval)
-        finally:
-            if self._held == 0:
-                self._shutdown(queue)
-                self._queue = None
-        return retried
+        while outstanding:
+            progressed = False
+            for record in queue.read_new_results(offsets):
+                key = record.get("key")
+                index = outstanding.get(key) if isinstance(key, str) else None
+                outcome = record.get("outcome")
+                if index is None or not isinstance(outcome, dict) or "status" not in outcome:
+                    continue  # duplicate, foreign, or malformed record
+                if outcome["status"] != OK and (
+                    record.get("run") != nonce or record.get("attempt") != attempt
+                ):
+                    continue  # stale failure from a reclaimed attempt
+                del outstanding[key]
+                progressed = True
+                yield index, dict(
+                    {"started": 0.0, "finished": 0.0, "payload": None, "error": None},
+                    **outcome,
+                )
+            if not progressed:
+                now = time.monotonic()
+                if now - last_reclaim >= max(self.lease_timeout / 4, self.poll_interval):
+                    queue.reclaim_stale(self.lease_timeout)
+                    last_reclaim = now
+                self._maintain_workers(executor, queue)
+                time.sleep(self.poll_interval)
 
 
 #: backend registry for ``--backend`` (queue-dir needs a directory, so

@@ -14,13 +14,15 @@ sweep front-ends run on:
   package version and the workload sources, so editing a kernel or
   bumping the version invalidates exactly the affected results.  Every
   finished cell is written immediately (atomic rename), which makes the
-  cache double as the checkpoint for ``--resume``: re-invoking a killed
-  run loads the finished cells and computes only the rest;
-* :class:`Executor` — runs cells inline (``jobs=1``) or on a
-  ``ProcessPoolExecutor``, with explicit per-cell RNG seeding (derived
-  from the cache key, so results are independent of execution order and
-  worker assignment), a per-cell wall-clock timeout enforced inside the
-  worker, bounded retries, and graceful degradation — a crashing,
+  cache double as the checkpoint: re-invoking a killed run with the
+  same cache loads the finished cells and computes only the rest;
+* :class:`Executor` — plans cells into groups that share one decoded
+  trace, hands the groups to a backend (inline, a
+  ``ProcessPoolExecutor``, or a queue directory), and retries failed
+  cells in one loop.  Every cell gets explicit RNG seeding (derived
+  from the cache key, so results are independent of execution order
+  and worker assignment), a per-cell wall-clock timeout enforced inside
+  the worker, bounded retries, and graceful degradation — a crashing,
   hanging, or garbage-returning worker marks its cell FAILED in the
   report instead of killing the run;
 * assembly helpers — experiment cells are re-assembled into
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import signal
@@ -195,11 +198,12 @@ class ResultCache:
 
     # -- solo markers ------------------------------------------------------
     #
-    # A cell that failed inside a multi-cell batch group is retried solo
-    # — and must *stay* solo on a future --resume, instead of re-forming
-    # the dead group around its surviving siblings.  The marker is a
-    # plain file keyed like the result itself, so it carries the same
-    # invalidation semantics (new fingerprint -> new key -> no marker).
+    # A cell that failed inside a multi-cell group is retried solo — and
+    # must *stay* solo when a later run resumes from this cache, instead
+    # of re-forming the dead group around its surviving siblings.  The
+    # marker is a plain file keyed like the result itself, so it carries
+    # the same invalidation semantics (new fingerprint -> new key -> no
+    # marker).
 
     def solo_path(self, key) -> Path:
         return self.root / "solo" / (key + ".solo")
@@ -374,14 +378,14 @@ def _worker(run_cell, spec, key, timeout) -> dict:
     }
 
 
-def _batch_worker(run_cell, specs, keys, timeout) -> List[dict]:
+def _run_group(run_cell, specs, keys, timeout) -> List[dict]:
     """Run a group of cells sharing one decoded trace in one process.
 
     Each cell is still executed through :func:`_worker` — same
     per-cell RNG seeding (a pure function of the cell's cache key),
     same wall-clock budget, same failure capture — so payloads are
-    bit-identical to ungrouped execution and one crashing cell never
-    takes its group down.  The batching win is locality: every cell
+    bit-identical to ungrouped execution and one raising cell never
+    takes its group down.  The grouping win is locality: every cell
     after the first finds the group's trace (and its shared index and
     columns) already decoded in this process's memo.
     """
@@ -398,6 +402,12 @@ def _group_key(cell: Cell):
     if cell.kind == "sweep":
         return (cell.param("workload"), cell.param("scale"))
     return None
+
+
+#: the planner sizes chunks so every worker draws at least this many:
+#: enough to balance load across workers, few enough that each chunk
+#: still reuses its decoded trace for several cells
+CHUNKS_PER_WORKER = 4
 
 
 def _validated(outcome: dict) -> dict:
@@ -439,6 +449,18 @@ def _pool_context():
 class Executor:
     """Fan cells out to worker processes, with cache, retry, timeout.
 
+    The executor alone decides how cells are grouped and retried; a
+    backend only runs the groups it is handed.  Sweep cells that read
+    the same ``(workload, scale)`` trace are planned into chunks of at
+    most ``ceil(pending / (CHUNKS_PER_WORKER * workers))`` cells, so a
+    grid over many workloads reuses each decoded trace within a chunk
+    while a grid over few workloads keeps one cell per chunk for load
+    balance.  Failed cells are re-run as singletons in later rounds
+    until they succeed or use up their ``retries``; a cell that failed
+    inside a multi-cell chunk also stays solo on any later run that
+    resumes from the same cache.  A cell listed twice runs once and
+    its result fills both places.
+
     Args:
         jobs: worker processes; 1 runs inline in this process.
         cache: a :class:`ResultCache`, a directory path, or None.
@@ -455,20 +477,13 @@ class Executor:
             (``start`` / ``cell`` / ``done`` dicts, see
             :mod:`repro.experiments.progress`) as cells complete; the
             default None skips all progress accounting.
-        batch: group cells that share one decoded trace (sweep cells
-            over the same ``(workload, scale)``) onto one worker, so a
-            pool decodes each trace exactly once instead of once per
-            worker that happens to draw one of its cells.  Purely a
-            scheduling change: cache keys and payloads are identical
-            to ``batch=False``, and a FAILED cell inside a group is
-            retried solo.
         backend: where cells physically run — an
             :class:`~repro.experiments.backends.ExecutorBackend`
             instance or a name (``"inline"``/``"local"``).  The default
             (None) picks inline for ``jobs=1`` and the local process
-            pool otherwise, preserving historical behavior.  Backends
-            only schedule; caching, retries, validation, and payloads
-            are backend-independent, so every backend is bit-identical.
+            pool otherwise.  Backends only run the planned groups;
+            planning, caching, retries, validation, and payloads are
+            backend-independent, so every backend is bit-identical.
     """
 
     def __init__(
@@ -482,7 +497,6 @@ class Executor:
         trace=None,
         prewarm: Optional[Callable[[], None]] = None,
         progress: Optional[Callable[[dict], None]] = None,
-        batch: bool = False,
         backend=None,
     ):
         self.jobs = max(1, int(jobs or 1))
@@ -496,7 +510,6 @@ class Executor:
         self.trace = trace if trace is not None else NULL_TRACE
         self.prewarm = prewarm
         self.progress = progress
-        self.batch = bool(batch)
         self.backend = backend
         self._tracker = None
         self._warm_workloads: set = set()
@@ -578,7 +591,7 @@ class Executor:
                 self.prewarm()
             self._cells, self._keys, self._results = cells, keys, results
             try:
-                retried = backend.execute(self, self._plan(pending, cells, keys), cells, keys)
+                retried = self._execute(backend, pending)
             finally:
                 self._cells, self._keys, self._results = [], [], []
 
@@ -594,10 +607,74 @@ class Executor:
         self._publish(report, start)
         return report
 
-    # -- execution strategies ---------------------------------------------
+    # -- planning and the retry loop ----------------------------------------
 
-    def _attempts_left(self, attempts) -> bool:
-        return attempts <= self.retries
+    def _execute(self, backend, pending: List[int]) -> int:
+        """Run *pending* on *backend*; returns the retries performed.
+
+        Each distinct cache key is dispatched once and its outcome fills
+        every index holding it.  Round 1 runs the plan; each later round
+        re-runs the cells that failed the round before, as singletons in
+        a fresh backend round, while they have attempts left.
+        """
+        holders: Dict[str, List[int]] = {}
+        for index in pending:
+            holders.setdefault(self._keys[index], []).append(index)
+        distinct = [indices[0] for indices in holders.values()]
+        groups = self._plan(distinct, self._cells, self._keys, backend.worker_count(self))
+        retried = 0
+        attempt = 1
+        with backend.hold_open():  # queue-dir workers outlive the rounds
+            while groups:
+                grouped = {index for group in groups if len(group) > 1 for index in group}
+                failed = []
+                for index, outcome in backend.run(self, groups, attempt):
+                    outcome = _validated(outcome)
+                    if outcome["status"] != OK:
+                        if index in grouped and self.cache is not None:
+                            # a later run resuming from the cache plans it alone
+                            self.cache.mark_solo(self._keys[index])
+                        if attempt <= self.retries:
+                            failed.append(index)
+                            continue
+                    self._deliver(holders[self._keys[index]], outcome, attempt)
+                retried += len(failed)
+                groups = [[index] for index in sorted(failed)]
+                attempt += 1
+        return retried
+
+    def _plan(self, pending, cells, keys, workers: Optional[int]) -> List[List[int]]:
+        """Pending indices -> execution groups, in first-seen order.
+
+        Sweep cells sharing a trace (:func:`_group_key`) fill chunks of
+        at most ``cap = ceil(len(pending) / (CHUNKS_PER_WORKER * workers))``
+        cells; a chunk opens where its first cell appears, so a cap of 1
+        gives one group per cell in *pending* order.  *workers* None (an
+        external fleet of unknown size) also means a cap of 1, which
+        keeps any number of workers busy.  Other cells, and cells
+        carrying a solo marker (they failed inside a chunk on an earlier
+        run), are singletons.
+        """
+        cap = math.ceil(len(pending) / (CHUNKS_PER_WORKER * workers)) if workers else 1
+        if cap <= 1:
+            return [[index] for index in pending]
+        open_chunks: Dict[object, List[int]] = {}
+        plan: List[List[int]] = []
+        for index in pending:
+            gk = _group_key(cells[index])
+            if gk is None or (self.cache is not None and self.cache.is_solo(keys[index])):
+                plan.append([index])
+                continue
+            chunk = open_chunks.get(gk)
+            if chunk is None or len(chunk) == cap:
+                open_chunks[gk] = chunk = []
+                plan.append(chunk)
+            chunk.append(index)
+        return plan
+
+    def _task(self, group: List[int]) -> Tuple[List[dict], List[str]]:
+        """The cell specs and cache keys a backend ships for *group*."""
+        return [self._cells[i].spec() for i in group], [self._keys[i] for i in group]
 
     @staticmethod
     def _cell_workload(cell: Cell):
@@ -620,53 +697,16 @@ class Executor:
                 )
             )
 
-    def _plan(self, pending, cells, keys=None) -> List[List[int]]:
-        """Pending indices -> execution groups (singletons unless
-        ``batch`` groups cells sharing one decoded trace).
-
-        Cells carrying a persistent solo marker (they failed inside a
-        group on an earlier run) are planned as singletons even under
-        ``batch``, so a resumed run does not re-form a dead group.
-        """
-        if not self.batch:
-            return [[index] for index in pending]
-        solo = set()
-        if keys is not None and self.cache is not None:
-            solo = {index for index in pending if self.cache.is_solo(keys[index])}
-        buckets: Dict[object, List[int]] = {}
-        order: List[List[int]] = []
-        for index in pending:
-            gk = None if index in solo else _group_key(cells[index])
-            if gk is None:
-                order.append([index])
-                continue
-            bucket = buckets.get(gk)
-            if bucket is None:
-                buckets[gk] = bucket = []
-                order.append(bucket)
-            bucket.append(index)
-        return order
-
-    def _deliver(self, index: int, outcome: dict, attempts: int) -> CellResult:
-        """Record one cell's final outcome (backends' result channel).
-
-        Validation, the immediate cache write (the checkpoint for
-        ``--resume``), and the progress event all live here so no
-        backend can skip them.
-        """
-        outcome = _validated(outcome)
-        result = self._to_result(self._cells[index], outcome, attempts)
-        self._results[index] = result
-        if self.cache is not None and result.ok:
-            self.cache.put(self._keys[index], self._cells[index], result.payload)
-        self._cell_progress(result)
-        return result
-
-    def _note_group_failure(self, index: int) -> None:
-        """A cell failed inside a multi-cell group: pin it solo for
-        this run's retries *and* for any future resume."""
-        if self.cache is not None:
-            self.cache.mark_solo(self._keys[index])
+    def _deliver(self, indices: List[int], outcome: dict, attempts: int) -> None:
+        """Record one key's final, validated outcome in every slot that
+        holds it: the immediate cache write (the checkpoint a later run
+        resumes from), the result, and the progress event."""
+        if self.cache is not None and outcome["status"] == OK:
+            self.cache.put(self._keys[indices[0]], self._cells[indices[0]], outcome["payload"])
+        for index in indices:
+            result = self._to_result(self._cells[index], outcome, attempts)
+            self._results[index] = result
+            self._cell_progress(result)
 
     @staticmethod
     def _to_result(cell, outcome, attempts) -> CellResult:

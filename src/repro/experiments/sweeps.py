@@ -169,8 +169,7 @@ def sweep_cells(
 
 def _sweep_parallel(
     workloads, policies, overrides, scale, jobs, cache_dir, timeout, retries,
-    metrics=None, trace=None, progress=None, batch=False, backend=None,
-    policy_overrides=None,
+    metrics=None, trace=None, progress=None, backend=None, policy_overrides=None,
 ) -> SweepResult:
     from repro.experiments.executor import Executor
 
@@ -185,7 +184,6 @@ def _sweep_parallel(
         metrics=metrics,
         trace=trace,
         progress=progress,
-        batch=batch,
         backend=backend,
     )
     report = executor.run(cells)
@@ -215,7 +213,6 @@ def sweep(
     metrics=None,
     trace=None,
     progress=None,
-    batch: bool = False,
     backend=None,
     policy_overrides: Optional[Dict[str, Sequence[object]]] = None,
 ) -> SweepResult:
@@ -235,10 +232,10 @@ def sweep(
     ``result.failed`` instead of aborting.  The executor path supports
     the default base configuration plus scalar ``overrides`` only (cell
     specs must be JSON-serializable); results are bit-identical to the
-    serial path.  ``batch=True`` additionally groups cells that share
-    one decoded trace onto one worker so the trace is decoded and
-    indexed once per group — a pure scheduling change, results and
-    cache keys are unchanged.
+    serial path.  The executor groups cells that share one decoded
+    trace into chunks sized from the grid and the worker count, so a
+    trace is decoded and indexed once per chunk — a pure scheduling
+    choice, results and cache keys are unchanged.
     """
     if jobs is not None or cache_dir is not None or backend is not None:
         if base_config is not None or traces is not None:
@@ -250,7 +247,7 @@ def sweep(
         return _sweep_parallel(
             workloads, policies, overrides, scale, jobs, cache_dir,
             timeout, retries, metrics=metrics, trace=trace, progress=progress,
-            batch=batch, backend=backend, policy_overrides=policy_overrides,
+            backend=backend, policy_overrides=policy_overrides,
         )
     overrides = overrides or {}
     base = base_config or MultiscalarConfig()

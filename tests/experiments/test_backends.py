@@ -48,6 +48,15 @@ def grid_cells(n=4, **extra):
     ]
 
 
+def shared_trace_cells(n=16):
+    """Sweep cells over two traces: on two workers the plan cuts them
+    into chunks of ceil(n / 8) cells."""
+    return [
+        Cell.make("sweep", "w%d/p%d" % (i % 2, i), workload="w%d" % (i % 2), policy="p%d" % i)
+        for i in range(n)
+    ]
+
+
 def payloads(report):
     return [json.dumps(r.payload, sort_keys=True) for r in report.results]
 
@@ -85,26 +94,51 @@ def test_executor_accepts_backend_by_name():
     assert isinstance(backend, InlineBackend)
 
 
-def test_custom_backend_must_implement_execute():
+def test_custom_backend_must_implement_run():
     with pytest.raises(NotImplementedError):
-        ExecutorBackend().execute(None, [], [], [])
+        ExecutorBackend().run(None, [], 1)
 
 
 # -- equivalence across backends --------------------------------------------
 
+def assert_backends_agree(tmp_path, cells):
+    """Inline, local pool, and queue-dir: one result per input cell, with
+    identical payloads, in input order."""
+    backend = QueueDirBackend(tmp_path / "q", workers=2, poll_interval=0.01, lease_timeout=5)
+    reports = [
+        Executor(jobs=1, run_cell=payload_cell, backend="inline").run(cells),
+        Executor(jobs=2, run_cell=payload_cell, backend="local").run(cells),
+        Executor(jobs=2, run_cell=payload_cell, backend=backend).run(cells),
+    ]
+    for report in reports:
+        assert [r.cell for r in report.results] == cells
+        assert all(r.ok for r in report.results)
+        assert payloads(report) == payloads(reports[0])
+
+
 def test_inline_local_and_queue_dir_payloads_identical(tmp_path):
     cells = grid_cells()
-    inline = Executor(jobs=1, run_cell=payload_cell, backend="inline").run(cells)
-    local = Executor(jobs=2, run_cell=payload_cell, backend="local").run(cells)
-    queued = Executor(
-        jobs=2,
-        run_cell=payload_cell,
-        backend=QueueDirBackend(
-            tmp_path / "q", workers=2, poll_interval=0.01, lease_timeout=5
-        ),
-    ).run(cells)
-    assert payloads(inline) == payloads(local) == payloads(queued)
-    assert [r.cell.name for r in queued.results] == [c.name for c in cells]
+    keys = [cell.key() for cell in cells]
+    assert Executor()._plan(list(range(4)), cells, keys, 2) == [[0], [1], [2], [3]]
+    assert_backends_agree(tmp_path, cells)
+
+
+def test_backends_agree_on_multi_cell_chunks(tmp_path):
+    cells = shared_trace_cells()
+    keys = [cell.key() for cell in cells]
+    plan = Executor()._plan(list(range(16)), cells, keys, 2)
+    assert plan[:2] == [[0, 2], [1, 3]]
+    assert_backends_agree(tmp_path, cells)
+
+
+def test_duplicated_cell_gets_one_result_per_input_cell(tmp_path):
+    """Pinned regression: queue-dir tracked outstanding cells by cache
+    key, so a cell listed twice came back once and the report lost an
+    input.  The executor now dispatches each key once and fills every
+    place that holds it, on every backend."""
+    base = shared_trace_cells(10)
+    cells = base[:6] + [base[2]] + base[6:] + [base[2]]
+    assert_backends_agree(tmp_path, cells)
 
 
 def test_queue_dir_thread_mode_runs_closures(tmp_path):

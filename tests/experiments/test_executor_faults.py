@@ -64,6 +64,19 @@ def counting_cell(spec):
     return {"name": spec["name"]}
 
 
+def crash_logged(spec):
+    """Log every run; cells marked crash=True then kill their worker
+    process outright — only on their first run if also marked once=True."""
+    params = dict(spec["params"])
+    log = os.path.join(params["log_dir"], spec["name"])
+    first = not os.path.exists(log)
+    with open(log, "a") as fh:
+        fh.write("ran\n")
+    if params.get("crash") and (first or not params.get("once")):
+        os._exit(13)
+    return {"name": spec["name"]}
+
+
 def cells(n, **params):
     return [Cell.make("fault", "cell%d" % i, index=i, **params) for i in range(n)]
 
@@ -127,6 +140,52 @@ def test_retries_exhausted_reports_failed():
     assert result.status == FAILED
     assert result.attempts == 3  # 1 attempt + 2 retries
     assert report.retried == 2
+
+
+def crash_grid(log_dir, **crash):
+    """Seven sweep-shaped cells over one trace; the fourth kills its worker."""
+    grid = []
+    for i in range(7):
+        params = dict(workload="alpha", policy="p%d" % i, scale="tiny", log_dir=str(log_dir))
+        if i == 3:
+            params.update(crash=True, **crash)
+        grid.append(Cell.make("sweep", "alpha-p%d" % i, **params))
+    return grid
+
+
+def runs(log_dir, cell):
+    return len((log_dir / cell.name).read_text().splitlines())
+
+
+def test_pool_retries_after_hard_worker_crash_really_run(tmp_path):
+    """Pinned regression: after a worker died hard, the pool was broken,
+    so every retry it counted failed to submit and its cell was reported
+    FAILED after one attempt.  Retries now run in a fresh pool."""
+    log_dir = tmp_path / "log"
+    log_dir.mkdir()
+    grid = crash_grid(log_dir, once=True)
+    report = Executor(jobs=2, run_cell=crash_logged, retries=1).run(grid)
+    assert [r.status for r in report.results] == [OK] * 7
+    # every counted retry ran: its cell's second attempt returned the payload
+    assert report.retried == sum(r.attempts - 1 for r in report.results) >= 1
+    assert report.results[3].attempts == 2
+    assert runs(log_dir, grid[3]) == 2
+
+
+def test_pool_hard_crash_uses_every_attempt(tmp_path):
+    log_dir = tmp_path / "log"
+    log_dir.mkdir()
+    grid = crash_grid(log_dir)
+    retries = 2
+    report = Executor(jobs=2, run_cell=crash_logged, retries=retries).run(grid)
+    failed = report.failed
+    assert report.results[3] in failed
+    for result in failed:
+        assert result.attempts == retries + 1
+        assert "worker crashed" in result.error
+    assert report.retried == sum(r.attempts - 1 for r in report.results)
+    # the crashing cell really ran once per attempt
+    assert runs(log_dir, grid[3]) == retries + 1
 
 
 def test_resume_completes_killed_run_without_recompute(tmp_path):

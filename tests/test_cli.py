@@ -452,7 +452,7 @@ def test_experiment_cache_end_to_end(capsys, tmp_path):
                  "--cache-dir", cache, "--json"]) == 0
     cold = capsys.readouterr().out
     assert main(["experiment", "table3", "--scale", "tiny",
-                 "--cache-dir", cache, "--resume", "--json",
+                 "--cache-dir", cache, "--json",
                  "--metrics", str(metrics)]) == 0
     warm = capsys.readouterr().out
     assert warm == cold
@@ -460,11 +460,6 @@ def test_experiment_cache_end_to_end(capsys, tmp_path):
     assert counters["cells_cached"] == 1
     assert counters["cells_run"] == 0
     assert counters["cells_failed"] == 0
-
-
-def test_experiment_resume_requires_cache_dir(capsys):
-    assert main(["experiment", "table2", "--resume"]) == 2
-    assert "--resume requires --cache-dir" in capsys.readouterr().err
 
 
 def test_experiment_failed_cell_exits_two(capsys):
