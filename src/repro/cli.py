@@ -891,13 +891,14 @@ def cmd_experiment(args) -> int:
     jobs = _resolved_jobs(args)
     if (
         jobs is None
+        and _resolved_backend_name(args) is None
         and not args.cache_dir
         and args.timeout is None
         and not args.watch
         and not args.progress_json
     ):
         return _experiment_serial(args, keys)
-    return _experiment_executor(args, keys, jobs or 1)
+    return _experiment_executor(args, keys, jobs)
 
 
 def _experiment_serial(args, keys) -> int:
@@ -944,7 +945,7 @@ def _experiment_executor(args, keys, jobs) -> int:
     progress, progress_writer = _progress_sinks(args)
     try:
         tables, report = run_all(
-            parallel=jobs,
+            parallel=jobs or 1,
             scale=args.scale,
             experiments=keys,
             cache_dir=args.cache_dir,
@@ -953,6 +954,7 @@ def _experiment_executor(args, keys, jobs) -> int:
             metrics=metrics,
             trace=trace,
             progress=progress,
+            backend=_make_backend(args, jobs),
         )
     finally:
         if progress_writer is not None:

@@ -101,6 +101,7 @@ def run_all(
     metrics=None,
     trace=None,
     progress=None,
+    backend=None,
 ):
     """Run experiments through the parallel executor.
 
@@ -117,6 +118,10 @@ def run_all(
             and the per-worker Chrome trace.
         progress: optional live-progress callback (see
             :mod:`repro.experiments.progress`).
+        backend: where cells run — an
+            :class:`~repro.experiments.backends.ExecutorBackend` or a
+            backend name; None picks inline or the local process pool
+            from *parallel*.
 
     Returns:
         ``(tables, report)`` — a dict of experiment id ->
@@ -155,6 +160,7 @@ def run_all(
         trace=trace,
         prewarm=prewarm,
         progress=progress,
+        backend=backend,
     )
     report = executor.run(cells)
     return assemble_experiments(keys, report), report

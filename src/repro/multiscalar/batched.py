@@ -10,18 +10,21 @@ the oldest unresolved or unexecuted store, a commit, or a timed wake.
 Parked entries are skipped until one of their conditions fires.
 
 All of it runs inside ONE loop body over shared struct-of-arrays
-columns, so the inner scan crosses no method boundary per entry:
+columns, and every scan walks a stage's unissued list from its front.
+Within that body:
 
-- stateless policy decisions (NEVER/ALWAYS/WAIT/PSYNC) are inlined as
-  predicate dispatch on precomputed columns, with their wake conditions
-  registered at the deny site;
+- every policy is consulted through one interface: a load decision is
+  :meth:`~repro.multiscalar.policies.SpeculationPolicy.may_issue_load`,
+  and a denial parks on the wake conditions
+  :meth:`~repro.multiscalar.policies.SpeculationPolicy.deny_hints`
+  reports;
+- the deny sites that verify their own wake condition (register
+  producers, the FU limit and the intra-task store gate) park directly,
+  without the hint-list round trip;
 - trace-pure streams are precomputed once per decoded trace and shared
   across every (config, policy) cell: the cache bank/set/tag geometry
   and the sequencer's correct/mispredict stream (a pure function of the
   task-PC sequence);
-- stateful policies (the MDPT/MDST mechanism family, store sets, VSYNC)
-  keep their object callbacks and report their wake conditions through
-  :meth:`~repro.multiscalar.policies.SpeculationPolicy.deny_hints`;
 - the speculative register models (``conservative``/``always``/
   ``predict``) take operand readiness from
   ``MultiscalarSimulator._source_ready_time``.  Their stale-value rules
@@ -57,38 +60,9 @@ from repro.multiscalar.policies import (
     WAKE_ISSUE,
     WAKE_RESOLVE,
     WAKE_TIME,
-    AlwaysPolicy,
-    NeverPolicy,
-    PerfectSyncPolicy,
-    WaitPolicy,
 )
 from repro.multiscalar.processor import _INF, SimulationError, _LazyMinSet
 from repro.multiscalar.sequencer import PathBasedTaskPredictor
-
-#: Parked entries past the leading inert run absorb into the scan-prefix
-#: memo only when their timed wake is at least this far out (or purely
-#: event-registered).  Near wakes — FU retries at now+1, short producer
-#: latencies — would fold into the prefix's wake and throw the whole
-#: memo away almost every cycle; far wakes amortize one reset against
-#: many skipped re-walks.  8 cycles measured best on the specint92
-#: grid; the choice only affects visit patterns, never results.
-_FAR_HORIZON = 8
-
-# Policy kinds with fully inlined issue predicates.  Dispatch is on the
-# EXACT type: a subclass may override anything, so it takes the generic
-# (object-call) path.
-_STATEFUL = 0
-_ALWAYS = 1
-_NEVER = 2
-_WAIT = 3
-_PSYNC = 4
-
-_KIND_OF = {
-    AlwaysPolicy: _ALWAYS,
-    NeverPolicy: _NEVER,
-    WaitPolicy: _WAIT,
-    PerfectSyncPolicy: _PSYNC,
-}
 
 
 def _sequencer_stream(task_pcs, history):
@@ -121,8 +95,6 @@ def run_batched(sim) -> SpeculationStats:
     n = sim.n
     n_tasks = sim.n_tasks
     policy = sim.policy
-    kind = _KIND_OF.get(type(policy), _STATEFUL)
-    stateful = kind == _STATEFUL
 
     cols = sim._index.columns()
 
@@ -191,17 +163,6 @@ def run_batched(sim) -> SpeculationStats:
     commit_watchers: List[tuple] = []  # (task threshold, task, seq) heap
     sim._entry_parked = parked = bytearray(n)
     entry_wake: List[float] = [0.0] * n
-    # scan-prefix memo, one per task: the leading run of its unissued
-    # list known to be skippable (dead slots and entries parked beyond
-    # *wake*).  ``pos`` list slots are skipped wholesale, entering the
-    # scan with ``considered`` already counted; unparking an entry at
-    # or below ``last`` (and any squash, compaction or due timed wake)
-    # drops the memo back to a full scan.
-    sim._scan_pos = scan_pos = [0] * n_tasks
-    sim._scan_considered = scan_considered = [0] * n_tasks
-    scan_wake: List[float] = [_INF] * n_tasks
-    sim._scan_wake = scan_wake
-    sim._scan_last = scan_last = [-1] * n_tasks
 
     fu_limits = [cfg.fu_counts[cls] for cls in FU_ORDER]
     latencies = [cfg.fu_latencies[cls] for cls in FU_ORDER]
@@ -236,9 +197,7 @@ def run_batched(sim) -> SpeculationStats:
         return p1, p2
 
     src_p1, src_p2 = cols.derived("src_pair", _build_src_pair)
-    far_horizon = _FAR_HORIZON
 
-    producer_get = sim.producers.get  # a load's oracle producer store
     prior_stores_get = sim.prior_task_stores.get  # earlier same-task stores
     dependents_get = sim.dependents.get
     addr_producer_get = sim.addr_producer.get
@@ -340,11 +299,6 @@ def run_batched(sim) -> SpeculationStats:
                 _, t_id, s = heappop(exec_watchers)
                 parked[s] = 0
                 dirty[t_id] = True
-                if s <= scan_last[t_id]:
-                    scan_pos[t_id] = 0
-                    scan_considered[t_id] = 0
-                    scan_wake[t_id] = _INF
-                    scan_last[t_id] = -1
 
         # ---- dispatch -----------------------------------------------
         while next_dispatch < n_tasks and next_dispatch - head < stages:
@@ -369,10 +323,9 @@ def run_batched(sim) -> SpeculationStats:
             if icaches is not None:
                 schedule_fetch(task_id, now)
             next_dispatch += 1
-            if stateful:
-                sim._head = head
-                sim._next_dispatch = next_dispatch
-                on_task_dispatched(task_id, now)
+            sim._head = head
+            sim._next_dispatch = next_dispatch
+            on_task_dispatched(task_id, now)
             # sequencer.record is replaced by the prefilled stream
             progressed = True
         sim._next_dispatch = next_dispatch
@@ -397,46 +350,11 @@ def run_batched(sim) -> SpeculationStats:
             resolved = False
             unparked = 0
             nt_plan = _INF
+            considered = 0
             dispatch = dispatch_time[task_id]
             fetch_limit = (now - dispatch + 1) * fetch_width
-            pfx_pos = scan_pos[task_id]
-            pfx_wake = scan_wake[task_id]
-            if pfx_pos and now >= pfx_wake:
-                pfx_pos = 0
-                pfx_wake = _INF
-            if pfx_pos:
-                considered = scan_considered[task_id]
-                new_last = scan_last[task_id]
-                if pfx_wake < nt_plan:
-                    nt_plan = pfx_wake
-                entries = unissued[pfx_pos:]
-            else:
-                considered = 0
-                new_last = -1
-                entries = unissued
-            new_pos = pfx_pos
-            new_considered = considered
-            new_wake = pfx_wake
-            # Two-tier prefix absorption.  The *leading* inert run
-            # absorbs any parked entry, timed or not — its wake folds
-            # into new_wake and resets the memo when due.  Past the
-            # first action point, scans keep absorbing (``growing``)
-            # but only entries that cannot poison the memo's wake:
-            # dead entries and parks whose wake
-            # is event-registered (nt == _INF) or at least _FAR_HORIZON
-            # out.  Near timed parks there would make pfx_wake fire
-            # nearly every cycle and throw the whole prefix away —
-            # measurably worse than not absorbing at all.  Stateful
-            # runs stop growing at the first *action* point: a mid-scan
-            # squash (VSYNC) resets the memos of every task whose
-            # prefix could hide revived entries.
-            growing = True
-            leading = True
-            far = now + far_horizon
-            for seq in entries:
+            for seq in unissued:
                 if issued[seq]:
-                    if growing:
-                        new_pos += 1
                     continue  # dead entry awaiting compaction
                 considered += 1
                 if parked[seq]:
@@ -446,20 +364,8 @@ def run_batched(sim) -> SpeculationStats:
                             break
                         if wake < nt_plan:
                             nt_plan = wake
-                        if growing:
-                            if leading or wake >= far:
-                                new_pos += 1
-                                new_considered += 1
-                                if wake < new_wake:
-                                    new_wake = wake
-                                new_last = seq
-                            else:
-                                growing = False
                         continue
                     parked[seq] = 0  # its timed wake is due: rescan
-                leading = False
-                if stateful:
-                    growing = False
                 if icaches is None:
                     if index_in_task[seq] >= fetch_limit:
                         fetch = dispatch + index_in_task[seq] // fetch_width
@@ -500,20 +406,10 @@ def run_batched(sim) -> SpeculationStats:
                                 _, t_id, s = heappop(addr_watchers)
                                 parked[s] = 0
                                 dirty[t_id] = True
-                                if s <= scan_last[t_id]:
-                                    scan_pos[t_id] = 0
-                                    scan_considered[t_id] = 0
-                                    scan_wake[t_id] = _INF
-                                    scan_last[t_id] = -1
                         if seq in resolve_watchers:
                             for t_id, s in resolve_watchers_pop(seq):
                                 parked[s] = 0
                                 dirty[t_id] = True
-                                if s <= scan_last[t_id]:
-                                    scan_pos[t_id] = 0
-                                    scan_considered[t_id] = 0
-                                    scan_wake[t_id] = _INF
-                                    scan_last[t_id] = -1
                         resolved = True
                 if considered > rs_window or issued_count >= issue_width:
                     if shared_hints:
@@ -628,66 +524,17 @@ def run_batched(sim) -> SpeculationStats:
                             break
                         if tel_on:
                             load_first_attempt.setdefault(seq, now)
-                        # ---- policy.may_issue_load / deny_hints,
-                        #      specialised per stateless kind; a deny
-                        #      sets direct_nt or leaves shared hints ----
-                        if kind == _ALWAYS:
-                            pass
-                        elif kind == _PSYNC:
-                            producer = producer_get(seq)
-                            if producer is not None and not issued[producer]:
-                                wake_on_issue_setdefault(producer, []).append(
-                                    (task_id, seq)
-                                )
-                                direct_nt = _INF
-                        elif kind == _NEVER:
-                            m = unknown_min()
-                            producer = producer_get(seq)
-                            if (m is not None and m < seq) or (
-                                producer is not None and not issued[producer]
-                            ):
-                                # registration order mirrors deny_hints:
-                                # ADDR_MIN, then ISSUE
-                                if m is not None and m < seq:
-                                    heappush(addr_watchers, (seq, task_id, seq))
-                                if producer is not None and not issued[producer]:
-                                    wake_on_issue_setdefault(producer, []).append(
-                                        (task_id, seq)
-                                    )
-                                direct_nt = _INF
-                        elif kind == _WAIT:
-                            producer = producer_get(seq)
-                            if producer is not None and task_of[producer] >= head:
-                                m = unknown_min()
-                                if (m is not None and m < seq) or not issued[
-                                    producer
-                                ]:
-                                    # registration order mirrors deny_hints:
-                                    # COMMIT, ADDR_MIN, ISSUE
-                                    heappush(
-                                        commit_watchers,
-                                        (task_of[producer], task_id, seq),
-                                    )
-                                    if m is not None and m < seq:
-                                        heappush(
-                                            addr_watchers, (seq, task_id, seq)
-                                        )
-                                    if not issued[producer]:
-                                        wake_on_issue_setdefault(
-                                            producer, []
-                                        ).append((task_id, seq))
-                                    direct_nt = _INF
-                        else:
-                            sim._head = head
-                            if not may_issue_load(seq, now):
-                                hints = deny_hints(seq, now)
-                                if hints:
-                                    shared_hints.extend(hints)
-                                else:
-                                    # the policy does not model its wake
-                                    # conditions: re-ask every cycle
-                                    shared_hints.append((WAKE_TIME, now + 1))
-                        if direct_nt is not None or shared_hints:
+                        # ---- the policy decides; a deny parks on its
+                        #      hints ----
+                        sim._head = head
+                        if not may_issue_load(seq, now):
+                            hints = deny_hints(seq, now)
+                            if hints:
+                                shared_hints.extend(hints)
+                            else:
+                                # the policy does not model its wake
+                                # conditions: re-ask every cycle
+                                shared_hints.append((WAKE_TIME, now + 1))
                             if tel_on:
                                 metrics.counter("policy.load_denials").inc()
                             break
@@ -726,11 +573,6 @@ def run_batched(sim) -> SpeculationStats:
                         for t_id, s in wake_on_issue_pop(seq):
                             parked[s] = 0
                             dirty[t_id] = True
-                            if s <= scan_last[t_id]:
-                                scan_pos[t_id] = 0
-                                scan_considered[t_id] = 0
-                                scan_wake[t_id] = _INF
-                                scan_last[t_id] = -1
                     if c_is_store[seq]:
                         unknown_discard(seq)
                         if addr_watchers:
@@ -741,27 +583,15 @@ def run_batched(sim) -> SpeculationStats:
                                 _, t_id, s = heappop(addr_watchers)
                                 parked[s] = 0
                                 dirty[t_id] = True
-                                if s <= scan_last[t_id]:
-                                    scan_pos[t_id] = 0
-                                    scan_considered[t_id] = 0
-                                    scan_wake[t_id] = _INF
-                                    scan_last[t_id] = -1
                         if seq in resolve_watchers:
                             for t_id, s in resolve_watchers_pop(seq):
                                 parked[s] = 0
                                 dirty[t_id] = True
-                                if s <= scan_last[t_id]:
-                                    scan_pos[t_id] = 0
-                                    scan_considered[t_id] = 0
-                                    scan_wake[t_id] = _INF
-                                    scan_last[t_id] = -1
                         store_perform[seq] = now + 1
-                        if stateful:
-                            # VSYNC may squash from in here; the scan
-                            # then keeps iterating the pre-squash entry
-                            # list
-                            sim._head = head
-                            on_store_issued(seq, now)
+                        # VSYNC may squash from in here; the scan then
+                        # keeps iterating the pre-squash entry list
+                        sim._head = head
+                        on_store_issued(seq, now)
                     if tel_on and c_is_load[seq]:
                         first = load_first_attempt.pop(seq, now)
                         wait = now - first
@@ -787,28 +617,12 @@ def run_batched(sim) -> SpeculationStats:
                         del shared_hints[:]
                     issued_count += 1
                     progressed = True
-                    # the entry is dead now, and same-task wake targets
-                    # always sit ahead of the iterator (consumers follow
-                    # producers in seq order), so nothing behind new_pos
-                    # can come alive without resetting the whole memo
-                    if growing:
-                        new_pos += 1
                 elif direct_nt is not None:
                     # registrations already made at the deny site
                     entry_wake[seq] = direct_nt
                     parked[seq] = 1
                     if direct_nt < nt_plan:
                         nt_plan = direct_nt
-                    if growing:
-                        if direct_nt >= far:
-                            # event-registered or far timed wake: absorbable
-                            new_pos += 1
-                            new_considered += 1
-                            if direct_nt < new_wake:
-                                new_wake = direct_nt
-                            new_last = seq
-                        else:
-                            growing = False
                 elif shared_hints:
                     # ---- park on the hint list (a hint that already
                     #      holds ends the park; registrations made
@@ -854,38 +668,18 @@ def run_batched(sim) -> SpeculationStats:
                         parked[seq] = 1
                         if nt < nt_plan:
                             nt_plan = nt
-                        if growing:
-                            if nt >= far:
-                                # event-registered or far timed wake: absorbable
-                                new_pos += 1
-                                new_considered += 1
-                                if nt < new_wake:
-                                    new_wake = nt
-                                new_last = seq
-                            else:
-                                growing = False
                     else:
                         unparked += 1
-                        growing = False
                 else:
                     # the deny produced no wake condition; fall back to
                     # per-cycle rescans for this entry
                     unparked += 1
-                    growing = False
-            scan_pos[task_id] = new_pos
-            scan_considered[task_id] = new_considered
-            scan_wake[task_id] = new_wake
-            scan_last[task_id] = new_last
             if issued_count:
                 live_left = task_live[task_id] - issued_count
                 task_live[task_id] = live_left
                 if len(unissued) - live_left >= 64 and live_left * 2 < len(unissued):
                     # mostly dead: compact so later scans stay short
                     task_unissued[task_id] = [s for s in unissued if not issued[s]]
-                    scan_pos[task_id] = 0
-                    scan_considered[task_id] = 0
-                    scan_wake[task_id] = _INF
-                    scan_last[task_id] = -1
             if issued_count or resolved or unparked:
                 next_try[task_id] = now + 1
             elif nt_plan < _INF:
@@ -920,10 +714,9 @@ def run_batched(sim) -> SpeculationStats:
                         "instructions": task_n_instr[task_id],
                     },
                 )
-            if stateful:
-                sim._head = head
-                sim._next_dispatch = next_dispatch
-                on_task_committed(task_id, now)
+            sim._head = head
+            sim._next_dispatch = next_dispatch
+            on_task_committed(task_id, now)
             head += 1
             sim._head = head
             progressed = True
@@ -932,11 +725,6 @@ def run_batched(sim) -> SpeculationStats:
                     _, t_id, s = heappop(commit_watchers)
                     parked[s] = 0
                     dirty[t_id] = True
-                    if s <= scan_last[t_id]:
-                        scan_pos[t_id] = 0
-                        scan_considered[t_id] = 0
-                        scan_wake[t_id] = _INF
-                        scan_last[t_id] = -1
 
         if head >= n_tasks:
             break

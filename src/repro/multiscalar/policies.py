@@ -71,13 +71,17 @@ class SpeculationPolicy:
         """Why was load *seq* just denied, as wake conditions?
 
         Called by the event-driven issue loop immediately after
-        :meth:`may_issue_load` returned False.  Returns a list of
-        ``(WAKE_*, arg)`` tuples that together cover every way the
-        denial could lift; the load's stage is rescanned when any of
-        them fires.  Returning None (the default, and the safe answer
-        for any policy that does not model its own wake conditions)
-        makes the loop fall back to rescanning the stage every
-        cycle — always correct, merely slower.
+        :meth:`may_issue_load` returned False, for every policy.
+        Returns a list of ``(WAKE_*, arg)`` tuples that together cover
+        every way the denial could lift; the load's stage is rescanned
+        when any of them fires.  These hints are the loop's only wake
+        source for a policy denial, apart from ``sim.note_load_wake``,
+        which a policy that releases a load from its own callback (the
+        mechanism's store signal) calls; a way to lift the denial that
+        no hint names wakes the load late.  Returning None (the
+        default, and the safe answer for any policy that does not model
+        its own wake conditions) makes the loop fall back to rescanning
+        the stage every cycle — always correct, merely slower.
         """
         return None
 

@@ -302,22 +302,12 @@ class MultiscalarSimulator:
                 self._fetch_time[seq] = cursor
             cursor += 1
 
-    def _unpark(self, task_id, s):
-        """Unpark entry *s*, dirty its stage, and drop the stage's scan
-        prefix if the entry sits inside it."""
-        self._entry_parked[s] = 0
-        self._task_dirty[task_id] = True
-        if s <= self._scan_last[task_id]:
-            self._scan_pos[task_id] = 0
-            self._scan_considered[task_id] = 0
-            self._scan_wake[task_id] = _INF
-            self._scan_last[task_id] = -1
-
     def note_load_wake(self, seq):
         """Policy callback: a store signal will release load *seq* next
         cycle — unpark it and rescan its stage (a wake the generic hints
         cannot express)."""
-        self._unpark(self.task_of[seq], seq)
+        self._entry_parked[seq] = 0
+        self._task_dirty[self.task_of[seq]] = True
 
     def _find_register_violation(self, producer, time) -> Optional[int]:
         """Earliest consumer that issued before this producer's value
@@ -462,10 +452,6 @@ class MultiscalarSimulator:
             rebuilt = [s for s in self.tasks[task_id] if not self.issued[s]]
             self._task_unissued[task_id] = rebuilt
             self._task_live[task_id] = len(rebuilt)
-            self._scan_pos[task_id] = 0
-            self._scan_considered[task_id] = 0
-            self._scan_wake[task_id] = _INF
-            self._scan_last[task_id] = -1
             offset = task_id - first_task
             self._issue_floor[task_id] = restart + offset * cfg.squash_stagger
         # everything at or after the squash point changed shape;

@@ -27,7 +27,7 @@ from repro.frontend.static_index import FU_ORDER, NUM_FU_CLASSES
 from repro.memsys.icache import InstructionCache
 from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, make_policy
 from repro.multiscalar.explain import SquashLedger
-from repro.multiscalar.processor import _INF, SimulationError, _LazyMinSet
+from repro.multiscalar.processor import SimulationError, _LazyMinSet
 from repro.multiscalar.sequencer import PathBasedTaskPredictor
 
 
@@ -93,14 +93,10 @@ def run_reference(sim):
     sim._pending_correct = [True] * (n_tasks + 1)
     sim.sequencer = PathBasedTaskPredictor(history=cfg.predictor_history)
     sim._load_first_attempt = {}
-    # the simulator's scan memo and parking state: the shared squash and
-    # wake paths write them, this loop never reads them
+    # the simulator's parking state: the shared squash and wake paths
+    # write it, this loop never reads it
     sim._task_dirty = [True] * n_tasks
     sim._entry_parked = bytearray(n)
-    sim._scan_pos = [0] * n_tasks
-    sim._scan_considered = [0] * n_tasks
-    sim._scan_wake = [_INF] * n_tasks
-    sim._scan_last = [-1] * n_tasks
     sim._fu_limits = [cfg.fu_counts[cls] for cls in FU_ORDER]
     latencies = [cfg.fu_latencies[cls] for cls in FU_ORDER]
     if sim._tel_on:

@@ -85,13 +85,19 @@ def test_non_oracle_register_models_every_policy(model, policy):
             assert summary["register_mis_speculations"] > 0
 
 
-@pytest.mark.parametrize("policy", ("never", "always", "wait", "psync", "sync"))
+@pytest.mark.parametrize(
+    "policy", ("never", "always", "wait", "psync", "sync", "esync", "storeset")
+)
 def test_config_matrix(policy):
-    """Shape variations: wide machine, narrow window, modeled i-cache."""
+    """Shape variations: wide machine, narrow window, modeled i-cache,
+    and the long-scan shapes (many stages, a window wider than the
+    default with a wider issue)."""
     trace = _trace(4, **DENSE)
     assert_matches_reference(trace, policy, stages=8, fetch_width=4)
     assert_matches_reference(trace, policy, stages=4, rs_window=8)
     assert_matches_reference(trace, policy, stages=4, model_icache=True)
+    assert_matches_reference(trace, policy, stages=16)
+    assert_matches_reference(trace, policy, stages=8, rs_window=128, issue_width=4)
 
 
 @pytest.mark.parametrize(

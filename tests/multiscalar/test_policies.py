@@ -16,6 +16,8 @@ from repro.multiscalar.policies import (
     PerfectSyncPolicy,
     WaitPolicy,
 )
+from repro.workloads.random_gen import RandomProgramConfig, generate_trace
+from tests.multiscalar.test_kernel_differential import DENSE
 
 
 def test_factory_names():
@@ -154,3 +156,31 @@ def test_address_tagging_synchronizes_constant_address_recurrence():
     addr = MechanismPolicy(tagging="address")
     stats = MultiscalarSimulator(trace, cfg, addr).run()
     assert stats.mis_speculations <= 1
+
+
+@pytest.mark.parametrize("name", ("always", "never", "wait", "psync"))
+def test_loop_consults_every_policy_through_its_interface(name):
+    """The issue loop decides through the policy object: every load
+    decision calls ``may_issue_load`` and every denial parks on
+    ``deny_hints``, so call counters wrapped around both see the calls
+    and change no statistic."""
+    trace = generate_trace(RandomProgramConfig(seed=7, **DENSE))
+    config = MultiscalarConfig(stages=4)
+    plain = MultiscalarSimulator(trace, config, make_policy(name)).run()
+
+    policy = make_policy(name)
+    calls = {"may_issue_load": 0, "deny_hints": 0}
+    for method in calls:
+        inner = getattr(policy, method)
+
+        def counted(seq, now, inner=inner, method=method):
+            calls[method] += 1
+            return inner(seq, now)
+
+        setattr(policy, method, counted)
+    wrapped = MultiscalarSimulator(trace, config, policy).run()
+
+    assert wrapped.summary() == plain.summary()
+    assert calls["may_issue_load"] > 0
+    # ALWAYS never denies, so it is never asked why
+    assert (calls["deny_hints"] > 0) == (name != "always")

@@ -486,6 +486,20 @@ def test_experiment_executor_trace_export(capsys, tmp_path):
     assert "worker 0" in worker_tracks
 
 
+def test_experiment_queue_dir_backend_runs_on_the_queue(capsys, tmp_path):
+    """--backend queue-dir reaches the executor: the cells run on the
+    queue directory and print what the inline backend prints."""
+    argv = ["experiment", "table1", "--scale", "tiny", "--json"]
+    assert main(argv + ["--backend", "inline"]) == 0
+    inline = json.loads(capsys.readouterr().out)
+    queue = tmp_path / "q"
+    assert main(argv + ["--backend", "queue-dir", "--queue-dir", str(queue),
+                        "--workers", "1"]) == 0
+    stolen = json.loads(capsys.readouterr().out)
+    assert list(queue.glob("results/*.jsonl"))
+    assert stolen == inline
+
+
 def test_sweep_command(capsys):
     assert main(["sweep", "sc", "--policies", "always,esync",
                  "--override", "stages=2,4", "--scale", "tiny", "--json"]) == 0
