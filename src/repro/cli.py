@@ -67,7 +67,7 @@ from repro.multiscalar import (
     make_policy,
 )
 from repro.oracle import profile_dependences
-from repro.telemetry import Profiler, make_telemetry, merged_trace
+from repro.telemetry import make_telemetry, merged_trace
 from repro.workloads import all_workloads, get_workload
 
 #: Derived from the policy registry so new policies surface here
@@ -1171,12 +1171,16 @@ def cmd_worker(args) -> int:
 
 def cmd_profile(args) -> int:
     """Profile one workload end to end: trace generation, dependence
-    profiling, and (repeated) simulation, all wall-clock scoped."""
-    profiler = Profiler()
-    with profiler.scope("total"):
-        with profiler.scope("trace-gen"):
+    profiling, and (repeated) simulation, all wall-clock scoped.  The
+    static analyses a policy runs while binding are scoped on the
+    shared profiler, so they show up nested under ``simulate``."""
+    from repro.telemetry import PROFILER
+
+    mark = PROFILER.mark()
+    with PROFILER.scope("total"):
+        with PROFILER.scope("trace-gen"):
             trace = get_workload(args.workload).trace(args.scale)
-        with profiler.scope("dependence-profile"):
+        with PROFILER.scope("dependence-profile"):
             profile_dependences(trace)
         stats = None
         for _ in range(max(1, args.repeat)):
@@ -1184,10 +1188,10 @@ def cmd_profile(args) -> int:
             sim = MultiscalarSimulator(
                 trace, MultiscalarConfig(stages=args.stages), policy
             )
-            with profiler.scope("simulate"):
+            with PROFILER.scope("simulate"):
                 stats = sim.run()
     if args.trace_events:
-        _write_json(args.trace_events, profiler.to_trace_events())
+        _write_json(args.trace_events, PROFILER.to_trace_events(since=mark))
     if args.as_json:
         print(
             json.dumps(
@@ -1197,8 +1201,9 @@ def cmd_profile(args) -> int:
                     "stages": args.stages,
                     "scale": args.scale,
                     "repeat": max(1, args.repeat),
-                    "profile": profiler.summary(),
-                    "phases": profiler.phases(),
+                    "profile": PROFILER.summary(since=mark),
+                    "nested": PROFILER.nested(since=mark),
+                    "phases": PROFILER.phases(since=mark),
                     "stats": stats.summary(),
                 },
                 indent=2,
@@ -1209,7 +1214,7 @@ def cmd_profile(args) -> int:
         "%s (scale %s) under %s on %d stages, %d simulation run(s):"
         % (args.workload, args.scale, args.policy.upper(), args.stages, max(1, args.repeat))
     )
-    print(profiler.to_text(top=args.top))
+    print(PROFILER.to_text(since=mark, top=args.top))
     print(
         "simulated %d instructions in %d cycles (IPC %.2f)"
         % (stats.committed_instructions, stats.cycles, stats.ipc)

@@ -43,10 +43,12 @@ def _profiled(key, runner):
             table = runner(scale, **kwargs)
         profile = PROFILER.summary(since=mark)
         total = profile["experiment:%s" % key]
-        attributed = sum(
-            agg["seconds"] for name, agg in profile.items()
-            if not name.startswith("experiment:")
-        )
+        # only the experiment's direct children: a nested scope (such
+        # as a policy's static analysis inside ``simulate``) is already
+        # part of its parent's seconds
+        records = PROFILER.records[mark:]
+        depth = records[-1].depth + 1
+        attributed = sum(r.seconds for r in records if r.depth == depth)
         remainder = round(total["seconds"] - attributed, 6)
         if remainder > 0:
             profile["assemble"] = {"calls": 1, "seconds": remainder}

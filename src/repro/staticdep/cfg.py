@@ -87,9 +87,15 @@ class ControlFlowGraph:
         self.program = program
         self.blocks = blocks
         self._block_of_pc: Dict[int, int] = {}
+        #: task-entry instructions from the start of each PC's block up
+        #: to and including the PC itself
+        self._task_prefix: List[int] = [0] * len(program)
         for block in blocks:
+            entries = 0
             for pc in block.pcs():
                 self._block_of_pc[pc] = block.index
+                entries += program[pc].task_entry
+                self._task_prefix[pc] = entries
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -140,39 +146,15 @@ class ControlFlowGraph:
         This is the static analogue of the MDPT's DIST tag: the fewest
         Multiscalar task boundaries a value forwarded from the
         instruction at ``src_pc`` must cross before the instruction at
-        ``dst_pc`` can consume it.  Computed with 0-1 BFS over the
-        instruction-level successor relation, where entering a
-        ``task_begin`` instruction costs 1.
+        ``dst_pc`` can consume it.  Entering a ``task_begin``
+        instruction costs 1.  To ask about many destinations of one
+        source, keep its :meth:`task_distances` instead.
         """
-        program = self.program
-        best: Dict[int, int] = {}
-        # deque-based 0-1 BFS; start from the successors of src so a
-        # store reaching "itself" around a loop is a real cycle.
-        queue: Deque[Tuple[int, int]] = deque()
-        for succ in self.instruction_successors(src_pc):
-            cost = 1 if program[succ].task_entry else 0
-            if succ not in best or cost < best[succ]:
-                best[succ] = cost
-                if cost:
-                    queue.append((succ, cost))
-                else:
-                    queue.appendleft((succ, cost))
-        while queue:
-            pc, cost = queue.popleft()
-            if cost > best.get(pc, cost):
-                continue
-            if pc == dst_pc:
-                return cost
-            for succ in self.instruction_successors(pc):
-                step = 1 if program[succ].task_entry else 0
-                new_cost = cost + step
-                if succ not in best or new_cost < best[succ]:
-                    best[succ] = new_cost
-                    if step:
-                        queue.append((succ, new_cost))
-                    else:
-                        queue.appendleft((succ, new_cost))
-        return best.get(dst_pc)
+        return self.task_distances(src_pc).to(dst_pc)
+
+    def task_distances(self, src_pc: int) -> "TaskDistances":
+        """Minimum task-entry crossings from ``src_pc`` to every PC."""
+        return TaskDistances(self, src_pc)
 
     def to_dot(self) -> str:
         """Render the graph in Graphviz dot syntax (debug aid)."""
@@ -184,6 +166,67 @@ class ControlFlowGraph:
                 lines.append("  B%d -> B%d;" % (block.index, succ))
         lines.append("}")
         return "\n".join(lines)
+
+
+class TaskDistances:
+    """Minimum task-entry crossings from one source instruction.
+
+    One 0-1 BFS over blocks finds, per block, the fewest crossings on
+    a path from after the source to the block's first instruction; a
+    destination adds the task entries of its block up to itself.
+    Staying inside the source's block, a later PC is reached directly.
+    The BFS starts from the source's successors, so a store reaching
+    "itself" around a loop is a real cycle.  Block edge weights are the
+    task entries a block holds, normally 0 or 1; a heavier edge is
+    appended like a weight-1 edge and a shorter path found later
+    re-queues its block, so the labels are still exact.
+    """
+
+    __slots__ = ("cfg", "src_pc", "_arrive")
+
+    def __init__(self, cfg: ControlFlowGraph, src_pc: int):
+        self.cfg = cfg
+        self.src_pc = src_pc
+        blocks = cfg.blocks
+        prefix = cfg._task_prefix
+        arrive: List[Optional[int]] = [None] * len(blocks)
+        queue: Deque[Tuple[int, int]] = deque()
+
+        def relax(index: int, cost: int, step: int) -> None:
+            best = arrive[index]
+            if best is None or cost < best:
+                arrive[index] = cost
+                if step:
+                    queue.append((index, cost))
+                else:
+                    queue.appendleft((index, cost))
+
+        block = cfg.block_at(src_pc)
+        leave = prefix[block.end - 1] - prefix[src_pc]
+        for succ in block.successors:
+            relax(succ, leave, leave)
+        while queue:
+            index, cost = queue.popleft()
+            if cost != arrive[index]:
+                continue
+            block = blocks[index]
+            step = prefix[block.end - 1]
+            for succ in block.successors:
+                relax(succ, cost + step, step)
+        self._arrive = arrive
+
+    def to(self, dst_pc: int) -> Optional[int]:
+        """Crossings from the source to ``dst_pc``, or None if unreachable."""
+        cfg = self.cfg
+        index = cfg._block_of_pc[dst_pc]
+        prefix = cfg._task_prefix
+        arrive = self._arrive[index]
+        best = None if arrive is None else arrive + prefix[dst_pc]
+        src_pc = self.src_pc
+        if src_pc < dst_pc and cfg._block_of_pc[src_pc] == index:
+            direct = prefix[dst_pc] - prefix[src_pc]
+            best = direct if best is None else min(best, direct)
+        return best
 
 
 def _leaders(program: Program) -> List[int]:

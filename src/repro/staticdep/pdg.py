@@ -147,6 +147,44 @@ class PredictorSlice:
         return (self.store_pc, self.load_pc)
 
 
+class _Closure:
+    """The facts of one backward-slice closure, which only ever grow.
+
+    ``chased`` holds the (pc, register) uses whose reaching definitions
+    are in; ``demanded`` the loads whose *value* feeds the slice.  Only
+    these need the memory closure; an address-criterion load executes
+    with whatever value lies at its (exact) address, and nothing in the
+    slice reads it.
+    """
+
+    __slots__ = ("included", "chased", "demanded", "loads_closed", "loop_carried")
+
+    def __init__(self) -> None:
+        self.included: Set[int] = set()
+        self.chased: Set[Tuple[int, int]] = set()
+        self.demanded: Set[int] = set()
+        self.loads_closed: Set[int] = set()
+        #: True when a demanded load is fed by a loop-carried memory edge
+        self.loop_carried = False
+
+    def copy(self) -> "_Closure":
+        twin = _Closure()
+        twin.included = set(self.included)
+        twin.chased = set(self.chased)
+        twin.demanded = set(self.demanded)
+        twin.loads_closed = set(self.loads_closed)
+        twin.loop_carried = self.loop_carried
+        return twin
+
+    def include(self, pc: int, regs: Sequence[int], worklist: deque) -> None:
+        """Add *pc* and queue the uses of *regs* it has not chased yet."""
+        self.included.add(pc)
+        for reg in regs:
+            if (pc, reg) not in self.chased:
+                self.chased.add((pc, reg))
+                worklist.append((pc, reg))
+
+
 def _defined_register(inst: Instruction) -> Optional[int]:
     """The register *inst* writes, or None (stores, branches, and
     writes to the hard-wired zero register define nothing)."""
@@ -186,6 +224,16 @@ class ProgramDependenceGraph:
         for edge in self.edges():
             self._succs[edge.src].append(edge)
             self._preds[edge.dst].append(edge)
+        self._memory_by_load: Dict[int, List[PDGEdge]] = {}
+        self._memory_by_store: Dict[int, List[PDGEdge]] = {}
+        for edge in self.memory_edges:
+            self._memory_by_load.setdefault(edge.dst, []).append(edge)
+            self._memory_by_store.setdefault(edge.src, []).append(edge)
+        self._load_pcs = frozenset(pc for pc in self._reachable_pcs if program[pc].is_load)
+        #: the closure every slice starts from, and its PCs, built on
+        #: the first slice
+        self._skeleton: Optional[_Closure] = None
+        self._skeleton_pcs: FrozenSet[int] = frozenset()
 
     # ------------------------------------------------------------------
     # construction
@@ -343,10 +391,10 @@ class ProgramDependenceGraph:
         return list(self._succs.get(pc, ()))
 
     def memory_edges_for_store(self, store_pc: int) -> List[PDGEdge]:
-        return [e for e in self.memory_edges if e.src == store_pc]
+        return list(self._memory_by_store.get(store_pc, ()))
 
     def memory_edges_for_load(self, load_pc: int) -> List[PDGEdge]:
-        return [e for e in self.memory_edges if e.dst == load_pc]
+        return list(self._memory_by_load.get(load_pc, ()))
 
     def reachable_pcs(self) -> List[int]:
         return list(self._reachable_pcs)
@@ -367,11 +415,6 @@ class ProgramDependenceGraph:
     # ------------------------------------------------------------------
     # slicing
 
-    def _control_skeleton(self) -> Set[int]:
-        return {
-            pc for pc in self._reachable_pcs if is_control(self.program[pc].op)
-        }
-
     def _seed_registers(self, inst: Instruction, criterion: str) -> Tuple[int, ...]:
         if criterion == "address":
             if inst.is_memory and inst.rs1 is not None:
@@ -388,6 +431,69 @@ class ProgramDependenceGraph:
             % (criterion, ", ".join(SLICE_CRITERIA))
         )
 
+    def _close(self, closure: "_Closure", worklist: deque) -> None:
+        """Grow *closure* to its least fixpoint: the data closure of every
+        chased (pc, register) use on *worklist* and, recursively, the
+        memory closure of every demanded load."""
+        program, use_defs, closed = self.program, self._use_defs, closure.loads_closed
+        while True:
+            while worklist:
+                use_pc, reg = worklist.popleft()
+                for def_pc in use_defs[use_pc].get(reg, frozenset()):
+                    if program[def_pc].is_load:
+                        closure.demanded.add(def_pc)
+                    closure.include(def_pc, program[def_pc].sources(), worklist)
+            # Memory closure: every load whose value the slice consumes
+            # pulls in its potentially-aliasing stores (non-NO memory
+            # edges), value chains included.
+            for load_pc in sorted(closure.demanded - closed):
+                closed.add(load_pc)
+                for edge in self._memory_by_load.get(load_pc, ()):
+                    if edge.label == NO:
+                        continue
+                    if self.solution is not None and not self.solution.reaches_without_back_edge(
+                        edge.src, load_pc
+                    ):
+                        closure.loop_carried = True
+                    closure.include(edge.src, program[edge.src].sources(), worklist)
+            if not worklist and not (closure.demanded - closed):
+                return
+
+    def _skeleton_closure(self) -> "_Closure":
+        """The full control skeleton (every branch, jump and halt) and the
+        closure of their inputs: the part every slice shares."""
+        if self._skeleton is None:
+            skeleton = _Closure()
+            worklist: deque = deque()
+            for pc in self._reachable_pcs:
+                if is_control(self.program[pc].op):
+                    skeleton.include(pc, self.program[pc].sources(), worklist)
+            self._close(skeleton, worklist)
+            self._skeleton = skeleton
+            self._skeleton_pcs = frozenset(skeleton.included)
+        return self._skeleton
+
+    def _increment(self, pc: int, criterion: str) -> Tuple[FrozenSet[int], bool]:
+        """What the slice of *pc* adds to the skeleton closure: the extra
+        PCs, and whether the whole slice is loop-carried.
+
+        The closure is a union-distributive least fixpoint and
+        ``loop_carried`` an OR over the loads it demands, so closing
+        the skeleton's fixpoint plus *pc*'s seeds equals closing
+        everything from scratch."""
+        if pc not in self._use_defs:
+            raise ValueError("pc %d is not a reachable instruction" % pc)
+        inst = self.program[pc]
+        seeds = self._seed_registers(inst, criterion)
+        skeleton = self._skeleton_closure()
+        closure = skeleton.copy()
+        worklist: deque = deque()
+        closure.include(pc, seeds, worklist)
+        if inst.is_load and criterion in ("value", "full"):
+            closure.demanded.add(pc)
+        self._close(closure, worklist)
+        return frozenset(closure.included - skeleton.included), closure.loop_carried
+
     def slice_backward(self, pc: int, criterion: str = "address") -> BackwardSlice:
         """The executable backward slice of the instruction at *pc*.
 
@@ -398,63 +504,13 @@ class ProgramDependenceGraph:
         executing only slice PCs (skipping the rest as no-ops)
         reproduces the criterion's address/value stream exactly.
         """
-        if pc not in self._use_defs:
-            raise ValueError("pc %d is not a reachable instruction" % pc)
-        program = self.program
-        included: Set[int] = set()
-        chased: Set[Tuple[int, int]] = set()
-        #: Loads whose loaded *value* feeds the slice.  Only these need
-        #: the memory closure; an address-criterion load executes with
-        #: whatever value lies at its (exact) address, and nothing in
-        #: the slice reads it.
-        demanded: Set[int] = set()
-        loads_closed: Set[int] = set()
-        loop_carried = False
-        worklist: deque = deque()
-
-        def include(new_pc: int, regs: Optional[Sequence[int]] = None) -> None:
-            if regs is None:
-                regs = program[new_pc].sources()
-            included.add(new_pc)
-            for reg in regs:
-                if (new_pc, reg) not in chased:
-                    chased.add((new_pc, reg))
-                    worklist.append((new_pc, reg))
-
-        include(pc, self._seed_registers(program[pc], criterion))
-        if program[pc].is_load and criterion in ("value", "full"):
-            demanded.add(pc)
-        for ctrl_pc in sorted(self._control_skeleton()):
-            include(ctrl_pc)
-
-        while True:
-            while worklist:
-                use_pc, reg = worklist.popleft()
-                for def_pc in self._use_defs[use_pc].get(reg, frozenset()):
-                    if program[def_pc].is_load:
-                        demanded.add(def_pc)
-                    include(def_pc)
-            # Memory closure: every load whose value the slice consumes
-            # pulls in its potentially-aliasing stores (non-NO memory
-            # edges), value chains included.
-            for load_pc in sorted(demanded - loads_closed):
-                loads_closed.add(load_pc)
-                for edge in self.memory_edges_for_load(load_pc):
-                    if edge.label == NO:
-                        continue
-                    if self.solution is not None and not self.solution.reaches_without_back_edge(
-                        edge.src, load_pc
-                    ):
-                        loop_carried = True
-                    include(edge.src)
-            if not worklist and not (demanded - loads_closed):
-                break
-
+        extra, loop_carried = self._increment(pc, criterion)
+        pcs = self._skeleton_pcs | extra
         return BackwardSlice(
             criterion_pc=pc,
             criterion=criterion,
-            pcs=frozenset(included),
-            cost=self._cost(included),
+            pcs=pcs,
+            cost=self._cost(pcs),
             loop_carried=loop_carried,
         )
 
@@ -475,8 +531,8 @@ class ProgramDependenceGraph:
                     worklist.append(edge.dst)
         return frozenset(reached)
 
-    def _cost(self, pcs: Set[int]) -> SliceCost:
-        loads = sum(1 for p in pcs if self.program[p].is_load)
+    def _cost(self, pcs: FrozenSet[int]) -> SliceCost:
+        loads = len(pcs & self._load_pcs)
         total = max(1, len(self._reachable_pcs))
         return SliceCost(
             length=len(pcs), loads=loads, ratio=round(len(pcs) / total, 4)
@@ -488,12 +544,26 @@ class ProgramDependenceGraph:
         budget: Optional[SliceBudget] = None,
     ) -> PredictorSlice:
         """The address-generation slice warming one MAY/MUST pair."""
+        return self._predictor_slice(
+            pair,
+            budget,
+            self._increment(pair.store_pc, "address"),
+            self._increment(pair.load_pc, "address"),
+        )
+
+    def _predictor_slice(
+        self,
+        pair: SymbolicPair,
+        budget: Optional[SliceBudget],
+        store: Tuple[FrozenSet[int], bool],
+        load: Tuple[FrozenSet[int], bool],
+    ) -> PredictorSlice:
+        """The union of the store's and the load's address slices, each
+        given as its :meth:`_increment`."""
         budget = budget if budget is not None else DEFAULT_SLICE_BUDGET
-        store_slice = self.slice_backward(pair.store_pc, "address")
-        load_slice = self.slice_backward(pair.load_pc, "address")
-        pcs = set(store_slice.pcs | load_slice.pcs)
+        pcs = self._skeleton_pcs.union(store[0], load[0])
         cost = self._cost(pcs)
-        if store_slice.loop_carried or load_slice.loop_carried:
+        if store[1] or load[1]:
             status = LOOP_CARRIED_CUTOFF
         elif not budget.allows(cost):
             status = TOO_EXPENSIVE
@@ -504,7 +574,7 @@ class ProgramDependenceGraph:
             load_pc=pair.load_pc,
             verdict=pair.verdict,
             static_distance=pair.static_distance,
-            pcs=frozenset(pcs),
+            pcs=pcs,
             cost=cost,
             status=status,
         )
@@ -559,9 +629,9 @@ def build_pdg(
     program: Program,
     analysis: Optional[SymbolicDependenceAnalysis] = None,
 ) -> ProgramDependenceGraph:
-    """Build the PDG of *program* (records a ``pdg-build`` profiler
+    """Build the PDG of *program* (records a ``staticdep.pdg`` profiler
     scope); *analysis* shares a pre-computed symbolic analysis."""
-    with PROFILER.scope("pdg-build"):
+    with PROFILER.scope("staticdep.pdg"):
         return ProgramDependenceGraph(program, analysis=analysis)
 
 
@@ -570,13 +640,27 @@ def extract_predictor_slices(
     budget: Optional[SliceBudget] = None,
 ) -> List[PredictorSlice]:
     """One address-generation slice per MAY/MUST store->load pair,
-    sorted by (store PC, load PC)."""
-    slices = []
-    for pair in sorted(pdg.analysis.classified, key=lambda p: p.pair):
-        if pair.verdict == NO:
-            continue
-        slices.append(pdg.predictor_slice(pair, budget=budget))
-    return slices
+    sorted by (store PC, load PC) (records a ``staticdep.slices``
+    profiler scope).  Each distinct PC's address slice is closed once
+    and shared by every pair it ends."""
+    with PROFILER.scope("staticdep.slices"):
+        increments: Dict[int, Tuple[FrozenSet[int], bool]] = {}
+
+        def increment(pc: int) -> Tuple[FrozenSet[int], bool]:
+            if pc not in increments:
+                increments[pc] = pdg._increment(pc, "address")
+            return increments[pc]
+
+        slices = []
+        for pair in sorted(pdg.analysis.classified, key=lambda p: p.pair):
+            if pair.verdict == NO:
+                continue
+            slices.append(
+                pdg._predictor_slice(
+                    pair, budget, increment(pair.store_pc), increment(pair.load_pc)
+                )
+            )
+        return slices
 
 
 # ----------------------------------------------------------------------

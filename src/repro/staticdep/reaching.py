@@ -39,7 +39,7 @@ from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.isa.registers import ZERO
-from repro.staticdep.cfg import ControlFlowGraph, build_cfg
+from repro.staticdep.cfg import ControlFlowGraph, TaskDistances, build_cfg
 
 
 @dataclass(frozen=True)
@@ -219,20 +219,24 @@ class ReachingStores:
             return self._pairs
         pairs: List[StaticPair] = []
         reachable = set(self.cfg.reachable_blocks())
+        distances: Dict[int, TaskDistances] = {}
         for load_pc in self.program.static_loads():
             if self.cfg.block_at(load_pc).index not in reachable:
                 continue
             load_expr = access_expr(self.program[load_pc])
             for fact in self.reaching_at(load_pc):
+                from_store = distances.get(fact.store_pc)
+                if from_store is None:
+                    from_store = distances[fact.store_pc] = self.cfg.task_distances(
+                        fact.store_pc
+                    )
                 pairs.append(
                     StaticPair(
                         store_pc=fact.store_pc,
                         load_pc=load_pc,
                         store_expr=fact.expr,
                         load_expr=load_expr,
-                        min_task_distance=self.cfg.min_task_distance(
-                            fact.store_pc, load_pc
-                        ),
+                        min_task_distance=from_store.to(load_pc),
                     )
                 )
         self._pairs = pairs

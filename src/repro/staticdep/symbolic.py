@@ -553,6 +553,8 @@ class SymbolicSolution:
         self.back_edges: FrozenSet[Tuple[int, int]] = self._find_back_edges()
         #: loop head block -> blocks in the natural loop body
         self.loops: Dict[int, Set[int]] = self._natural_loops()
+        #: block -> bitset of the blocks reachable from its end
+        self._forward_reach: List[int] = self._forward_reach_sets()
         self._block_in: Dict[int, State] = {}
         self._dominators: Optional[Dict[int, Set[int]]] = None
         self._solve()
@@ -566,6 +568,21 @@ class SymbolicSolution:
                 if succ <= block.index:
                     edges.add((block.index, succ))
         return frozenset(edges)
+
+    def _forward_reach_sets(self) -> List[int]:
+        """Per block, the blocks a path from its end reaches over
+        forward edges only.  Every back edge goes to a block of equal or
+        lower index, so the forward edges form a DAG in block order and
+        one reverse pass settles every set."""
+        blocks = self.cfg.blocks
+        reach = [0] * len(blocks)
+        for block in reversed(blocks):
+            bits = 0
+            for succ in block.successors:
+                if succ > block.index:
+                    bits |= reach[succ] | (1 << succ)
+            reach[block.index] = bits
+        return reach
 
     def _natural_loops(self) -> Dict[int, Set[int]]:
         loops: Dict[int, Set[int]] = {}
@@ -703,30 +720,11 @@ class SymbolicSolution:
     def reaches_without_back_edge(self, src_pc: int, dst_pc: int) -> bool:
         """Is there a path from after *src_pc* to *dst_pc* that stays
         within the current iteration (crosses no back edge)?"""
-        seen: Set[int] = set()
-        frontier = self._forward_successors(src_pc)
-        while frontier:
-            next_frontier: List[int] = []
-            for pc in frontier:
-                if pc in seen:
-                    continue
-                seen.add(pc)
-                if pc == dst_pc:
-                    return True
-                next_frontier.extend(self._forward_successors(pc))
-            frontier = next_frontier
-        return False
-
-    def _forward_successors(self, pc: int) -> List[int]:
-        cfg = self.cfg
-        block = cfg.block_at(pc)
-        if pc + 1 < block.end:
-            return [pc + 1]
-        return [
-            cfg.blocks[succ].start
-            for succ in block.successors
-            if (block.index, succ) not in self.back_edges
-        ]
+        block_at = self.cfg.block_at
+        src, dst = block_at(src_pc).index, block_at(dst_pc).index
+        if src == dst and dst_pc > src_pc:
+            return True
+        return bool(self._forward_reach[src] >> dst & 1)
 
 
 # ---------------------------------------------------------------------------

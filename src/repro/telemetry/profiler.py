@@ -16,16 +16,17 @@ Two export shapes:
   simulated time.
 
 The module-level :data:`PROFILER` is the default instance the
-experiment runners publish into.  Recording a scope costs two
-``perf_counter`` calls and one append — cheap enough to leave on
-unconditionally.
+experiment runners, ``repro profile`` and the static analyses
+(``staticdep.symbolic``, ``staticdep.pdg``, ``staticdep.slices``)
+publish into.  Recording a scope costs two ``perf_counter`` calls and
+one append — cheap enough to leave on unconditionally.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 
 @dataclass
@@ -36,6 +37,8 @@ class ProfileRecord:
     start: float
     stop: float
     depth: int
+    #: name of the enclosing scope, or None at top level
+    parent: Optional[str] = None
 
     @property
     def seconds(self) -> float:
@@ -61,7 +64,13 @@ class ProfileScope:
         assert stack and stack[-1] is self, "unbalanced profile scopes"
         stack.pop()
         self.profiler.records.append(
-            ProfileRecord(self.name, self.start, stop, depth=len(stack))
+            ProfileRecord(
+                self.name,
+                self.start,
+                stop,
+                depth=len(stack),
+                parent=stack[-1].name if stack else None,
+            )
         )
         return False
 
@@ -70,15 +79,15 @@ class ProfileScope:
 PHASES = ("interpret", "simulate", "report")
 
 #: Scope-name -> pipeline-phase mapping.  Scopes absent from the map
-#: (roll-ups like ``total`` or ``experiment:<key>``) stay out of the
-#: phase breakdown so phase seconds never double-count.
+#: (roll-ups like ``total`` or ``experiment:<key>``, and the
+#: ``staticdep.*`` analyses a policy runs inside ``simulate``) stay out
+#: of the phase breakdown so phase seconds never double-count.
 PHASE_OF = {
     "trace-gen": "interpret",
     "simulate": "simulate",
     "dependence-profile": "report",
     "window-analysis": "report",
     "static-analysis": "report",
-    "symbolic-analysis": "report",
 }
 
 
@@ -132,22 +141,55 @@ class Profiler:
             acc["seconds"] = round(acc["seconds"] + agg["seconds"], 6)
         return {p: out[p] for p in PHASES if p in out}
 
+    def nested(self, since=0) -> Dict[str, str]:
+        """Scopes recorded only inside one pipeline-phase scope, mapped
+        to that scope's name.
+
+        Their time is part of the phase's, so :meth:`to_text` lists
+        them beneath its row — as ``repro profile`` shows the static
+        analyses a policy runs while binding, under ``simulate``.
+        """
+        parents: Dict[str, Set[Optional[str]]] = {}
+        for record in self.records[since:]:
+            parents.setdefault(record.name, set()).add(record.parent)
+        out: Dict[str, str] = {}
+        for name, found in parents.items():
+            parent = next(iter(found))
+            if len(found) == 1 and parent in PHASE_OF and name not in PHASE_OF:
+                out[name] = parent
+        return out
+
     def to_text(self, since=0, top=None) -> str:
         """Render the aggregate, widest scope first.
 
-        With *top*, only the *top* widest scopes are listed (a trailing
-        line notes how many were elided).  The per-phase cumulative
-        breakdown is appended whenever any scope maps to a phase.
+        Each :meth:`nested` scope is indented beneath its phase scope.
+        With *top*, only the *top* widest outer scopes are listed (a
+        trailing line notes how many were elided).  The per-phase
+        cumulative breakdown is appended whenever any scope maps to a
+        phase.
         """
         summary = self.summary(since)
         if not summary:
             return "(no profile records)"
-        width = max(len(name) for name in summary)
+        nested = self.nested(since)
+        children: Dict[str, List[str]] = {}
+        for name, parent in nested.items():
+            children.setdefault(parent, []).append(name)
+        width = max(len(name) + 2 * (name in nested) for name in summary)
         lines = ["%-*s %9s %6s" % (width, "scope", "seconds", "calls")]
-        rows = sorted(summary.items(), key=lambda kv: -kv[1]["seconds"])
+
+        def row(label: str, agg: dict) -> str:
+            return "%-*s %9.4f %6d" % (width, label, agg["seconds"], agg["calls"])
+
+        rows = sorted(
+            (kv for kv in summary.items() if kv[0] not in nested),
+            key=lambda kv: -kv[1]["seconds"],
+        )
         shown = rows if top is None else rows[: max(1, top)]
         for name, agg in shown:
-            lines.append("%-*s %9.4f %6d" % (width, name, agg["seconds"], agg["calls"]))
+            lines.append(row(name, agg))
+            for child in sorted(children.get(name, ()), key=lambda c: -summary[c]["seconds"]):
+                lines.append(row("  " + child, summary[child]))
         elided = len(rows) - len(shown)
         if elided > 0:
             lines.append("(%d more scope%s)" % (elided, "s" if elided != 1 else ""))

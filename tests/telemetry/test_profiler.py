@@ -71,3 +71,25 @@ def test_module_profiler_exists():
     with PROFILER.scope("test-scope"):
         pass
     assert PROFILER.summary(since=mark)["test-scope"]["calls"] == 1
+
+
+def test_scopes_inside_one_phase_scope_nest_under_it():
+    p = Profiler()
+    with p.scope("total"):
+        with p.scope("simulate"):
+            with p.scope("staticdep.slices"):
+                pass
+        with p.scope("trace-gen"):
+            pass
+    with p.scope("loose"):
+        pass
+    with p.scope("simulate"):
+        with p.scope("loose"):
+            pass
+    # phase scopes, roll-ups and scopes seen at two places stay outer rows
+    assert p.nested() == {"staticdep.slices": "simulate"}
+    assert set(p.phases()) == {"interpret", "simulate"}
+    lines = p.to_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("simulate "))
+    assert lines[at + 1].startswith("  staticdep.slices ")
+    assert sum(line.split()[0] == "staticdep.slices" for line in lines) == 1

@@ -220,6 +220,29 @@ def test_profile_command_json_phases(capsys):
     assert phases["report"]["seconds"] == payload["profile"]["dependence-profile"]["seconds"]
 
 
+def test_profile_command_reports_bind_time_analysis_under_simulate(capsys):
+    # a slice-warmed policy runs the symbolic analysis, the PDG build and
+    # slice extraction while binding, inside sim.run(): the profile must
+    # show them nested under simulate and keep them out of the phases
+    args = ["profile", "sc", "--policy", "sync_slice_warmed", "--scale", "tiny", "-n", "4"]
+    assert main(args + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    scopes = ("staticdep.symbolic", "staticdep.pdg", "staticdep.slices")
+    for scope in scopes:
+        assert payload["profile"][scope]["calls"] == 1
+        assert payload["nested"][scope] == "simulate"
+        assert payload["profile"][scope]["seconds"] <= payload["profile"]["simulate"]["seconds"]
+    assert set(payload["phases"]) == {"interpret", "simulate", "report"}
+    assert payload["phases"]["simulate"] == payload["profile"]["simulate"]
+    assert payload["phases"]["report"] == payload["profile"]["dependence-profile"]
+
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("simulate "))
+    assert sorted(line.split()[0] for line in lines[at + 1 : at + 4]) == sorted(scopes)
+    assert all(line.startswith("  staticdep.") for line in lines[at + 1 : at + 4])
+
+
 def test_staticdep_command_on_workload(capsys):
     assert main(["staticdep", "micro-recurrence-d1", "--scale", "tiny"]) == 0
     out = capsys.readouterr().out
