@@ -544,26 +544,27 @@ class ProgramDependenceGraph:
         budget: Optional[SliceBudget] = None,
     ) -> PredictorSlice:
         """The address-generation slice warming one MAY/MUST pair."""
+        store_extra, store_carried = self._increment(pair.store_pc, "address")
+        load_extra, load_carried = self._increment(pair.load_pc, "address")
         return self._predictor_slice(
             pair,
             budget,
-            self._increment(pair.store_pc, "address"),
-            self._increment(pair.load_pc, "address"),
+            self._skeleton_pcs | store_extra | load_extra,
+            store_carried or load_carried,
         )
 
     def _predictor_slice(
         self,
         pair: SymbolicPair,
         budget: Optional[SliceBudget],
-        store: Tuple[FrozenSet[int], bool],
-        load: Tuple[FrozenSet[int], bool],
+        pcs: FrozenSet[int],
+        loop_carried: bool,
     ) -> PredictorSlice:
-        """The union of the store's and the load's address slices, each
-        given as its :meth:`_increment`."""
+        """The pair's slice, given the union of the store's and the
+        load's address slices and whether either is loop-carried."""
         budget = budget if budget is not None else DEFAULT_SLICE_BUDGET
-        pcs = self._skeleton_pcs.union(store[0], load[0])
         cost = self._cost(pcs)
-        if store[1] or load[1]:
+        if loop_carried:
             status = LOOP_CARRIED_CUTOFF
         elif not budget.allows(cost):
             status = TOO_EXPENSIVE
@@ -642,9 +643,11 @@ def extract_predictor_slices(
     """One address-generation slice per MAY/MUST store->load pair,
     sorted by (store PC, load PC) (records a ``staticdep.slices``
     profiler scope).  Each distinct PC's address slice is closed once
-    and shared by every pair it ends."""
+    and shared by every pair it ends, and pairs whose slices add the
+    same PCs to the skeleton share one PC set."""
     with PROFILER.scope("staticdep.slices"):
         increments: Dict[int, Tuple[FrozenSet[int], bool]] = {}
+        unions: Dict[FrozenSet[int], FrozenSet[int]] = {}
 
         def increment(pc: int) -> Tuple[FrozenSet[int], bool]:
             if pc not in increments:
@@ -655,9 +658,14 @@ def extract_predictor_slices(
         for pair in sorted(pdg.analysis.classified, key=lambda p: p.pair):
             if pair.verdict == NO:
                 continue
+            store_extra, store_carried = increment(pair.store_pc)
+            load_extra, load_carried = increment(pair.load_pc)
+            extra = store_extra | load_extra
+            if extra not in unions:
+                unions[extra] = pdg._skeleton_pcs | extra
             slices.append(
                 pdg._predictor_slice(
-                    pair, budget, increment(pair.store_pc), increment(pair.load_pc)
+                    pair, budget, unions[extra], store_carried or load_carried
                 )
             )
         return slices
