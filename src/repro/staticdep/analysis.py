@@ -241,25 +241,20 @@ def _value_for_pair(solution: SymbolicSolution, pc: int) -> SymValue:
 
 
 def _static_distance(
-    cfg: ControlFlowGraph,
+    reaching: ReachingStores,
     candidate: StaticPair,
     intra: bool,
     lag: Optional[int],
-    wraps: Dict[int, Optional[int]],
 ) -> Optional[int]:
     """Task-boundary crossings from the producing store instance to the
     consuming load instance, *lag* loop iterations later.  *intra*
-    tells whether the store reaches the load within one iteration;
-    *wraps* keeps each store's crossings around its own loop."""
+    tells whether the store reaches the load within one iteration."""
     if lag is None:
         return None
     direct = candidate.min_task_distance
     if lag == 0 or direct is None:
         return direct
-    store_pc = candidate.store_pc
-    if store_pc not in wraps:
-        wraps[store_pc] = cfg.min_task_distance(store_pc, store_pc)
-    wrap = wraps[store_pc]
+    wrap = reaching.cycle_distances[candidate.store_pc]
     if wrap is None:
         return None
     if intra:
@@ -280,7 +275,6 @@ def analyze_program_symbolic(program: Program) -> SymbolicDependenceAnalysis:
         classified: List[SymbolicPair] = []
         refined: List[StaticPair] = []
         values: Dict[int, SymValue] = {}
-        wraps: Dict[int, Optional[int]] = {}
         for candidate in candidates:
             store_pc, load_pc = candidate.store_pc, candidate.load_pc
             for pc in (store_pc, load_pc):
@@ -290,7 +284,7 @@ def analyze_program_symbolic(program: Program) -> SymbolicDependenceAnalysis:
             cls: Classification = classify_addresses(
                 values[store_pc], values[load_pc], intra
             )
-            distance = _static_distance(cfg, candidate, intra, cls.lag, wraps)
+            distance = _static_distance(reaching, candidate, intra, cls.lag)
             classified.append(
                 SymbolicPair(
                     store_pc=store_pc,
