@@ -148,13 +148,9 @@ class ControlFlowGraph:
         instruction at ``src_pc`` must cross before the instruction at
         ``dst_pc`` can consume it.  Entering a ``task_begin``
         instruction costs 1.  To ask about many destinations of one
-        source, keep its :meth:`task_distances` instead.
+        source, keep its :class:`TaskDistances` instead.
         """
-        return self.task_distances(src_pc).to(dst_pc)
-
-    def task_distances(self, src_pc: int) -> "TaskDistances":
-        """Minimum task-entry crossings from ``src_pc`` to every PC."""
-        return TaskDistances(self, src_pc)
+        return TaskDistances(self, src_pc).to(dst_pc)
 
     def to_dot(self) -> str:
         """Render the graph in Graphviz dot syntax (debug aid)."""

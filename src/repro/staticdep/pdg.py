@@ -40,11 +40,7 @@ from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode, is_control
 from repro.isa.program import Program
 from repro.isa.registers import ZERO, register_name
-from repro.staticdep.analysis import (
-    SymbolicDependenceAnalysis,
-    SymbolicPair,
-    analyze_program_symbolic,
-)
+from repro.staticdep.analysis import SymbolicDependenceAnalysis, analyze_program_symbolic
 from repro.staticdep.symbolic import NO
 from repro.telemetry import PROFILER
 
@@ -538,48 +534,6 @@ class ProgramDependenceGraph:
             length=len(pcs), loads=loads, ratio=round(len(pcs) / total, 4)
         )
 
-    def predictor_slice(
-        self,
-        pair: SymbolicPair,
-        budget: Optional[SliceBudget] = None,
-    ) -> PredictorSlice:
-        """The address-generation slice warming one MAY/MUST pair."""
-        store_extra, store_carried = self._increment(pair.store_pc, "address")
-        load_extra, load_carried = self._increment(pair.load_pc, "address")
-        return self._predictor_slice(
-            pair,
-            budget,
-            self._skeleton_pcs | store_extra | load_extra,
-            store_carried or load_carried,
-        )
-
-    def _predictor_slice(
-        self,
-        pair: SymbolicPair,
-        budget: Optional[SliceBudget],
-        pcs: FrozenSet[int],
-        loop_carried: bool,
-    ) -> PredictorSlice:
-        """The pair's slice, given the union of the store's and the
-        load's address slices and whether either is loop-carried."""
-        budget = budget if budget is not None else DEFAULT_SLICE_BUDGET
-        cost = self._cost(pcs)
-        if loop_carried:
-            status = LOOP_CARRIED_CUTOFF
-        elif not budget.allows(cost):
-            status = TOO_EXPENSIVE
-        else:
-            status = WARMABLE
-        return PredictorSlice(
-            store_pc=pair.store_pc,
-            load_pc=pair.load_pc,
-            verdict=pair.verdict,
-            static_distance=pair.static_distance,
-            pcs=pcs,
-            cost=cost,
-            status=status,
-        )
-
     # ------------------------------------------------------------------
     # export
 
@@ -644,28 +598,40 @@ def extract_predictor_slices(
     sorted by (store PC, load PC) (records a ``staticdep.slices``
     profiler scope).  Each distinct PC's address slice is closed once
     and shared by every pair it ends, and pairs whose slices add the
-    same PCs to the skeleton share one PC set."""
+    same PCs to the skeleton share one PC set and its cost."""
+    budget = budget if budget is not None else DEFAULT_SLICE_BUDGET
     with PROFILER.scope("staticdep.slices"):
         increments: Dict[int, Tuple[FrozenSet[int], bool]] = {}
-        unions: Dict[FrozenSet[int], FrozenSet[int]] = {}
-
-        def increment(pc: int) -> Tuple[FrozenSet[int], bool]:
-            if pc not in increments:
-                increments[pc] = pdg._increment(pc, "address")
-            return increments[pc]
-
+        unions: Dict[FrozenSet[int], Tuple[FrozenSet[int], SliceCost]] = {}
         slices = []
         for pair in sorted(pdg.analysis.classified, key=lambda p: p.pair):
             if pair.verdict == NO:
                 continue
-            store_extra, store_carried = increment(pair.store_pc)
-            load_extra, load_carried = increment(pair.load_pc)
+            for pc in pair.pair:
+                if pc not in increments:
+                    increments[pc] = pdg._increment(pc, "address")
+            store_extra, store_carried = increments[pair.store_pc]
+            load_extra, load_carried = increments[pair.load_pc]
             extra = store_extra | load_extra
             if extra not in unions:
-                unions[extra] = pdg._skeleton_pcs | extra
+                pcs = pdg._skeleton_pcs | extra
+                unions[extra] = (pcs, pdg._cost(pcs))
+            pcs, cost = unions[extra]
+            if store_carried or load_carried:
+                status = LOOP_CARRIED_CUTOFF
+            elif not budget.allows(cost):
+                status = TOO_EXPENSIVE
+            else:
+                status = WARMABLE
             slices.append(
-                pdg._predictor_slice(
-                    pair, budget, unions[extra], store_carried or load_carried
+                PredictorSlice(
+                    store_pc=pair.store_pc,
+                    load_pc=pair.load_pc,
+                    verdict=pair.verdict,
+                    static_distance=pair.static_distance,
+                    pcs=pcs,
+                    cost=cost,
+                    status=status,
                 )
             )
         return slices

@@ -231,8 +231,8 @@ class ReachingStores:
             for fact in self.reaching_at(load_pc):
                 from_store = distances.get(fact.store_pc)
                 if from_store is None:
-                    from_store = distances[fact.store_pc] = self.cfg.task_distances(
-                        fact.store_pc
+                    from_store = distances[fact.store_pc] = TaskDistances(
+                        self.cfg, fact.store_pc
                     )
                     self.cycle_distances[fact.store_pc] = from_store.to(fact.store_pc)
                 pairs.append(

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.isa.parser import parse_file
 from repro.staticdep import analyze_program_symbolic, build_pdg, extract_predictor_slices
+from repro.staticdep.cfg import TaskDistances
 from repro.staticdep.pdg import SLICE_CRITERIA
 from repro.workloads import all_workloads
 from repro.workloads.random_gen import RandomProgramConfig, generate_program
@@ -59,7 +60,7 @@ def assert_paths_match(analysis, pairs):
     by_source = {}
     for src, dst in pairs:
         if src not in by_source:
-            by_source[src] = cfg.task_distances(src)
+            by_source[src] = TaskDistances(cfg, src)
         assert solution.reaches_without_back_edge(
             src, dst
         ) == reference.reaches_without_back_edge(solution, src, dst), (src, dst)
