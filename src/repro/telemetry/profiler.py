@@ -155,8 +155,9 @@ class Profiler:
         out: Dict[str, str] = {}
         for name, found in parents.items():
             parent = next(iter(found))
-            if len(found) == 1 and parent in PHASE_OF and name not in PHASE_OF:
-                out[name] = parent
+            if len(found) == 1 and parent is not None and parent in PHASE_OF:
+                if name not in PHASE_OF:
+                    out[name] = parent
         return out
 
     def to_text(self, since=0, top=None) -> str:

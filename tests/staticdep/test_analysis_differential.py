@@ -29,7 +29,6 @@ from repro.staticdep.cfg import TaskDistances
 from repro.staticdep.pdg import SLICE_CRITERIA
 from repro.workloads import all_workloads
 from repro.workloads.random_gen import RandomProgramConfig, generate_program
-
 from tests.staticdep import reference
 
 EXAMPLES = sorted(Path("examples/programs").glob("*.s"))
