@@ -42,13 +42,6 @@ class StaticDependenceAnalysis:
     cfg: ControlFlowGraph
     reaching: ReachingStores
     pairs: List[StaticPair] = field(default_factory=list)
-    #: ``pairs`` by load PC and by store PC, built on first query
-    _by_load: Optional[Dict[int, List[StaticPair]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _by_store: Optional[Dict[int, List[StaticPair]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def pair_set(self) -> Set[Tuple[int, int]]:
@@ -63,27 +56,13 @@ class StaticDependenceAnalysis:
     def static_stores(self) -> List[int]:
         return self.program.static_stores()
 
-    def _index_pairs(self) -> None:
-        by_load: Dict[int, List[StaticPair]] = {}
-        by_store: Dict[int, List[StaticPair]] = {}
-        for pair in self.pairs:
-            by_load.setdefault(pair.load_pc, []).append(pair)
-            by_store.setdefault(pair.store_pc, []).append(pair)
-        self._by_load, self._by_store = by_load, by_store
-
     def pairs_for_load(self, load_pc: int) -> List[StaticPair]:
         """Candidate producers of the load at *load_pc*."""
-        if self._by_load is None:
-            self._index_pairs()
-        assert self._by_load is not None
-        return list(self._by_load.get(load_pc, ()))
+        return [p for p in self.pairs if p.load_pc == load_pc]
 
     def pairs_for_store(self, store_pc: int) -> List[StaticPair]:
         """Candidate consumers of the store at *store_pc*."""
-        if self._by_store is None:
-            self._index_pairs()
-        assert self._by_store is not None
-        return list(self._by_store.get(store_pc, ()))
+        return [p for p in self.pairs if p.store_pc == store_pc]
 
     def dead_stores(self) -> List[int]:
         """Reachable stores provably observed by no load."""
@@ -158,9 +137,6 @@ class SymbolicDependenceAnalysis(StaticDependenceAnalysis):
 
     solution: Optional[SymbolicSolution] = None
     classified: List[SymbolicPair] = field(default_factory=list)
-    _by_pair: Optional[Dict[Tuple[int, int], SymbolicPair]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def verdict_counts(self) -> Dict[str, int]:
         counts = {MUST: 0, MAY: 0, NO: 0}
@@ -175,12 +151,10 @@ class SymbolicDependenceAnalysis(StaticDependenceAnalysis):
         return [p for p in self.classified if p.verdict == NO]
 
     def classified_for(self, store_pc: int, load_pc: int) -> Optional[SymbolicPair]:
-        if self._by_pair is None:
-            by_pair: Dict[Tuple[int, int], SymbolicPair] = {}
-            for pair in self.classified:
-                by_pair.setdefault(pair.pair, pair)
-            self._by_pair = by_pair
-        return self._by_pair.get((store_pc, load_pc))
+        for pair in self.classified:
+            if pair.store_pc == store_pc and pair.load_pc == load_pc:
+                return pair
+        return None
 
     def primable(self) -> List[Tuple[int, int, int]]:
         """(store PC, load PC, distance) triples safe to pre-install in
@@ -241,20 +215,25 @@ def _value_for_pair(solution: SymbolicSolution, pc: int) -> SymValue:
 
 
 def _static_distance(
-    reaching: ReachingStores,
+    cfg: ControlFlowGraph,
     candidate: StaticPair,
     intra: bool,
     lag: Optional[int],
+    wraps: Dict[int, Optional[int]],
 ) -> Optional[int]:
     """Task-boundary crossings from the producing store instance to the
     consuming load instance, *lag* loop iterations later.  *intra*
-    tells whether the store reaches the load within one iteration."""
+    tells whether the store reaches the load within one iteration;
+    *wraps* keeps each store's crossings around its loop to itself."""
     if lag is None:
         return None
     direct = candidate.min_task_distance
     if lag == 0 or direct is None:
         return direct
-    wrap = reaching.cycle_distances[candidate.store_pc]
+    store_pc = candidate.store_pc
+    if store_pc not in wraps:
+        wraps[store_pc] = cfg.min_task_distance(store_pc, store_pc)
+    wrap = wraps[store_pc]
     if wrap is None:
         return None
     if intra:
@@ -275,6 +254,7 @@ def analyze_program_symbolic(program: Program) -> SymbolicDependenceAnalysis:
         classified: List[SymbolicPair] = []
         refined: List[StaticPair] = []
         values: Dict[int, SymValue] = {}
+        wraps: Dict[int, Optional[int]] = {}
         for candidate in candidates:
             store_pc, load_pc = candidate.store_pc, candidate.load_pc
             for pc in (store_pc, load_pc):
@@ -284,7 +264,7 @@ def analyze_program_symbolic(program: Program) -> SymbolicDependenceAnalysis:
             cls: Classification = classify_addresses(
                 values[store_pc], values[load_pc], intra
             )
-            distance = _static_distance(reaching, candidate, intra, cls.lag)
+            distance = _static_distance(cfg, candidate, intra, cls.lag, wraps)
             classified.append(
                 SymbolicPair(
                     store_pc=store_pc,

@@ -597,12 +597,10 @@ def extract_predictor_slices(
     """One address-generation slice per MAY/MUST store->load pair,
     sorted by (store PC, load PC) (records a ``staticdep.slices``
     profiler scope).  Each distinct PC's address slice is closed once
-    and shared by every pair it ends, and pairs whose slices add the
-    same PCs to the skeleton share one PC set and its cost."""
+    and shared by every pair it ends."""
     budget = budget if budget is not None else DEFAULT_SLICE_BUDGET
     with PROFILER.scope("staticdep.slices"):
         increments: Dict[int, Tuple[FrozenSet[int], bool]] = {}
-        unions: Dict[FrozenSet[int], Tuple[FrozenSet[int], SliceCost]] = {}
         slices = []
         for pair in sorted(pdg.analysis.classified, key=lambda p: p.pair):
             if pair.verdict == NO:
@@ -612,11 +610,8 @@ def extract_predictor_slices(
                     increments[pc] = pdg._increment(pc, "address")
             store_extra, store_carried = increments[pair.store_pc]
             load_extra, load_carried = increments[pair.load_pc]
-            extra = store_extra | load_extra
-            if extra not in unions:
-                pcs = pdg._skeleton_pcs | extra
-                unions[extra] = (pcs, pdg._cost(pcs))
-            pcs, cost = unions[extra]
+            pcs = pdg._skeleton_pcs | store_extra | load_extra
+            cost = pdg._cost(pcs)
             if store_carried or load_carried:
                 status = LOOP_CARRIED_CUTOFF
             elif not budget.allows(cost):

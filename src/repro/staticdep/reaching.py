@@ -172,10 +172,6 @@ class ReachingStores:
         self._block_in: Dict[int, State] = {}
         self._block_out: Dict[int, State] = {}
         self._pairs: Optional[List[StaticPair]] = None
-        #: the fewest task crossings from each candidate store around
-        #: to itself (None when no path returns), filled alongside the
-        #: candidate pairs from the same task-distance search
-        self.cycle_distances: Dict[int, Optional[int]] = {}
         self._solve()
 
     def _solve(self) -> None:
@@ -234,7 +230,6 @@ class ReachingStores:
                     from_store = distances[fact.store_pc] = TaskDistances(
                         self.cfg, fact.store_pc
                     )
-                    self.cycle_distances[fact.store_pc] = from_store.to(fact.store_pc)
                 pairs.append(
                     StaticPair(
                         store_pc=fact.store_pc,
