@@ -9,7 +9,8 @@ they replace:
 
 * :func:`reaches_without_back_edge` walks instructions from scratch;
 * :func:`min_task_distance` runs one instruction-level 0-1 BFS per
-  (source, destination) pair;
+  (source, destination) pair, and :func:`static_distance` runs two
+  more per lagged pair;
 * :func:`slice_backward` closes each slice from nothing, control
   skeleton included, scanning the whole memory-edge list per load.
 
@@ -103,6 +104,30 @@ def min_task_distance(cfg: ControlFlowGraph, src_pc: int, dst_pc: int) -> Option
                 else:
                     queue.appendleft((succ, new_cost))
     return best.get(dst_pc)
+
+
+def static_distance(
+    solution: SymbolicSolution,
+    store_pc: int,
+    load_pc: int,
+    lag: Optional[int],
+) -> Optional[int]:
+    """Task-boundary crossings from the producing store instance to the
+    consuming load instance, *lag* loop iterations later."""
+    cfg = solution.cfg
+    if lag is None:
+        return None
+    direct = min_task_distance(cfg, store_pc, load_pc)
+    if lag == 0 or direct is None:
+        return direct
+    wrap = min_task_distance(cfg, store_pc, store_pc)
+    if wrap is None:
+        return None
+    if reaches_without_back_edge(solution, store_pc, load_pc):
+        # `direct` follows the iteration-local path; add `lag` full trips
+        return direct + lag * wrap
+    # `direct` already wraps around the loop once
+    return direct + (lag - 1) * wrap
 
 
 def _memory_edges_for_load(pdg: ProgramDependenceGraph, load_pc: int) -> List[PDGEdge]:

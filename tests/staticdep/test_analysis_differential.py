@@ -8,13 +8,16 @@ scratch per call.  These tests hold the two equal:
 * reachability without back edges and minimum task distance, for every
   pair of reachable PCs of a small program, and for every candidate
   (store, load) and (store, store) pair of a workload;
+* every classified pair's static distance;
 * the PCs, cost and loop-carried flag of every reachable PC's backward
   slice under each criterion;
 * the whole :func:`extract_predictor_slices` list.
 
 Random programs come from ``random_gen`` (one loop with forward
 branches), with a few task-entry marks toggled so blocks start tasks
-mid-block or hold several task entries.
+mid-block or hold several task entries.  They yield no lagged MUST
+pair, so strided loops, with one or two tasks per iteration, cover
+the static distance of a dependence several iterations long.
 """
 
 from pathlib import Path
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isa import Assembler
 from repro.isa.parser import parse_file
 from repro.staticdep import analyze_program_symbolic, build_pdg, extract_predictor_slices
 from repro.staticdep.cfg import TaskDistances
@@ -66,6 +70,13 @@ def assert_paths_match(analysis, pairs):
         assert by_source[src].to(dst) == reference.min_task_distance(cfg, src, dst), (src, dst)
 
 
+def assert_static_distances_match(analysis):
+    for pair in analysis.classified:
+        assert pair.static_distance == reference.static_distance(
+            analysis.solution, pair.store_pc, pair.load_pc, pair.lag
+        ), pair.pair
+
+
 def assert_slices_match(pdg):
     for pc in pdg.reachable_pcs():
         for criterion in SLICE_CRITERIA:
@@ -83,6 +94,7 @@ def assert_all_pairs_match(program):
     analysis = analyze_program_symbolic(program)
     pcs = build_pdg(program, analysis=analysis).reachable_pcs()
     assert_paths_match(analysis, [(src, dst) for src in pcs for dst in pcs])
+    assert_static_distances_match(analysis)
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,6 +107,35 @@ def test_random_program_paths_match_reference(program):
 @given(program=random_programs())
 def test_random_program_slices_match_reference(program):
     assert_slices_match(build_pdg(program))
+
+
+def strided_loop(load_back, tasks_per_iteration):
+    """Each iteration loads the word stored *load_back* iterations
+    earlier, then stores its own."""
+    a = Assembler("strided")
+    a.li("s1", 4096)
+    a.li("t3", 0)
+    a.li("t4", 32)
+    a.label("loop")
+    a.task_begin()
+    a.lw("t0", "s1", -4 * load_back)
+    if tasks_per_iteration == 2:
+        a.task_begin()
+    a.addi("t0", "t0", 1)
+    a.sw("t0", "s1", 0)
+    a.addi("s1", "s1", 4)
+    a.addi("t3", "t3", 1)
+    a.blt("t3", "t4", "loop")
+    a.halt()
+    return a.assemble()
+
+
+@pytest.mark.parametrize("tasks_per_iteration", [1, 2])
+@pytest.mark.parametrize("load_back", [1, 2, 3])
+def test_strided_loop_matches_reference(load_back, tasks_per_iteration):
+    program = strided_loop(load_back, tasks_per_iteration)
+    assert [p.lag for p in analyze_program_symbolic(program).classified] == [load_back]
+    assert_all_pairs_match(program)
 
 
 @pytest.mark.parametrize("program_path", EXAMPLES, ids=lambda p: p.stem)
@@ -113,4 +154,5 @@ def test_workload_matches_reference(workload):
         pairs.add((pair.store_pc, pair.load_pc))
         pairs.add((pair.store_pc, pair.store_pc))
     assert_paths_match(analysis, sorted(pairs))
+    assert_static_distances_match(analysis)
     assert_slices_match(build_pdg(program, analysis=analysis))
