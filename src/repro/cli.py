@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs", type=int, default=None, metavar="N",
             help="fan cells out to N worker processes (default: "
-            "$REPRO_EXECUTOR_JOBS, else the legacy serial in-process path)",
+            "$REPRO_EXECUTOR_JOBS, else 1: inline in this process)",
         )
         p.add_argument(
             "--cache-dir", dest="cache_dir", metavar="DIR",
@@ -229,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "config runs at scale/eta^(rungs-1), the top 1/eta per workload "
         "promote one rung up, and only finalists run at --scale.  "
         "Deterministic: rankings tie-break on the full-scale cell key, "
-        "so serial, parallel, and queue-dir runs are bit-identical",
+        "so inline, parallel, and queue-dir runs are bit-identical",
     )
     p_sweep.add_argument(
         "--eta", type=int, default=3, metavar="N",
@@ -713,7 +713,7 @@ def cmd_compare(args) -> int:
 
 
 def _resolved_jobs(args):
-    """--jobs, else $REPRO_EXECUTOR_JOBS, else None (legacy serial)."""
+    """--jobs, else $REPRO_EXECUTOR_JOBS, else None (inline)."""
     if args.jobs is not None:
         return max(1, args.jobs)
     env = os.environ.get("REPRO_EXECUTOR_JOBS", "").strip()
@@ -783,12 +783,12 @@ def _executor_telemetry(args):
     return metrics, trace
 
 
-def _write_executor_telemetry(args, report, metrics, trace):
+def _write_executor_telemetry(args, report, metrics, trace, profile=None):
     if args.metrics:
-        _write_json(
-            args.metrics,
-            {"executor": report.counters(), "metrics": metrics.to_dict()},
-        )
+        payload = {"executor": report.counters(), "metrics": metrics.to_dict()}
+        if profile is not None:
+            payload["profile"] = profile
+        _write_json(args.metrics, payload)
     if args.trace_events:
         _write_json(args.trace_events, trace.to_dict())
 
@@ -888,59 +888,13 @@ def cmd_experiment(args) -> int:
     usage_error = _check_executor_usage(args)
     if usage_error is not None:
         return usage_error
-    jobs = _resolved_jobs(args)
-    if (
-        jobs is None
-        and _resolved_backend_name(args) is None
-        and not args.cache_dir
-        and args.timeout is None
-        and not args.watch
-        and not args.progress_json
-    ):
-        return _experiment_serial(args, keys)
-    return _experiment_executor(args, keys, jobs)
-
-
-def _experiment_serial(args, keys) -> int:
-    """The legacy in-process path (tables keep their wall-clock profile)."""
+    from repro.experiments import run_all
+    from repro.experiments.executor import experiment_cells
     from repro.telemetry import PROFILER
 
+    jobs = _resolved_jobs(args)
     start = time.time()
     mark = PROFILER.mark()
-    tables = []
-    for key in keys:
-        table = ALL_EXPERIMENTS[key](args.scale)
-        tables.append(table)
-        _print_table(args, table)
-    if args.metrics:
-        _write_json(args.metrics, {"profile": PROFILER.summary(since=mark)})
-    if args.trace_events:
-        _write_json(args.trace_events, PROFILER.to_trace_events(since=mark))
-    if args.as_json:
-        print(json.dumps([table.to_json() for table in tables], indent=2))
-    if _ledger_enabled(args):
-        from repro.experiments.executor import experiment_cells
-
-        _record_run(
-            args,
-            "experiment",
-            config={
-                "which": args.which,
-                "scale": args.scale,
-                "experiments": keys,
-            },
-            fingerprints=_cell_fingerprints(experiment_cells(keys, args.scale)),
-            phases=PROFILER.summary(since=mark),
-            wall_seconds=round(time.time() - start, 6),
-        )
-    return 0
-
-
-def _experiment_executor(args, keys, jobs) -> int:
-    """The cell-executor path: parallel, cached, fault tolerant."""
-    from repro.experiments import run_all
-
-    start = time.time()
     metrics, trace = _executor_telemetry(args)
     progress, progress_writer = _progress_sinks(args)
     try:
@@ -959,14 +913,14 @@ def _experiment_executor(args, keys, jobs) -> int:
     finally:
         if progress_writer is not None:
             progress_writer.close()
+    # the phase times this process recorded: every cell's on an inline run
+    phases = PROFILER.summary(since=mark)
     for key in keys:
         _print_table(args, tables[key])
-    _write_executor_telemetry(args, report, metrics, trace)
+    _write_executor_telemetry(args, report, metrics, trace, profile=phases)
     if args.as_json:
         print(json.dumps([tables[key].to_json() for key in keys], indent=2))
     if _ledger_enabled(args):
-        from repro.experiments.executor import experiment_cells
-
         _record_run(
             args,
             "experiment",
@@ -976,6 +930,7 @@ def _experiment_executor(args, keys, jobs) -> int:
                 "experiments": keys,
             },
             fingerprints=_cell_fingerprints(experiment_cells(keys, args.scale)),
+            phases=phases,
             executor=report.counters(),
             metrics=metrics.to_dict() if metrics is not None else None,
             wall_seconds=round(time.time() - start, 6),
@@ -1092,7 +1047,7 @@ def cmd_sweep(args) -> int:
     finally:
         if progress_writer is not None:
             progress_writer.close()
-    report = getattr(result, "report", None)
+    report = result.report
     if report is not None:
         _write_executor_telemetry(args, report, metrics, trace)
     if _ledger_enabled(args):

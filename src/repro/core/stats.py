@@ -106,6 +106,28 @@ class SpeculationStats:
             },
         }
 
+    @classmethod
+    def from_summary(cls, summary: dict) -> "SpeculationStats":
+        """Rebuild the stats from :meth:`summary`'s integer fields.
+
+        The rounded ``ipc`` and ``missspec_per_load`` are ignored: the
+        properties recompute them exactly from the counts, and rounding
+        a rounded value can differ from rounding once.
+        """
+        return cls(
+            cycles=summary["cycles"],
+            committed_instructions=summary["instructions"],
+            committed_loads=summary["loads"],
+            committed_stores=summary["stores"],
+            mis_speculations=summary["mis_speculations"],
+            register_mis_speculations=summary["register_mis_speculations"],
+            value_mis_speculations=summary["value_mis_speculations"],
+            squashed_instructions=summary["squashed_instructions"],
+            tasks_committed=summary["tasks_committed"],
+            control_mispredictions=summary["control_mispredictions"],
+            breakdown=PredictionBreakdown(**summary["breakdown"]),
+        )
+
 
 def speedup(base_stats, other_stats) -> float:
     """Percent speedup of *other* relative to *base* (paper Figures 5-7).

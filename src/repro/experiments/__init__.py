@@ -1,5 +1,6 @@
 """Experiment runners: one per table and figure of the paper."""
 
+from repro.experiments import figures, tables
 from repro.experiments.figures import (
     extension_window_scaling,
     figure5_policy_speedups,
@@ -10,7 +11,6 @@ from repro.experiments.results import ExperimentTable
 from repro.experiments.slicewarm import slice_warming
 from repro.experiments.spectaint import spectaint_leakage
 from repro.experiments.staticdep import staticdep_coverage, staticdep_symbolic
-from repro.telemetry import PROFILER
 from repro.experiments.sweeps import SweepPoint, SweepResult, sweep, sweep_cells
 from repro.experiments.tables import (
     RecordingAlwaysPolicy,
@@ -24,74 +24,46 @@ from repro.experiments.tables import (
     table7_multiscalar_ddc,
     table8_prediction_breakdown,
     table9_missspec_rates,
+    workload_trace,
 )
 
-def _profiled(key, runner):
-    """Wrap a runner so its wall-clock breakdown rides on the table.
-
-    Every invocation records an ``experiment:<key>`` scope on the
-    module-level profiler and attaches the aggregate of all scopes the
-    run produced (trace-gen, simulate, static-analysis, assembly
-    remainder) as ``table.profile`` — which ``to_text``/``to_json``
-    render, so the breakdown lands in EXPERIMENTS.md and ``--json``
-    output with no further plumbing.
-    """
-
-    def run(scale="test", **kwargs):
-        mark = PROFILER.mark()
-        with PROFILER.scope("experiment:%s" % key):
-            table = runner(scale, **kwargs)
-        profile = PROFILER.summary(since=mark)
-        total = profile["experiment:%s" % key]
-        # only the experiment's direct children: a nested scope (such
-        # as a policy's static analysis inside ``simulate``) is already
-        # part of its parent's seconds
-        records = PROFILER.records[mark:]
-        depth = records[-1].depth + 1
-        attributed = sum(r.seconds for r in records if r.depth == depth)
-        remainder = round(total["seconds"] - attributed, 6)
-        if remainder > 0:
-            profile["assemble"] = {"calls": 1, "seconds": remainder}
-        table.profile = profile
-        return table
-
-    run.__name__ = "profiled_%s" % runner.__name__
-    run.__doc__ = runner.__doc__
-    return run
-
-
-#: experiment id -> profiled runner, for programmatic access to the
-#: whole set (the CLI, report generator, and benchmarks all go through
-#: this table, so every run carries its wall-clock profile)
+#: experiment id -> runner, for programmatic access to the whole set
+#: (the CLI, report generator, and benchmarks all go through this table)
 ALL_EXPERIMENTS = {
-    key: _profiled(key, runner)
-    for key, runner in {
-        "table1": table1_instruction_counts,
-        "table2": table2_fu_latencies,
-        "table3": table3_window_missspec,
-        "table4": table4_static_coverage,
-        "table5": table5_ddc_missrate,
-        "table6": table6_multiscalar_missspec,
-        "table7": table7_multiscalar_ddc,
-        "table8": table8_prediction_breakdown,
-        "table9": table9_missspec_rates,
-        "figure5": figure5_policy_speedups,
-        "figure6": figure6_mechanism_speedups,
-        "figure7": figure7_spec95_speedups,
-        "window-scaling": extension_window_scaling,
-        "staticdep": staticdep_coverage,
-        "staticdep-symbolic": staticdep_symbolic,
-        "spectaint": spectaint_leakage,
-        "slice-warming": slice_warming,
-    }.items()
+    "table1": table1_instruction_counts,
+    "table2": table2_fu_latencies,
+    "table3": table3_window_missspec,
+    "table4": table4_static_coverage,
+    "table5": table5_ddc_missrate,
+    "table6": table6_multiscalar_missspec,
+    "table7": table7_multiscalar_ddc,
+    "table8": table8_prediction_breakdown,
+    "table9": table9_missspec_rates,
+    "figure5": figure5_policy_speedups,
+    "figure6": figure6_mechanism_speedups,
+    "figure7": figure7_spec95_speedups,
+    "window-scaling": extension_window_scaling,
+    "staticdep": staticdep_coverage,
+    "staticdep-symbolic": staticdep_symbolic,
+    "spectaint": spectaint_leakage,
+    "slice-warming": slice_warming,
 }
 
-#: experiments that render configuration rather than simulate — they
-#: need no interpreted traces, so the executor skips pre-warming for
-#: them (spectaint builds its own leak programs instead of using the
-#: workload suites, so it needs no pre-warmed traces either)
-_NO_TRACE_EXPERIMENTS = frozenset({"table2", "spectaint"})
-
+#: experiment id -> (cells, table) for the experiments that are views of
+#: the shared simulation grid: ``cells(scale)`` declares the sweep cells
+#: the experiment reads and ``table(stats)`` builds its table from their
+#: stats.  Every other experiment runs as one whole ``experiment`` cell:
+#: it reads no Multiscalar statistics, or it reads policy internals,
+#: violation streams, or programs outside the workload registry.
+GRID_EXPERIMENTS = {
+    "figure5": (figures.figure5_cells, figures.figure5_table),
+    "figure6": (figures.figure6_cells, figures.figure6_table),
+    "figure7": (figures.figure7_cells, figures.figure7_table),
+    "window-scaling": (figures.window_scaling_cells, figures.window_scaling_table),
+    "table6": (tables.table6_cells, tables.table6_table),
+    "table8": (tables.table8_cells, tables.table8_table),
+    "table9": (tables.table9_cells, tables.table9_table),
+}
 
 def run_all(
     parallel=None,
@@ -105,7 +77,13 @@ def run_all(
     progress=None,
     backend=None,
 ):
-    """Run experiments through the parallel executor.
+    """Run experiments through the executor, each distinct cell once.
+
+    The cells are the declared sweep cells of every requested grid
+    experiment, listed once however many tables read them, plus one
+    whole ``experiment`` cell per other experiment; one
+    :meth:`~repro.experiments.executor.Executor.run` executes them all,
+    then every table is assembled.
 
     Args:
         parallel: worker processes (None/1 = inline in this process).
@@ -136,7 +114,6 @@ def run_all(
         assemble_experiments,
         experiment_cells,
     )
-    from repro.experiments.tables import warm_traces
 
     keys = sorted(ALL_EXPERIMENTS) if experiments is None else list(experiments)
     unknown = [key for key in keys if key not in ALL_EXPERIMENTS]
@@ -144,14 +121,13 @@ def run_all(
         raise KeyError("unknown experiment(s): %s" % ", ".join(sorted(unknown)))
     cells = experiment_cells(keys, scale)
 
-    suites = set()
-    for cell in cells:
-        cell_suites = cell.param("suites")
-        if cell_suites:
-            suites.update(cell_suites)
-        elif cell.name not in _NO_TRACE_EXPERIMENTS:
-            suites.add("specint92")
-    prewarm = (lambda: warm_traces(sorted(suites), scale)) if suites else None
+    # the sweep cells' traces, warmed in the parent before a pool forks;
+    # a whole cell interprets what it reads itself, once, in its worker
+    workloads = {cell.param("workload") for cell in cells if cell.kind == "sweep"}
+
+    def prewarm():
+        for name in sorted(workloads):
+            workload_trace(name, scale)
 
     executor = Executor(
         jobs=parallel or 1,
@@ -160,16 +136,17 @@ def run_all(
         retries=retries,
         metrics=metrics,
         trace=trace,
-        prewarm=prewarm,
+        prewarm=prewarm if workloads else None,
         progress=progress,
         backend=backend,
     )
     report = executor.run(cells)
-    return assemble_experiments(keys, report), report
+    return assemble_experiments(keys, report, scale), report
 
 
 __all__ = [
     "ALL_EXPERIMENTS",
+    "GRID_EXPERIMENTS",
     "ExperimentTable",
     "RecordingAlwaysPolicy",
     "SweepPoint",

@@ -22,7 +22,7 @@ Determinism: rankings sort by ``(direction * value, full_scale_key)``
 where ``full_scale_key`` is the content-addressed cache key the
 configuration would have *at the final scale* — a scale-independent
 identity.  Ties therefore break identically at every rung, across
-serial, process-pool, and queue-dir execution, and against an
+inline, process-pool, and queue-dir execution, and against an
 exhaustive sweep: same grid + same sources ⇒ bit-identical rung
 membership and final table, regardless of backend or worker count.
 

@@ -19,7 +19,7 @@ physically run* to an :class:`ExecutorBackend`:
 A backend runs one round at a time: :meth:`ExecutorBackend.run` gets
 groups of cell indices, runs each cell once, and yields ``(index, raw
 outcome)`` as cells finish.  It never retries, validates, or caches,
-so the determinism contract (serial ≡ parallel ≡ distributed,
+so the determinism contract (inline ≡ parallel ≡ distributed,
 bit-identical payloads) holds by construction.
 """
 

@@ -25,16 +25,19 @@ sweep front-ends run on:
   the worker, bounded retries, and graceful degradation — a crashing,
   hanging, or garbage-returning worker marks its cell FAILED in the
   report instead of killing the run;
-* assembly helpers — experiment cells are re-assembled into
+* experiment planning and assembly — :func:`experiment_cells` lists the
+  distinct cells a set of experiments reads (the declared sweep cells
+  of the grid experiments, shared among tables, plus one whole cell per
+  other experiment), and :func:`assemble_experiments` builds their
   :class:`~repro.experiments.results.ExperimentTable` objects,
   tolerating FAILED cells (a placeholder table carries the error).
 
-Determinism contract: serial, parallel, and warm-cache runs produce
-bit-identical ``ExperimentTable.to_json`` payloads, except that
-executor-produced tables carry an empty wall-clock ``profile`` (wall
-time is inherently nondeterministic; the executor's telemetry and
-Chrome trace report timing instead).  The contract is asserted by
-``tests/experiments/test_executor_ab.py``.
+Determinism contract: inline, parallel, and warm-cache runs produce
+bit-identical ``ExperimentTable.to_json`` payloads, pinned by the
+golden fixtures under ``tests/experiments/golden/`` and asserted by
+``tests/experiments/test_executor_ab.py``.  Wall time is inherently
+nondeterministic, so tables carry none; the executor's telemetry and
+Chrome trace report timing instead.
 
 Telemetry: pass ``metrics=``/``trace=`` sinks to publish
 ``executor.cells_total/run/cached/retried/failed`` counters, the
@@ -78,15 +81,22 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+#: version of the cell payload layout; bump it when a payload gains or
+#: changes a field that readers depend on (version 2: sweep payloads
+#: carry the full ``stats`` summary the grid experiments assemble from)
+RESULT_FORMAT_VERSION = 2
+
+
 @lru_cache(maxsize=1)
 def source_fingerprint() -> str:
     """SHA-256 over the package version, the workload sources, and the
-    binary trace-cache format version.
+    binary trace-cache and result format versions.
 
     Part of every cache key: editing a synthetic kernel, bumping the
     package version, or changing the trace encoding (whose cached
-    traces feed every simulation) changes the fingerprint and
-    invalidates every cached result that could depend on it.
+    traces feed every simulation) or the payload layout changes the
+    fingerprint and invalidates every cached result that could depend
+    on it — an older cache reads as misses.
     """
     import repro
     import repro.workloads as workloads
@@ -95,6 +105,7 @@ def source_fingerprint() -> str:
     digest = hashlib.sha256()
     digest.update(repro.__version__.encode())
     digest.update(b":trace-format:%d:" % TRACE_FORMAT_VERSION)
+    digest.update(b":result-format:%d:" % RESULT_FORMAT_VERSION)
     root = Path(workloads.__file__).resolve().parent
     for path in sorted(root.glob("*.py")):
         digest.update(path.name.encode())
@@ -141,7 +152,15 @@ class Cell:
 
     @property
     def label(self) -> str:
-        return "%s:%s" % (self.kind, self.name)
+        """``kind:name``, plus a sweep cell's config and policy
+        overrides, so the cells of one run have distinct labels."""
+        label = "%s:%s" % (self.kind, self.name)
+        overrides = list(self.param("overrides", ())) + list(
+            self.param("policy_overrides", ())
+        )
+        if overrides:
+            label += "[%s]" % ",".join("%s=%s" % (k, v) for k, v in overrides)
+        return label
 
 
 class ResultCache:
@@ -275,29 +294,25 @@ class RunReport:
 
 # -- cell execution (runs inside workers) ---------------------------------
 
-#: per-process trace memo for sweep cells; workers are long-lived, so a
-#: workload interpreted once serves every cell assigned to that worker
-_SWEEP_TRACES: Dict[Tuple[str, object], object] = {}
-
 
 def _run_sweep_cell(params: dict) -> dict:
     from dataclasses import replace
 
+    from repro.experiments.tables import workload_trace
     from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, make_policy
-    from repro.workloads import get_workload
+    from repro.telemetry import PROFILER
 
     workload = params["workload"]
-    scale = params["scale"]
-    memo_key = (workload, scale)
-    if memo_key not in _SWEEP_TRACES:
-        _SWEEP_TRACES[memo_key] = get_workload(workload).trace(scale)
-    trace = _SWEEP_TRACES[memo_key]
+    # workers are long-lived, so a workload interpreted once serves
+    # every cell assigned to that worker
+    trace = workload_trace(workload, params["scale"])
     overrides = [(k, v) for k, v in params.get("overrides", [])]
     policy_overrides = [(k, v) for k, v in params.get("policy_overrides", [])]
     config = replace(MultiscalarConfig(), **dict(overrides))
     policy = make_policy(params["policy"], **dict(policy_overrides))
     sim = MultiscalarSimulator(trace, config, policy)
-    stats = sim.run()
+    with PROFILER.scope("simulate"):
+        stats = sim.run()
     payload = {
         "workload": workload,
         "policy": params["policy"],
@@ -305,6 +320,7 @@ def _run_sweep_cell(params: dict) -> dict:
         "cycles": stats.cycles,
         "ipc": stats.ipc,
         "mis_speculations": stats.mis_speculations,
+        "stats": stats.summary(),
     }
     if policy_overrides:
         payload["policy_overrides"] = [[k, v] for k, v in policy_overrides]
@@ -315,21 +331,16 @@ def default_run_cell(spec: dict) -> dict:
     """Execute one cell spec and return its JSON payload.
 
     ``experiment`` cells run an :data:`~repro.experiments.ALL_EXPERIMENTS`
-    runner and return ``ExperimentTable.to_json()`` with the wall-clock
-    profile cleared (wall time is nondeterministic; clearing it is what
-    makes serial == parallel == cached bit-identical).  ``sweep`` cells
-    run one (workload, config, policy) simulation.
+    runner and return its ``ExperimentTable.to_json()``.  ``sweep``
+    cells run one (workload, config, policy) simulation and return its
+    headline numbers plus the full ``stats`` summary.
     """
     kind = spec["kind"]
     params = {k: v for k, v in spec.get("params", [])}
     if kind == "experiment":
         from repro.experiments import ALL_EXPERIMENTS
 
-        runner = ALL_EXPERIMENTS[spec["name"]]
-        table = runner(**params)
-        payload = table.to_json()
-        payload["profile"] = {}
-        return payload
+        return ALL_EXPERIMENTS[spec["name"]](**params).to_json()
     if kind == "sweep":
         return _run_sweep_cell(params)
     raise CellError("unknown cell kind %r" % (kind,))
@@ -760,44 +771,26 @@ class Executor:
 
 # -- experiment-level planning and assembly -------------------------------
 
-#: Experiments that decompose into finer cells (one per suite); the
-#: merge concatenates rows in cell order, which matches the serial
-#: runner's suite iteration order, so assembly is bit-identical.
-EXPERIMENT_SPLITS: Dict[str, Tuple[str, Tuple[Tuple[str, ...], ...]]] = {
-    "table1": ("suites", (("specint92",), ("specint95",), ("specfp95",))),
-    "figure7": ("suites", (("specint95",), ("specfp95",))),
-}
+
+def _declared_cells(key: str, scale) -> List[Cell]:
+    """The sweep cells of a grid experiment, else its one whole cell."""
+    from repro.experiments import GRID_EXPERIMENTS
+
+    grid = GRID_EXPERIMENTS.get(key)
+    if grid is None:
+        return [Cell.make("experiment", key, scale=scale)]
+    return grid[0](scale)
 
 
 def experiment_cells(keys: Sequence[str], scale="test") -> List[Cell]:
-    """The cell list for a set of experiment ids (splits applied)."""
-    cells = []
+    """The distinct cells a set of experiment ids reads, first-seen
+    order: a simulation that several grid experiments declare is listed
+    once."""
+    cells: Dict[str, Cell] = {}
     for key in keys:
-        split = EXPERIMENT_SPLITS.get(key)
-        if split is None:
-            cells.append(Cell.make("experiment", key, scale=scale))
-        else:
-            param, groups = split
-            for group in groups:
-                cells.append(
-                    Cell.make("experiment", key, scale=scale, **{param: list(group)})
-                )
-    return cells
-
-
-def merge_payloads(payloads: Sequence[dict]) -> dict:
-    """Merge split-cell payloads: concatenate rows, dedupe notes."""
-    base = dict(payloads[0])
-    rows: List[list] = []
-    notes: List[str] = []
-    for payload in payloads:
-        rows.extend(payload["rows"])
-        for note in payload.get("notes", []):
-            if note not in notes:
-                notes.append(note)
-    base["rows"] = rows
-    base["notes"] = notes
-    return base
+        for cell in _declared_cells(key, scale):
+            cells.setdefault(cell.key(), cell)
+    return list(cells.values())
 
 
 def failed_table(experiment: str, failures: Sequence[CellResult]) -> ExperimentTable:
@@ -814,26 +807,28 @@ def failed_table(experiment: str, failures: Sequence[CellResult]) -> ExperimentT
 
 
 def assemble_experiments(
-    keys: Sequence[str], report: RunReport
+    keys: Sequence[str], report: RunReport, scale="test"
 ) -> Dict[str, ExperimentTable]:
     """Cell results -> one table per experiment id, in *keys* order.
 
-    Experiments whose cells all succeeded are reconstructed (split
-    cells merged); any FAILED cell degrades that experiment to a
-    placeholder table carrying the errors — the rest of the run is
-    unaffected.
+    A grid experiment's table is built from its sweep cells' stats, a
+    whole experiment's from its cell's payload.  Any FAILED cell
+    degrades the experiments that read it to a placeholder table
+    carrying the errors — the rest of the run is unaffected.
     """
-    by_name: Dict[str, List[CellResult]] = {}
-    for result in report.results:
-        by_name.setdefault(result.cell.name, []).append(result)
+    from repro.experiments import GRID_EXPERIMENTS
+    from repro.experiments.sweeps import grid_stats
+
+    by_key = {result.cell.key(): result for result in report.results}
+    payloads = {k: r.payload for k, r in by_key.items() if r.ok and r.payload is not None}
     tables = {}
     for key in keys:
-        results = by_name.get(key, [])
-        failures = [r for r in results if not r.ok]
-        if failures or not results:
+        cell_keys = [cell.key() for cell in _declared_cells(key, scale)]
+        if not all(k in payloads for k in cell_keys):
+            failures = [by_key[k] for k in cell_keys if k in by_key and not by_key[k].ok]
             tables[key] = failed_table(key, failures)
+        elif key in GRID_EXPERIMENTS:
+            tables[key] = GRID_EXPERIMENTS[key][1](grid_stats(payloads, scale))
         else:
-            tables[key] = ExperimentTable.from_json(
-                merge_payloads([r.payload for r in results])
-            )
+            tables[key] = ExperimentTable.from_json(payloads[cell_keys[0]])
     return tables

@@ -1,9 +1,9 @@
 """EXPERIMENTS.md generation: run everything, record paper-vs-measured.
 
-``write_report`` executes every experiment runner and renders a
-markdown report that, per table/figure, states what the paper reports,
-what this reproduction measures, and whether the qualitative shape
-holds.  The repository's checked-in ``EXPERIMENTS.md`` is produced by
+``write_report`` runs every experiment through one
+:func:`~repro.experiments.run_all` and renders a markdown report that,
+per table/figure, states what the paper reports, what this
+reproduction measures, and whether the qualitative shape holds.  The repository's checked-in ``EXPERIMENTS.md`` is produced by
 this module (see the header it writes).
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import ALL_EXPERIMENTS, run_all
 
 #: What the paper reports, per experiment — rendered next to the
 #: reproduced numbers so the comparison is auditable.
@@ -174,12 +174,15 @@ by `tests/experiments/test_runners.py` and the benchmark harness — is
 the *shape* of every result: who wins, in which order, and where the
 crossovers sit.
 
-The report runs serially.  To regenerate individual tables faster, run
-them through the parallel executor (`repro experiment all --jobs N
---cache-dir .repro-cache`): the experiment grid fans out across N
-worker processes and finished cells are cached, so wall time drops
-roughly with the core count on a cold run and to seconds on a warm one
-(see docs/parallel.md).  The tables are bit-identical either way.
+The report runs every experiment through one inline `run_all`: the
+simulations that several tables read (Figures 5-7, Tables 6, 8 and 9
+and the window-scaling extension are views of one sweep grid) run once.
+To regenerate tables faster, run them through the parallel executor
+(`repro experiment all --jobs N --cache-dir .repro-cache`): the cells
+fan out across N worker processes and finished cells are cached, so
+wall time drops roughly with the core count on a cold run and to
+seconds on a warm one (see docs/parallel.md).  The tables are
+bit-identical either way.
 
 Scale: `%(scale)s`.  Generated in %(elapsed).0f s.
 """
@@ -202,9 +205,15 @@ def write_report(path="EXPERIMENTS.md", scale="test", experiments=None) -> str:
     """Run all experiments and write the markdown report to *path*."""
     start = time.time()
     keys = sorted(experiments or ALL_EXPERIMENTS)
+    tables, report = run_all(scale=scale, experiments=keys)
+    if report.failed:
+        raise RuntimeError(
+            "%d cell(s) failed, first: %s"
+            % (len(report.failed), report.failed[0].error)
+        )
     sections = []
     for key in keys:
-        table = ALL_EXPERIMENTS[key](scale)
+        table = tables[key]
         paper, measured = PAPER_CLAIMS.get(key, ("(not stated)", "(not stated)"))
         sections.append(
             SECTION

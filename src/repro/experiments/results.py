@@ -21,9 +21,11 @@ class ExperimentTable:
         columns: column headers.
         rows: list of row value lists (first entry is the row label).
         notes: provenance/caveat lines printed under the table.
-        profile: wall-clock breakdown of the run that produced the
-            table (scope name -> {"calls", "seconds"}), attached by the
-            profiled runners in :data:`repro.experiments.ALL_EXPERIMENTS`.
+        profile: optional wall-clock breakdown (scope name ->
+            {"calls", "seconds"}).  The experiment runners leave it
+            empty: the cells a table reads are shared with other
+            tables, so run-level phase times go to ``--metrics`` and
+            the run ledger instead.
     """
 
     experiment: str

@@ -12,7 +12,7 @@ dynamic predictor would never allocate an MDPT entry for.
 from __future__ import annotations
 
 from repro.experiments.results import ExperimentTable
-from repro.frontend import run_program
+from repro.frontend import cached_run_program
 from repro.multiscalar.config import MultiscalarConfig
 from repro.multiscalar.policies import make_policy
 from repro.multiscalar.processor import simulate
@@ -47,7 +47,7 @@ def staticdep_coverage(scale="test", suites=("specint92", "micro")):
             with PROFILER.scope("static-analysis"):
                 analysis = analyze_program(program)
             with PROFILER.scope("trace-gen"):
-                trace = run_program(program)
+                trace = cached_run_program(program)
             result = cross_check(trace, analysis)
             table.add_row(
                 workload.name,
@@ -108,7 +108,7 @@ def staticdep_symbolic(scale="test", suites=("specint92", "micro")):
                 lattice = analyze_program(program)
             symbolic = analyze_program_symbolic(program)
             with PROFILER.scope("trace-gen"):
-                trace = run_program(program)
+                trace = cached_run_program(program)
             lattice_check = cross_check(trace, lattice)
             symbolic_check = cross_check(trace, symbolic)
             counts = symbolic.verdict_counts()

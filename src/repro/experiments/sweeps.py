@@ -10,13 +10,14 @@ as an :class:`~repro.experiments.results.ExperimentTable`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.stats import SpeculationStats
 from repro.experiments.results import ExperimentTable
-from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, make_policy
-from repro.telemetry import PROFILER
-from repro.workloads import get_workload
+
+if TYPE_CHECKING:
+    from repro.experiments.executor import RunReport
 
 
 @dataclass
@@ -43,12 +44,14 @@ class SweepResult:
     """All points of one sweep, with selection helpers.
 
     ``failed`` records (cell label, error) pairs for grid cells that
-    did not complete under the parallel executor — the surviving points
-    are still usable, and :meth:`to_table` notes the gap.
+    did not complete — the surviving points are still usable, and
+    :meth:`to_table` notes the gap.  ``report`` is the executor's
+    :class:`~repro.experiments.executor.RunReport` for the grid.
     """
 
     points: List[SweepPoint] = field(default_factory=list)
     failed: List[Tuple[str, str]] = field(default_factory=list)
+    report: Optional["RunReport"] = field(default=None, repr=False, compare=False)
 
     def select(self, **criteria) -> List[SweepPoint]:
         """Points matching workload=/policy=/<override>= criteria."""
@@ -142,7 +145,8 @@ def sweep_cells(
     scale="tiny",
     policy_overrides: Optional[Dict[str, Sequence[object]]] = None,
 ):
-    """The sweep grid as executor cells, in serial iteration order."""
+    """The sweep grid as executor cells, workload-major: workload, then
+    config overrides, then policy overrides, then policy."""
     overrides = overrides or {}
     keys = sorted(overrides)
     combos = list(itertools.product(*(overrides[k] for k in keys))) or [()]
@@ -167,45 +171,11 @@ def sweep_cells(
     return cells
 
 
-def _sweep_parallel(
-    workloads, policies, overrides, scale, jobs, cache_dir, timeout, retries,
-    metrics=None, trace=None, progress=None, backend=None, policy_overrides=None,
-) -> SweepResult:
-    from repro.experiments.executor import Executor
-
-    cells = sweep_cells(
-        workloads, policies, overrides, scale, policy_overrides=policy_overrides
-    )
-    executor = Executor(
-        jobs=jobs or 1,
-        cache=cache_dir,
-        timeout=timeout,
-        retries=retries,
-        metrics=metrics,
-        trace=trace,
-        progress=progress,
-        backend=backend,
-    )
-    report = executor.run(cells)
-    result = SweepResult()
-    for cell_result in report.results:
-        if not cell_result.ok:
-            result.failed.append(
-                (cell_result.cell.label, cell_result.error or "unknown error")
-            )
-            continue
-        result.points.append(point_from_payload(cell_result.payload))
-    result.report = report  # type: ignore[attr-defined]
-    return result
-
-
 def sweep(
     workloads: Sequence[str],
     policies: Sequence[str] = ("always", "esync", "psync"),
     overrides: Optional[Dict[str, Sequence[object]]] = None,
     scale="tiny",
-    base_config: Optional[MultiscalarConfig] = None,
-    traces=None,
     jobs: Optional[int] = None,
     cache_dir=None,
     timeout: Optional[float] = None,
@@ -223,66 +193,68 @@ def sweep(
     *policy_overrides* maps :func:`~repro.multiscalar.make_policy`
     keyword arguments to value lists (e.g. ``{"capacity": (16, 64)}``
     for the MDPT size), crossed into the grid the same way.
-    Pass *traces* (name -> Trace) to reuse interpreted traces.
 
-    Pass ``jobs`` and/or ``cache_dir`` to route the grid through the
-    parallel executor (:mod:`repro.experiments.executor`): one cell per
-    (workload, config, policy) point, content-addressed caching,
-    per-cell retry/timeout, and FAILED cells recorded on
-    ``result.failed`` instead of aborting.  The executor path supports
-    the default base configuration plus scalar ``overrides`` only (cell
-    specs must be JSON-serializable); results are bit-identical to the
-    serial path.  The executor groups cells that share one decoded
-    trace into chunks sized from the grid and the worker count, so a
-    trace is decoded and indexed once per chunk — a pure scheduling
-    choice, results and cache keys are unchanged.
+    The grid runs through the executor (:mod:`repro.experiments.executor`),
+    inline unless ``jobs`` or ``backend`` say otherwise: one cell per
+    (workload, config, policy) point, content-addressed caching under
+    ``cache_dir``, per-cell retry/timeout, and FAILED cells recorded on
+    ``result.failed`` instead of aborting.  The executor groups cells
+    that share one decoded trace into chunks sized from the grid and the
+    worker count — a pure scheduling choice, so results and cache keys
+    are the same on every backend.
     """
-    if jobs is not None or cache_dir is not None or backend is not None:
-        if base_config is not None or traces is not None:
-            raise ValueError(
-                "parallel sweep supports the default base config only "
-                "(cell specs must be JSON-serializable); drop base_config/traces "
-                "or run serially"
-            )
-        return _sweep_parallel(
-            workloads, policies, overrides, scale, jobs, cache_dir,
-            timeout, retries, metrics=metrics, trace=trace, progress=progress,
-            backend=backend, policy_overrides=policy_overrides,
-        )
-    overrides = overrides or {}
-    base = base_config or MultiscalarConfig()
-    traces = dict(traces or {})
-    for name in workloads:
-        if name not in traces:
-            with PROFILER.scope("trace-gen"):
-                traces[name] = get_workload(name).trace(scale)
+    from repro.experiments.executor import Executor
 
-    keys = sorted(overrides)
-    combos = list(itertools.product(*(overrides[k] for k in keys))) or [()]
-    pkeys = sorted(policy_overrides or {})
-    pcombos = list(
-        itertools.product(*((policy_overrides or {})[k] for k in pkeys))
-    ) or [()]
-    result = SweepResult()
-    for name in workloads:
-        for combo in combos:
-            config = replace(base, **dict(zip(keys, combo)))
-            for pcombo in pcombos:
-                for policy_name in policies:
-                    sim = MultiscalarSimulator(
-                        traces[name], config, make_policy(policy_name, **dict(zip(pkeys, pcombo)))
-                    )
-                    with PROFILER.scope("simulate"):
-                        stats = sim.run()
-                    result.points.append(
-                        SweepPoint(
-                            workload=name,
-                            policy=policy_name,
-                            overrides=tuple(zip(keys, combo)),
-                            cycles=stats.cycles,
-                            ipc=stats.ipc,
-                            mis_speculations=stats.mis_speculations,
-                            policy_overrides=tuple(zip(pkeys, pcombo)),
-                        )
-                    )
+    cells = sweep_cells(
+        workloads, policies, overrides, scale, policy_overrides=policy_overrides
+    )
+    executor = Executor(
+        jobs=jobs or 1,
+        cache=cache_dir,
+        timeout=timeout,
+        retries=retries,
+        metrics=metrics,
+        trace=trace,
+        progress=progress,
+        backend=backend,
+    )
+    report = executor.run(cells)
+    result = SweepResult(report=report)
+    for cell_result in report.results:
+        if not cell_result.ok:
+            result.failed.append(
+                (cell_result.cell.label, cell_result.error or "unknown error")
+            )
+            continue
+        result.points.append(point_from_payload(cell_result.payload))
     return result
+
+
+# -- declared grids: the paper experiments that are views of one sweep ----
+
+
+def grid_stats(payloads: Dict[str, dict], scale):
+    """``stats(workload, policy, stages)`` over sweep-cell payloads keyed
+    by cache key: the :class:`SpeculationStats` of the simulation on a
+    *stages*-stage machine — the cell of a ``--override stages=N``
+    sweep point — rebuilt from its payload's integer counts."""
+
+    def stats(workload, policy, stages) -> SpeculationStats:
+        cell = make_sweep_cell(workload, policy, scale, overrides=[("stages", stages)])
+        return SpeculationStats.from_summary(payloads[cell.key()]["stats"])
+
+    return stats
+
+
+def run_grid(cells, table, scale, **kwargs) -> ExperimentTable:
+    """Run one declared grid inline through the executor and assemble
+    its table: ``cells(scale, **kwargs)`` lists the sweep cells and
+    ``table(stats, **kwargs)`` builds the table from their stats."""
+    from repro.experiments.executor import CellError, Executor
+
+    report = Executor().run(cells(scale, **kwargs))
+    if report.failed:
+        first = report.failed[0]
+        raise CellError("cell %s failed: %s" % (first.cell.label, first.error))
+    payloads = {r.cell.key(): r.payload for r in report.results}
+    return table(grid_stats(payloads, scale), **kwargs)

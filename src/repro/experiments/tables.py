@@ -4,6 +4,11 @@ Each function regenerates one table over the synthetic workload suites.
 Absolute values differ from the paper (the substrate is synthetic — see
 DESIGN.md), but each runner's docstring states the *shape* the paper
 reports, which the test suite asserts.
+
+Tables 6, 8 and 9 are views of the shared SPECint92 simulation grid:
+each is split into a ``*_cells`` function that declares the sweep cells
+it reads and a pure ``*_table`` function that builds the table from
+their stats (see :func:`repro.experiments.sweeps.run_grid`).
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.experiments.results import ExperimentTable
-from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, make_policy
+from repro.experiments.sweeps import run_grid, sweep_cells
+from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator
 from repro.multiscalar.policies import AlwaysPolicy
 from repro.oracle import (
     PAPER_DDC_SIZES_MULTISCALAR,
@@ -21,36 +27,36 @@ from repro.oracle import (
     simulate_ddc_sizes,
 )
 from repro.telemetry import PROFILER
-from repro.workloads import suite
+from repro.workloads import get_workload, suite
 
 #: The benchmark suite of the paper's Tables 3-9 experiments.
 SPECINT92 = "specint92"
 
+#: the process's one (workload, scale) -> trace memo, shared by the
+#: runners and the executor's sweep cells; the parallel executor warms
+#: it in the parent before forking, so workers inherit the traces
+#: copy-on-write
 _trace_cache: Dict[Tuple[str, object], object] = {}
 
 
+def workload_trace(name, scale="test"):
+    """One workload's trace, interpreted once per (name, scale)."""
+    key = (name, scale)
+    trace = _trace_cache.get(key)
+    if trace is None:
+        with PROFILER.scope("trace-gen"):
+            trace = _trace_cache[key] = get_workload(name).trace(scale)
+    return trace
+
+
 def load_traces(suite_name=SPECINT92, scale="test"):
-    """Interpret a suite once and cache the traces per (name, scale)."""
-    traces = {}
-    for workload in suite(suite_name):
-        key = (workload.name, scale)
-        if key not in _trace_cache:
-            with PROFILER.scope("trace-gen"):
-                _trace_cache[key] = workload.trace(scale)
-        traces[workload.name] = _trace_cache[key]
-    return traces
+    """A suite's traces by workload name, through :func:`workload_trace`."""
+    return {w.name: workload_trace(w.name, scale) for w in suite(suite_name)}
 
 
-def warm_traces(suite_names=("specint92", "specint95", "specfp95"), scale="test"):
-    """Populate the trace cache for whole suites up front.
-
-    The parallel executor calls this in the parent before forking its
-    worker pool: the interpreted traces are inherited copy-on-write, so
-    each workload is interpreted once per run instead of once per
-    worker.
-    """
-    for suite_name in suite_names:
-        load_traces(suite_name, scale)
+def suite_names(suite_name=SPECINT92):
+    """A suite's workload names in sorted order, without interpreting."""
+    return sorted(w.name for w in suite(suite_name))
 
 
 class RecordingAlwaysPolicy(AlwaysPolicy):
@@ -168,32 +174,29 @@ def table5_ddc_missrate(scale="test", window_sizes=(128, 256, 512), ddc_sizes=PA
     return table
 
 
-def _simulate_with_violations(trace, stages):
-    policy = RecordingAlwaysPolicy()
-    sim = MultiscalarSimulator(trace, MultiscalarConfig(stages=stages), policy)
-    with PROFILER.scope("simulate"):
-        stats = sim.run()
-    return stats, policy.events
+def table6_cells(scale="test", stage_counts=(4, 8)):
+    return sweep_cells(suite_names(), ("always",), {"stages": stage_counts}, scale)
 
 
-def table6_multiscalar_missspec(scale="test", stage_counts=(4, 8)):
-    """Table 6: Multiscalar model — mis-speculations under blind
-    speculation.  Paper shape: more mis-speculations at 8 stages than 4
-    (a larger window exposes more dependences)."""
-    traces = load_traces(SPECINT92, scale)
-    names = sorted(traces)
+def table6_table(stats, stage_counts=(4, 8)):
+    names = suite_names()
     table = ExperimentTable(
         "table6",
         "Multiscalar model: mis-speculations under blind speculation",
         ["stages"] + names,
     )
     for stages in stage_counts:
-        row = [stages]
-        for name in names:
-            stats, _ = _simulate_with_violations(traces[name], stages)
-            row.append(stats.mis_speculations)
-        table.add_row(*row)
+        table.add_row(
+            stages, *(stats(name, "always", stages).mis_speculations for name in names)
+        )
     return table
+
+
+def table6_multiscalar_missspec(scale="test", stage_counts=(4, 8)):
+    """Table 6: Multiscalar model — mis-speculations under blind
+    speculation.  Paper shape: more mis-speculations at 8 stages than 4
+    (a larger window exposes more dependences)."""
+    return run_grid(table6_cells, table6_table, scale, stage_counts=stage_counts)
 
 
 def table7_multiscalar_ddc(scale="test", stages=8, ddc_sizes=PAPER_DDC_SIZES_MULTISCALAR):
@@ -209,8 +212,11 @@ def table7_multiscalar_ddc(scale="test", stages=8, ddc_sizes=PAPER_DDC_SIZES_MUL
     )
     event_streams = {}
     for name in names:
-        _, events = _simulate_with_violations(traces[name], stages)
-        event_streams[name] = events
+        policy = RecordingAlwaysPolicy()
+        sim = MultiscalarSimulator(traces[name], MultiscalarConfig(stages=stages), policy)
+        with PROFILER.scope("simulate"):
+            sim.run()
+        event_streams[name] = policy.events
     for cs in ddc_sizes:
         row = [cs]
         for name in names:
@@ -223,29 +229,22 @@ def table7_multiscalar_ddc(scale="test", stages=8, ddc_sizes=PAPER_DDC_SIZES_MUL
     return table
 
 
-def table8_prediction_breakdown(scale="test", stages=4, predictors=("sync", "esync")):
-    """Table 8: dependence-prediction breakdown (percent of dynamic
-    predictions in each predicted/actual bucket).  Paper shape: N/N
-    dominates; ESYNC converts SYNC's false dependence predictions (Y/N)
-    into correct no-dependence predictions for path-dependent programs
-    (compress)."""
-    traces = load_traces(SPECINT92, scale)
-    names = sorted(traces)
+def table8_cells(scale="test", stages=4, predictors=("sync", "esync")):
+    return sweep_cells(suite_names(), predictors, {"stages": (stages,)}, scale)
+
+
+def table8_table(stats, stages=4, predictors=("sync", "esync")):
+    names = suite_names()
     table = ExperimentTable(
         "table8",
         "%d-stage Multiscalar: dependence prediction breakdown (%%)" % stages,
         ["predictor", "P/A"] + names,
     )
     for predictor in predictors:
-        breakdowns = {}
-        for name in names:
-            policy = make_policy(predictor)
-            sim = MultiscalarSimulator(
-                traces[name], MultiscalarConfig(stages=stages), policy
-            )
-            with PROFILER.scope("simulate"):
-                stats = sim.run()
-            breakdowns[name] = stats.breakdown.percentages()
+        breakdowns = {
+            name: stats(name, predictor, stages).breakdown.percentages()
+            for name in names
+        }
         for bucket, label in (("nn", "N/N"), ("ny", "N/Y"), ("yn", "Y/N"), ("yy", "Y/Y")):
             row = [predictor.upper(), label]
             for name in names:
@@ -254,12 +253,23 @@ def table8_prediction_breakdown(scale="test", stages=4, predictors=("sync", "esy
     return table
 
 
-def table9_missspec_rates(scale="test", stage_counts=(4, 8), predictor="esync"):
-    """Table 9: mis-speculations per committed load, blind speculation
-    versus the mechanism.  Paper shape: the mechanism reduces the rate
-    by roughly an order of magnitude, typically below 1%."""
-    traces = load_traces(SPECINT92, scale)
-    names = sorted(traces)
+def table8_prediction_breakdown(scale="test", stages=4, predictors=("sync", "esync")):
+    """Table 8: dependence-prediction breakdown (percent of dynamic
+    predictions in each predicted/actual bucket).  Paper shape: N/N
+    dominates; ESYNC converts SYNC's false dependence predictions (Y/N)
+    into correct no-dependence predictions for path-dependent programs
+    (compress)."""
+    return run_grid(
+        table8_cells, table8_table, scale, stages=stages, predictors=predictors
+    )
+
+
+def table9_cells(scale="test", stage_counts=(4, 8), predictor="esync"):
+    return sweep_cells(suite_names(), ("always", predictor), {"stages": stage_counts}, scale)
+
+
+def table9_table(stats, stage_counts=(4, 8), predictor="esync"):
+    names = suite_names()
     table = ExperimentTable(
         "table9",
         "mis-speculations per committed load: ALWAYS vs mechanism (%s)" % predictor.upper(),
@@ -269,12 +279,16 @@ def table9_missspec_rates(scale="test", stage_counts=(4, 8), predictor="esync"):
         for policy_name in ("always", predictor):
             row = [stages, policy_name.upper()]
             for name in names:
-                policy = make_policy(policy_name)
-                sim = MultiscalarSimulator(
-                    traces[name], MultiscalarConfig(stages=stages), policy
-                )
-                with PROFILER.scope("simulate"):
-                    stats = sim.run()
-                row.append(round(stats.mis_speculations_per_committed_load, 5))
+                rate = stats(name, policy_name, stages).mis_speculations_per_committed_load
+                row.append(round(rate, 5))
             table.add_row(*row)
     return table
+
+
+def table9_missspec_rates(scale="test", stage_counts=(4, 8), predictor="esync"):
+    """Table 9: mis-speculations per committed load, blind speculation
+    versus the mechanism.  Paper shape: the mechanism reduces the rate
+    by roughly an order of magnitude, typically below 1%."""
+    return run_grid(
+        table9_cells, table9_table, scale, stage_counts=stage_counts, predictor=predictor
+    )

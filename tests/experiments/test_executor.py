@@ -10,9 +10,9 @@ from repro.experiments.executor import (
     ResultCache,
     assemble_experiments,
     experiment_cells,
-    merge_payloads,
     source_fingerprint,
 )
+from repro.experiments import ALL_EXPERIMENTS
 from repro.telemetry import MetricRegistry, TraceEventSink
 
 
@@ -131,28 +131,38 @@ def test_executor_publishes_metrics_and_trace():
 # -- experiment planning and assembly --------------------------------------
 
 
-def test_experiment_cells_split_per_suite():
+def test_experiment_cells_list_shared_simulations_once():
+    """figure5, figure6, table6, table8, table9 and window-scaling are
+    views of one grid: 160 declared simulations, 80 distinct."""
+    keys = ["figure5", "figure6", "table6", "table8", "table9", "window-scaling"]
+    cells = experiment_cells(keys, scale="tiny")
+    assert len(cells) == 80
+    assert all(cell.kind == "sweep" for cell in cells)
+    assert len({cell.key() for cell in cells}) == 80
+    declared = sum(len(experiment_cells([key], scale="tiny")) for key in keys)
+    assert declared == 160
+
+
+def test_experiment_cells_keep_whole_cells_for_the_rest():
     cells = experiment_cells(["table1", "table3", "figure7"], scale="tiny")
-    by_name = {}
-    for cell in cells:
-        by_name.setdefault(cell.name, []).append(cell)
-    assert len(by_name["table1"]) == 3
-    assert len(by_name["figure7"]) == 2
-    assert len(by_name["table3"]) == 1
-    assert by_name["figure7"][0].param("suites") == ["specint95"]
-    assert by_name["figure7"][1].param("suites") == ["specfp95"]
+    whole = [cell for cell in cells if cell.kind == "experiment"]
+    assert [cell.name for cell in whole] == ["table1", "table3"]
+    assert all(cell.param("suites") is None for cell in whole)
+    assert sum(cell.kind == "sweep" for cell in cells) == 3 * 18
 
 
-def test_merge_payloads_concatenates_rows_dedupes_notes():
-    merged = merge_payloads([
-        {"experiment": "t", "title": "x", "columns": ["a"],
-         "rows": [[1]], "notes": ["n1"], "profile": {}},
-        {"experiment": "t", "title": "x", "columns": ["a"],
-         "rows": [[2], [3]], "notes": ["n1", "n2"], "profile": {}},
-    ])
-    assert merged["rows"] == [[1], [2], [3]]
-    assert merged["notes"] == ["n1", "n2"]
-    assert list(merged) == ["experiment", "title", "columns", "rows", "notes", "profile"]
+def test_cell_labels_are_distinct_within_a_run():
+    from repro.experiments.sweeps import sweep_cells
+
+    cells = sweep_cells(
+        ["sc"], ("always", "esync"), {"stages": (2, 4)}, "tiny",
+        policy_overrides={"capacity": (16, 64)},
+    )
+    assert len({cell.label for cell in cells}) == len(cells) == 8
+    assert cells[0].label == "sweep:sc/always[stages=2,capacity=16]"
+    assert cells[0].name == "sc/always"  # name, spec and key unchanged
+    cells = experiment_cells(sorted(ALL_EXPERIMENTS), scale="tiny")
+    assert len({cell.label for cell in cells}) == len(cells)
 
 
 def boom(spec):
@@ -162,7 +172,7 @@ def boom(spec):
 def test_assemble_tolerates_failed_cells():
     cells = experiment_cells(["table2"], scale="tiny")
     report = Executor(jobs=1, run_cell=boom, retries=0).run(cells)
-    tables = assemble_experiments(["table2"], report)
+    tables = assemble_experiments(["table2"], report, "tiny")
     table = tables["table2"]
     assert table.experiment == "table2"
     assert "FAILED" in table.title
@@ -175,3 +185,21 @@ def test_run_all_rejects_unknown_experiment():
 
     with pytest.raises(KeyError):
         run_all(experiments=["no-such-table"])
+
+
+def test_assemble_degrades_only_the_grids_reading_a_failed_cell():
+    from repro.experiments.executor import default_run_cell
+
+    def flaky(spec):
+        if spec["name"] == "gcc/always":
+            raise RuntimeError("deliberate failure")
+        return default_run_cell(spec)
+
+    keys = ["table6", "table8"]
+    report = Executor(jobs=1, run_cell=flaky, retries=0).run(
+        experiment_cells(keys, scale="tiny")
+    )
+    tables = assemble_experiments(keys, report, "tiny")
+    assert "FAILED" in tables["table6"].title  # reads gcc under ALWAYS
+    assert tables["table6"].rows[0][0] == "sweep:gcc/always[stages=4]"
+    assert "FAILED" not in tables["table8"].title  # reads SYNC/ESYNC only

@@ -1,84 +1,111 @@
-"""Determinism A/B contract: serial == parallel == warm-cache.
+"""Determinism A/B contract: inline == parallel == warm-cache.
 
 Extends the PR-2 telemetry A/B pattern to the executor: fanning cells
 out to worker processes, or serving them from the content-addressed
 cache, must not change one bit of any experiment's JSON payload.  The
-one sanctioned difference is the wall-clock ``profile`` (inherently
-nondeterministic), which executor-produced tables carry empty — the
-serial reference is normalized the same way before comparison.
-
-Representative experiments: ``table1`` (split into per-suite cells, so
-the merge path is under test), ``table3`` (oracle window analysis), and
-``table6`` (Multiscalar timing simulation).
+reference is the golden fixtures under ``tests/experiments/golden/``,
+which pin the tables and sweep points the in-process serial runners
+produced before experiments were built from shared sweep cells.
 """
 
-import json
+import hashlib
+from pathlib import Path
 
-from repro.experiments import ALL_EXPERIMENTS, run_all
+from tests.experiments.test_golden import (
+    GOLDEN_EXPERIMENTS,
+    SCALE,
+    canonical,
+    golden_points,
+    golden_table,
+    rendered_points,
+)
+
+from repro.experiments import run_all
+from repro.experiments.executor import ResultCache, experiment_cells
 from repro.experiments.sweeps import sweep
 
-EXPERIMENTS = ("table1", "table3", "table6")
-SCALE = "tiny"
 
-_serial_reference = None
-
-
-def canonical(table) -> str:
-    payload = table.to_json()
-    payload["profile"] = {}
-    return json.dumps(payload, sort_keys=True)
-
-
-def serial_reference():
-    """Plain in-process runs, computed once per test session."""
-    global _serial_reference
-    if _serial_reference is None:
-        _serial_reference = {
-            key: canonical(ALL_EXPERIMENTS[key](SCALE)) for key in EXPERIMENTS
-        }
-    return _serial_reference
+def assert_golden(tables):
+    assert {k: canonical(tables[k]) for k in GOLDEN_EXPERIMENTS} == {
+        k: golden_table(k) for k in GOLDEN_EXPERIMENTS
+    }
 
 
 def test_parallel_four_jobs_is_bit_identical_to_serial():
-    tables, report = run_all(parallel=4, scale=SCALE, experiments=EXPERIMENTS)
+    tables, report = run_all(parallel=4, scale=SCALE)
     assert not report.failed
     assert report.jobs == 4
-    assert {k: canonical(tables[k]) for k in EXPERIMENTS} == serial_reference()
+    assert_golden(tables)
 
 
 def test_executor_inline_is_bit_identical_to_serial():
-    tables, report = run_all(parallel=1, scale=SCALE, experiments=EXPERIMENTS)
+    keys = ("figure5", "table1", "table3", "table6", "table9")
+    tables, report = run_all(parallel=1, scale=SCALE, experiments=keys)
     assert not report.failed
-    assert {k: canonical(tables[k]) for k in EXPERIMENTS} == serial_reference()
+    assert {k: canonical(tables[k]) for k in keys} == {k: golden_table(k) for k in keys}
 
 
 def test_warm_cache_is_bit_identical_to_serial(tmp_path):
     cache = tmp_path / "cache"
-    cold_tables, cold = run_all(
-        parallel=2, scale=SCALE, experiments=EXPERIMENTS, cache_dir=cache
-    )
+    cold_tables, cold = run_all(parallel=2, scale=SCALE, cache_dir=cache)
     assert not cold.failed
     assert cold.counters()["cells_cached"] == 0
-    warm_tables, warm = run_all(
-        parallel=2, scale=SCALE, experiments=EXPERIMENTS, cache_dir=cache
-    )
+    warm_tables, warm = run_all(parallel=2, scale=SCALE, cache_dir=cache)
     assert not warm.failed
     assert warm.counters()["cells_run"] == 0
     assert warm.counters()["cells_cached"] == cold.counters()["cells_run"]
-    reference = serial_reference()
-    assert {k: canonical(cold_tables[k]) for k in EXPERIMENTS} == reference
-    assert {k: canonical(warm_tables[k]) for k in EXPERIMENTS} == reference
+    assert_golden(cold_tables)
+    assert_golden(warm_tables)
+
+
+def test_shared_simulations_run_once():
+    keys = ["figure5", "figure6", "table6", "table8", "table9", "window-scaling"]
+    tables, report = run_all(scale=SCALE, experiments=keys)
+    assert report.counters()["cells_run"] == 80
+    assert {k: canonical(tables[k]) for k in keys} == {k: golden_table(k) for k in keys}
+
+
+def _result_format_1_fingerprint():
+    """The source fingerprint before the result format was versioned."""
+    import repro
+    import repro.workloads as workloads
+    from repro.frontend.trace_cache import TRACE_FORMAT_VERSION
+
+    digest = hashlib.sha256()
+    digest.update(repro.__version__.encode())
+    digest.update(b":trace-format:%d:" % TRACE_FORMAT_VERSION)
+    for path in sorted(Path(workloads.__file__).resolve().parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_parent_format_cache_is_served_as_misses(tmp_path):
+    """A cache of sweep payloads without ``stats`` is never assembled
+    from: its keys carry the old fingerprint, so every cell misses."""
+    cache = ResultCache(tmp_path / "cache")
+    old = _result_format_1_fingerprint()
+    cells = experiment_cells(["table6"], scale=SCALE)
+    for cell in cells:
+        payload = {
+            "workload": cell.param("workload"),
+            "policy": cell.param("policy"),
+            "overrides": cell.param("overrides"),
+            "cycles": 1,
+            "ipc": 1.0,
+            "mis_speculations": 0,
+        }
+        cache.put(cell.key(old), cell, payload)
+    assert len(cache) == len(cells)
+    tables, report = run_all(scale=SCALE, experiments=["table6"], cache_dir=cache.root)
+    assert report.counters()["cells_cached"] == 0
+    assert report.counters()["cells_run"] == len(cells)
+    assert canonical(tables["table6"]) == golden_table("table6")
 
 
 def test_sweep_parallel_is_bit_identical_to_serial():
-    grid = dict(
-        policies=("always", "esync"),
-        overrides={"stages": (2, 4)},
-        scale=SCALE,
-    )
-    serial = sweep(["sc", "xlisp"], **grid)
-    parallel = sweep(["sc", "xlisp"], jobs=4, **grid)
-    assert json.dumps(parallel.to_table().to_json(), sort_keys=True) == json.dumps(
-        serial.to_table().to_json(), sort_keys=True
-    )
-    assert not parallel.failed
+    grid = dict(policies=("always", "esync"), overrides={"stages": (2, 4)}, scale=SCALE)
+    for jobs in (None, 4):
+        result = sweep(["sc", "xlisp"], jobs=jobs, **grid)
+        assert not result.failed
+        assert rendered_points(result) == golden_points("sweep-sc-xlisp")

@@ -253,13 +253,14 @@ def test_batch_cache_keys_unchanged(tmp_path):
 
 
 def test_sweep_batch_is_bit_identical_to_serial():
+    from tests.experiments.test_golden import golden_points, rendered_points
+
     # 16 cells on two workers: chunks of 2 cells sharing a trace
     grid = dict(policies=("always", "esync", "psync", "sync"),
                 overrides={"stages": (4, 8)}, scale="tiny")
-    serial = sweep(["sc", "xlisp"], **grid)
     grouped = sweep(["sc", "xlisp"], jobs=2, **grid)
     assert not grouped.failed
-    assert grouped.points == serial.points
+    assert rendered_points(grouped) == golden_points("sweep-sc-xlisp-four-policies")
 
 
 # -- failure semantics ------------------------------------------------------

@@ -64,14 +64,6 @@ def test_profile_renders_in_text():
     assert "profile: simulate 1.25s" in t.to_text()
 
 
-def test_all_experiments_attach_profile():
-    from repro.experiments import ALL_EXPERIMENTS
-
-    table = ALL_EXPERIMENTS["table2"]()  # static config table: cheap
-    assert "experiment:table2" in table.profile
-    assert table.profile["experiment:table2"]["calls"] == 1
-
-
 def test_empty_table_renders():
     t = ExperimentTable("t", "empty", ["a", "b"])
     assert "empty" in t.to_text()

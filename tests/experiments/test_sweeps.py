@@ -1,26 +1,24 @@
 """Tests for the parameter-sweep utilities."""
 
 import pytest
+from tests.experiments.test_golden import golden_points, rendered_points
 
 from repro.experiments import sweep
-from repro.multiscalar import MultiscalarConfig
-from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def small_sweep():
-    traces = {"micro-recurrence-d1": get_workload("micro-recurrence-d1").trace("tiny")}
     return sweep(
         ["micro-recurrence-d1"],
         policies=("always", "psync"),
         overrides={"stages": (2, 4), "squash_penalty": (2, 8)},
-        traces=traces,
     )
 
 
 def test_sweep_covers_full_cross_product(small_sweep):
     # 1 workload x 2 policies x 2 stages x 2 penalties
     assert len(small_sweep.points) == 8
+    assert rendered_points(small_sweep) == golden_points("sweep-recurrence-penalty")
 
 
 def test_select_by_policy_and_override(small_sweep):
@@ -66,13 +64,3 @@ def test_to_table_renders(small_sweep):
     text = table.to_text()
     assert "stages" in text
     assert "squash_penalty" in text
-
-
-def test_sweep_accepts_base_config():
-    result = sweep(
-        ["micro-independent"],
-        policies=("always",),
-        base_config=MultiscalarConfig(stages=2, rs_window=8),
-        scale="tiny",
-    )
-    assert len(result.points) == 1

@@ -138,18 +138,20 @@ def test_compare_json_and_merged_trace(capsys, tmp_path):
 
 
 def test_experiment_json_output(capsys, monkeypatch):
-    # the legacy serial path attaches the wall-clock profile; pin it
-    # even when the environment opts into the parallel executor
+    # tables carry no wall-clock profile on any backend: the cells they
+    # read are shared with other tables
     monkeypatch.delenv("REPRO_EXECUTOR_JOBS", raising=False)
     assert main(["experiment", "table2", "--json"]) == 0
     (payload,) = json.loads(capsys.readouterr().out)
     assert payload["experiment"] == "table2"
     assert payload["columns"]
     assert payload["rows"]
-    assert "experiment:table2" in payload["profile"]
+    assert payload["profile"] == {}
 
 
 def test_experiment_profile_exports(capsys, tmp_path, monkeypatch):
+    """An inline run writes its phase times under ``profile`` in
+    --metrics, and the executor's cell spans to --trace-events."""
     monkeypatch.delenv("REPRO_EXECUTOR_JOBS", raising=False)
     metrics_path = tmp_path / "m.json"
     trace_path = tmp_path / "t.json"
@@ -158,11 +160,12 @@ def test_experiment_profile_exports(capsys, tmp_path, monkeypatch):
         "--metrics", str(metrics_path), "--trace-events", str(trace_path),
     ]) == 0
     capsys.readouterr()
-    profile = json.loads(metrics_path.read_text())["profile"]
-    assert "experiment:table4" in profile
+    metrics = json.loads(metrics_path.read_text())
+    assert metrics["profile"]["window-analysis"]["calls"] > 0
+    assert metrics["executor"]["cells_run"] == 1
     trace = json.loads(trace_path.read_text())
     assert any(
-        e["ph"] == "X" and e["name"] == "experiment:table4"
+        e["ph"] == "X" and e["cat"] == "cell" and e["name"] == "experiment:table4"
         for e in trace["traceEvents"]
     )
 
@@ -891,8 +894,30 @@ def test_experiment_ledger_keeps_tables_golden(capsys, tmp_path):
     assert main(["experiment", "figure5", "--scale", "tiny", "--json",
                  "--ledger", ledger]) == 0
     (payload,) = json.loads(capsys.readouterr().out)
-    payload["profile"] = {}  # wall time is nondeterministic by design
     assert payload == golden
     record = json.loads(open(ledger).readline())
     assert record["kind"] == "experiment"
-    assert "experiment:figure5" in record["fingerprints"]["cells"]
+    # figure5 is 40 sweep cells: 5 workloads x 2 stage counts x 4 policies
+    cells = record["fingerprints"]["cells"]
+    assert len(cells) == 40
+    assert "sweep:compress/never[stages=4]" in cells
+
+
+def test_ledger_records_every_cell_of_a_run(capsys, tmp_path, monkeypatch):
+    """Cells whose names collide (a sweep point under several overrides)
+    each keep their own cache key in the ledger."""
+    monkeypatch.delenv("REPRO_EXECUTOR_JOBS", raising=False)
+    ledger = tmp_path / "runs.jsonl"
+    assert main(["sweep", "sc", "--policies", "always,esync",
+                 "--override", "stages=2,4", "--scale", "tiny",
+                 "--ledger", str(ledger)]) == 0
+    assert main(["experiment", "figure7", "--scale", "tiny",
+                 "--ledger", str(ledger)]) == 0
+    capsys.readouterr()
+    sweep_record, figure7_record = [
+        json.loads(line) for line in ledger.read_text().splitlines()
+    ]
+    assert len(set(sweep_record["fingerprints"]["cells"].values())) == 4
+    assert len(set(figure7_record["fingerprints"]["cells"].values())) == 54
+    # an inline run records every cell's phase times in the ledger
+    assert figure7_record["phases"]["simulate"]["calls"] == 54
