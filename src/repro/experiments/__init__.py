@@ -65,6 +65,7 @@ GRID_EXPERIMENTS = {
     "table9": (tables.table9_cells, tables.table9_table),
 }
 
+
 def run_all(
     parallel=None,
     scale="test",

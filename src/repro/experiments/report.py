@@ -3,8 +3,9 @@
 ``write_report`` runs every experiment through one
 :func:`~repro.experiments.run_all` and renders a markdown report that,
 per table/figure, states what the paper reports, what this
-reproduction measures, and whether the qualitative shape holds.  The repository's checked-in ``EXPERIMENTS.md`` is produced by
-this module (see the header it writes).
+reproduction measures, and whether the qualitative shape holds.  The
+repository's checked-in ``EXPERIMENTS.md`` is produced by this module
+(see the header it writes).
 """
 
 from __future__ import annotations

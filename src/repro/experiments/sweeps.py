@@ -252,9 +252,9 @@ def run_grid(cells, table, scale, **kwargs) -> ExperimentTable:
     ``table(stats, **kwargs)`` builds the table from their stats."""
     from repro.experiments.executor import CellError, Executor
 
-    report = Executor().run(cells(scale, **kwargs))
-    if report.failed:
-        first = report.failed[0]
-        raise CellError("cell %s failed: %s" % (first.cell.label, first.error))
-    payloads = {r.cell.key(): r.payload for r in report.results}
+    payloads: Dict[str, dict] = {}
+    for result in Executor().run(cells(scale, **kwargs)).results:
+        if result.payload is None:
+            raise CellError("cell %s failed: %s" % (result.cell.label, result.error))
+        payloads[result.cell.key()] = result.payload
     return table(grid_stats(payloads, scale), **kwargs)

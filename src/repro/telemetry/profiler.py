@@ -79,9 +79,9 @@ class ProfileScope:
 PHASES = ("interpret", "simulate", "report")
 
 #: Scope-name -> pipeline-phase mapping.  Scopes absent from the map
-#: (roll-ups like ``total`` or ``experiment:<key>``, and the
-#: ``staticdep.*`` analyses a policy runs inside ``simulate``) stay out
-#: of the phase breakdown so phase seconds never double-count.
+#: (roll-ups like ``total``, and the ``staticdep.*`` analyses a policy
+#: runs inside ``simulate``) stay out of the phase breakdown so phase
+#: seconds never double-count.
 PHASE_OF = {
     "trace-gen": "interpret",
     "simulate": "simulate",

@@ -131,18 +131,6 @@ def test_executor_publishes_metrics_and_trace():
 # -- experiment planning and assembly --------------------------------------
 
 
-def test_experiment_cells_list_shared_simulations_once():
-    """figure5, figure6, table6, table8, table9 and window-scaling are
-    views of one grid: 160 declared simulations, 80 distinct."""
-    keys = ["figure5", "figure6", "table6", "table8", "table9", "window-scaling"]
-    cells = experiment_cells(keys, scale="tiny")
-    assert len(cells) == 80
-    assert all(cell.kind == "sweep" for cell in cells)
-    assert len({cell.key() for cell in cells}) == 80
-    declared = sum(len(experiment_cells([key], scale="tiny")) for key in keys)
-    assert declared == 160
-
-
 def test_experiment_cells_keep_whole_cells_for_the_rest():
     cells = experiment_cells(["table1", "table3", "figure7"], scale="tiny")
     whole = [cell for cell in cells if cell.kind == "experiment"]

@@ -59,7 +59,10 @@ def test_warm_cache_is_bit_identical_to_serial(tmp_path):
 
 
 def test_shared_simulations_run_once():
+    """Six views of one SPECint92 grid declare 160 simulations, 80 of
+    them distinct: each runs once."""
     keys = ["figure5", "figure6", "table6", "table8", "table9", "window-scaling"]
+    assert sum(len(experiment_cells([key], SCALE)) for key in keys) == 160
     tables, report = run_all(scale=SCALE, experiments=keys)
     assert report.counters()["cells_run"] == 80
     assert {k: canonical(tables[k]) for k in keys} == {k: golden_table(k) for k in keys}
