@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.executor import (
     Cell,
     Executor,
@@ -12,7 +13,6 @@ from repro.experiments.executor import (
     experiment_cells,
     source_fingerprint,
 )
-from repro.experiments import ALL_EXPERIMENTS
 from repro.telemetry import MetricRegistry, TraceEventSink
 
 

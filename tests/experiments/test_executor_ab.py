@@ -11,6 +11,9 @@ produced before experiments were built from shared sweep cells.
 import hashlib
 from pathlib import Path
 
+from repro.experiments import run_all
+from repro.experiments.executor import ResultCache, experiment_cells
+from repro.experiments.sweeps import sweep
 from tests.experiments.test_golden import (
     GOLDEN_EXPERIMENTS,
     SCALE,
@@ -19,10 +22,6 @@ from tests.experiments.test_golden import (
     golden_table,
     rendered_points,
 )
-
-from repro.experiments import run_all
-from repro.experiments.executor import ResultCache, experiment_cells
-from repro.experiments.sweeps import sweep
 
 
 def assert_golden(tables):

@@ -30,6 +30,7 @@ from repro.experiments.executor import (
     source_fingerprint,
 )
 from repro.experiments.sweeps import sweep
+from tests.experiments.test_golden import golden_points, rendered_points
 
 
 # -- cell evaluators (top-level: must be picklable for the pool) -----------
@@ -253,8 +254,6 @@ def test_batch_cache_keys_unchanged(tmp_path):
 
 
 def test_sweep_batch_is_bit_identical_to_serial():
-    from tests.experiments.test_golden import golden_points, rendered_points
-
     # 16 cells on two workers: chunks of 2 cells sharing a trace
     grid = dict(policies=("always", "esync", "psync", "sync"),
                 overrides={"stages": (4, 8)}, scale="tiny")

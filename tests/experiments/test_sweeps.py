@@ -1,9 +1,9 @@
 """Tests for the parameter-sweep utilities."""
 
 import pytest
-from tests.experiments.test_golden import golden_points, rendered_points
 
 from repro.experiments import sweep
+from tests.experiments.test_golden import golden_points, rendered_points
 
 
 @pytest.fixture(scope="module")
