@@ -1125,16 +1125,19 @@ def cmd_worker(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    """Profile one workload end to end: trace generation, dependence
-    profiling, and (repeated) simulation, all wall-clock scoped.  The
-    static analyses a policy runs while binding are scoped on the
-    shared profiler, so they show up nested under ``simulate``."""
+    """Profile one workload end to end: trace generation, the trace's
+    index, dependence profiling, and (repeated) simulation, all
+    wall-clock scoped.  The frontend records ``frontend.interpret`` (or
+    ``frontend.decode`` on a trace-cache hit) and ``frontend.index``,
+    and the static analyses a policy runs while binding are scoped on
+    the shared profiler, so they show up nested under ``simulate``."""
     from repro.telemetry import PROFILER
 
     mark = PROFILER.mark()
     with PROFILER.scope("total"):
         with PROFILER.scope("trace-gen"):
             trace = get_workload(args.workload).trace(args.scale)
+            trace.index()
         with PROFILER.scope("dependence-profile"):
             profile_dependences(trace)
         stats = None

@@ -38,25 +38,11 @@ class TraceColumns:
         self.n_tasks = index.n_tasks
         self._addr = index.addr
         self._derived: Dict[Any, Any] = {}
-
-        n_tasks = index.n_tasks
-        self.task_n_instr = [0] * n_tasks
-        self.task_n_loads = [0] * n_tasks
-        self.task_n_stores = [0] * n_tasks
-        self.task_load_seqs: List[List[int]] = [[] for _ in range(n_tasks)]
-        is_load = index.is_load
-        is_store = index.is_store
-        for t, seqs in enumerate(index.tasks):
-            self.task_n_instr[t] = len(seqs)
-            loads = self.task_load_seqs[t]
-            n_stores = 0
-            for seq in seqs:
-                if is_load[seq]:
-                    loads.append(seq)
-                elif is_store[seq]:
-                    n_stores += 1
-            self.task_n_loads[t] = len(loads)
-            self.task_n_stores[t] = n_stores
+        # the index's one pass already grouped loads and stores by task
+        self.task_n_instr = list(map(len, index.tasks))
+        self.task_load_seqs: List[List[int]] = index.task_load_seqs
+        self.task_n_loads = list(map(len, index.task_load_seqs))
+        self.task_n_stores = index.task_n_stores
 
     def derived(self, key, build: Callable[[], Any]):
         """Memoize ``build()`` under ``key`` on this column set.

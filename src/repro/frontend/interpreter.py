@@ -10,10 +10,13 @@ simulator — are driven from that trace.
 from __future__ import annotations
 
 import math
+from array import array
+from typing import List
 
-from repro.frontend.trace import Trace, TraceEntry
+from repro.frontend.trace import Trace, int_column
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import NUM_REGS, ZERO
+from repro.telemetry.profiler import PROFILER
 
 
 class InterpreterError(Exception):
@@ -66,18 +69,35 @@ class Interpreter:
         instructions = program.instructions
         regs = self.registers
         memory = self.memory
-        entries = []
         limit = self.max_instructions
 
+        # the trace's columns: the pc of every committed instruction,
+        # the address and value of every memory access; the next pc,
+        # task and branch outcome of an entry follow from them (see
+        # repro.frontend.trace)
+        pcs: List[int] = []
+        mem_addr: List[int] = []
+        mem_value: List[object] = []
+        taken_in_place: List[int] = []
+        pc_append = pcs.append
+        addr_append = mem_addr.append
+        value_append = mem_value.append
+
         pc = program.entry
-        task_id = 0
-        task_pc = pc
         seq = 0
-        O = Opcode
         # hot-loop local bindings: one committed instruction per
-        # iteration makes global/attribute lookups measurable
-        make_entry = TraceEntry
-        append = entries.append
+        # iteration makes global and attribute lookups measurable, an
+        # Enum member's most of all
+        O = Opcode
+        LW, SW, ADD, ADDI, SUB = O.LW, O.SW, O.ADD, O.ADDI, O.SUB
+        AND, ANDI, OR, ORI, XOR, XORI, NOR = O.AND, O.ANDI, O.OR, O.ORI, O.XOR, O.XORI, O.NOR
+        SLT, SLTI, SLL, SRL, SRA, LUI, LI = O.SLT, O.SLTI, O.SLL, O.SRL, O.SRA, O.LUI, O.LI
+        MUL, DIV, REM = O.MUL, O.DIV, O.REM
+        BEQ, BNE, BLT, BGE, BLE, BGT = O.BEQ, O.BNE, O.BLT, O.BGE, O.BLE, O.BGT
+        J, JAL, JR, HALT, NOP = O.J, O.JAL, O.JR, O.HALT, O.NOP
+        FADD_S, FADD_D, FSUB_S, FSUB_D = O.FADD_S, O.FADD_D, O.FSUB_S, O.FSUB_D
+        FMUL_S, FMUL_D, FDIV_S, FDIV_D = O.FMUL_S, O.FMUL_D, O.FDIV_S, O.FDIV_D
+        FSQRT_S, FSQRT_D = O.FSQRT_S, O.FSQRT_D
 
         while True:
             if seq >= limit:
@@ -85,138 +105,125 @@ class Interpreter:
                     "%s: exceeded %d instructions" % (program.name, limit)
                 )
             inst = instructions[pc]
-            if inst.task_entry and seq > 0:
-                task_id += 1
-                task_pc = pc
             op = inst.op
-            addr = None
-            value = None
-            taken = None
+            taken = False
             next_pc = pc + 1
 
-            if op is O.LW:
+            if op is LW:
                 addr = _check_addr(regs[inst.rs1] + inst.imm)
                 value = memory.get(addr, 0)
                 if inst.rd != ZERO:
                     regs[inst.rd] = value
-            elif op is O.SW:
+                addr_append(addr)
+                value_append(value)
+            elif op is SW:
                 addr = _check_addr(regs[inst.rs1] + inst.imm)
                 value = regs[inst.rs2]
                 memory[addr] = value
-            elif op is O.ADD:
+                addr_append(addr)
+                value_append(value)
+            elif op is ADD:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] + regs[inst.rs2]
-            elif op is O.ADDI:
+            elif op is ADDI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] + inst.imm
-            elif op is O.SUB:
+            elif op is SUB:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] - regs[inst.rs2]
-            elif op is O.AND:
+            elif op is AND:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] & regs[inst.rs2]
-            elif op is O.ANDI:
+            elif op is ANDI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] & inst.imm
-            elif op is O.OR:
+            elif op is OR:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] | regs[inst.rs2]
-            elif op is O.ORI:
+            elif op is ORI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] | inst.imm
-            elif op is O.XOR:
+            elif op is XOR:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] ^ regs[inst.rs2]
-            elif op is O.XORI:
+            elif op is XORI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] ^ inst.imm
-            elif op is O.NOR:
+            elif op is NOR:
                 if inst.rd != ZERO:
                     regs[inst.rd] = ~(regs[inst.rs1] | regs[inst.rs2])
-            elif op is O.SLT:
+            elif op is SLT:
                 if inst.rd != ZERO:
                     regs[inst.rd] = 1 if regs[inst.rs1] < regs[inst.rs2] else 0
-            elif op is O.SLTI:
+            elif op is SLTI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = 1 if regs[inst.rs1] < inst.imm else 0
-            elif op is O.SLL:
+            elif op is SLL:
                 if inst.rd != ZERO:
                     shifted = (regs[inst.rs1] << (inst.imm & 31)) & 0xFFFFFFFF
                     if shifted >= 0x80000000:
                         shifted -= 0x100000000
                     regs[inst.rd] = shifted
-            elif op is O.SRL:
+            elif op is SRL:
                 if inst.rd != ZERO:
                     regs[inst.rd] = (regs[inst.rs1] & 0xFFFFFFFF) >> (inst.imm & 31)
-            elif op is O.SRA:
+            elif op is SRA:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] >> (inst.imm & 31)
-            elif op is O.LUI:
+            elif op is LUI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = inst.imm << 16
-            elif op is O.LI:
+            elif op is LI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = inst.imm
-            elif op is O.MUL:
+            elif op is MUL:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] * regs[inst.rs2]
-            elif op is O.DIV:
+            elif op is DIV:
                 if inst.rd != ZERO:
                     regs[inst.rd] = _sdiv(regs[inst.rs1], regs[inst.rs2])
-            elif op is O.REM:
+            elif op is REM:
                 if inst.rd != ZERO:
                     regs[inst.rd] = _srem(regs[inst.rs1], regs[inst.rs2])
-            elif op is O.BEQ:
+            elif op is BEQ:
                 taken = regs[inst.rs1] == regs[inst.rs2]
-                if taken:
-                    next_pc = inst.target
-            elif op is O.BNE:
+            elif op is BNE:
                 taken = regs[inst.rs1] != regs[inst.rs2]
-                if taken:
-                    next_pc = inst.target
-            elif op is O.BLT:
+            elif op is BLT:
                 taken = regs[inst.rs1] < regs[inst.rs2]
-                if taken:
-                    next_pc = inst.target
-            elif op is O.BGE:
+            elif op is BGE:
                 taken = regs[inst.rs1] >= regs[inst.rs2]
-                if taken:
-                    next_pc = inst.target
-            elif op is O.BLE:
+            elif op is BLE:
                 taken = regs[inst.rs1] <= regs[inst.rs2]
-                if taken:
-                    next_pc = inst.target
-            elif op is O.BGT:
+            elif op is BGT:
                 taken = regs[inst.rs1] > regs[inst.rs2]
-                if taken:
-                    next_pc = inst.target
-            elif op is O.J:
+            elif op is J:
                 next_pc = inst.target
-            elif op is O.JAL:
+            elif op is JAL:
                 regs[inst.rd] = pc + 1
                 next_pc = inst.target
-            elif op is O.JR:
+            elif op is JR:
                 next_pc = regs[inst.rs1]
-            elif op is O.HALT:
+            elif op is HALT:
                 next_pc = -1
-            elif op is O.NOP:
+            elif op is NOP:
                 pass
-            elif op is O.FADD_S or op is O.FADD_D:
+            elif op is FADD_S or op is FADD_D:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] + regs[inst.rs2]
-            elif op is O.FSUB_S or op is O.FSUB_D:
+            elif op is FSUB_S or op is FSUB_D:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] - regs[inst.rs2]
-            elif op is O.FMUL_S or op is O.FMUL_D:
+            elif op is FMUL_S or op is FMUL_D:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] * regs[inst.rs2]
-            elif op is O.FDIV_S or op is O.FDIV_D:
+            elif op is FDIV_S or op is FDIV_D:
                 divisor = regs[inst.rs2]
                 if divisor == 0:
                     raise InterpreterError("floating-point division by zero")
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] / divisor
-            elif op is O.FSQRT_S or op is O.FSQRT_D:
+            elif op is FSQRT_S or op is FSQRT_D:
                 operand = regs[inst.rs1]
                 if operand < 0:
                     raise InterpreterError("square root of a negative value")
@@ -225,7 +232,13 @@ class Interpreter:
             else:  # pragma: no cover - all opcodes handled above
                 raise InterpreterError("unimplemented opcode: %s" % op)
 
-            append(make_entry(seq, inst, addr, value, taken, next_pc, task_id, task_pc))
+            if taken:
+                # a taken branch to its own fall-through is the one
+                # outcome the pc column cannot show
+                if inst.target == next_pc:
+                    taken_in_place.append(seq)
+                next_pc = inst.target
+            pc_append(pc)
             seq += 1
             if next_pc < 0:
                 break
@@ -235,9 +248,18 @@ class Interpreter:
                 )
             pc = next_pc
 
-        return Trace(self.program, entries)
+        return Trace(
+            program,
+            array("i", pcs),
+            int_column(mem_addr),
+            int_column(mem_value),
+            next_pc,
+            taken_in_place,
+        )
 
 
 def run_program(program, max_instructions=5_000_000) -> Trace:
-    """Convenience wrapper: interpret *program* and return its trace."""
-    return Interpreter(program, max_instructions=max_instructions).run()
+    """Convenience wrapper: interpret *program* and return its trace
+    (profiled as ``frontend.interpret``)."""
+    with PROFILER.scope("frontend.interpret"):
+        return Interpreter(program, max_instructions=max_instructions).run()

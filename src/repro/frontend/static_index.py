@@ -1,18 +1,24 @@
-"""Columnar representation and shared static index of a trace.
+"""Per-PC static tables and the shared index of a trace.
 
-Every :class:`~repro.multiscalar.processor.MultiscalarSimulator` used to
-rebuild the same derived structures — task slices, register dataflow,
-the memory dependence oracle, address-generation producers — in its
-``_prepare_static`` for every ``(config, policy)`` cell, even though all
-of them are functions of the trace alone.  A :class:`TraceIndex` hoists
-that work onto the :class:`~repro.frontend.trace.Trace` (built lazily,
-once) so repeated simulations of one trace share a single index.
+Everything a simulator needs about a trace, beyond the issue loop's
+own run state, is a function of the trace alone.  A :class:`TraceIndex`
+derives it once per trace (memoized by :meth:`Trace.index
+<repro.frontend.trace.Trace.index>`), so every ``(config, policy)`` cell
+over one trace shares a single copy.
 
-The index also carries the trace as parallel *columns* (``array`` /
-``bytearray`` / plain lists of ints): hot loops index
-``idx.is_load[seq]`` or ``idx.addr[seq]`` instead of chasing
-``TraceEntry -> Instruction`` attribute and property chains, which is
-2-3x cheaper per access in CPython.
+The derivation reads no per-entry objects.  What is fixed per static
+instruction — load and store flags, functional-unit code, destination
+and source registers, task-entry flag — lives in one
+:class:`StaticTable` per program.  The index looks each entry's pc up
+there once, as a *kind* byte that ``bytes.translate`` expands into
+each flag column; beyond that, only the register last-writer walk and
+the walk over the memory entries run a Python loop.
+
+The columns are ``array`` / ``bytearray`` / plain lists: hot loops
+index ``idx.is_load[seq]`` or ``idx.addr[seq]`` directly.  What only
+the speculative register models, VSYNC and the sanitizer read — the
+destination and value columns, the register operands and dependents,
+the per-task write-sets — is built on first access.
 
 Everything in an index is immutable after construction and shared
 between concurrently-running simulators; nothing in here may be
@@ -22,9 +28,12 @@ mutated by a consumer.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
+from itertools import chain, compress, repeat
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.opcodes import FUClass
+from repro.isa.opcodes import OPCODE_CLASS, FUClass, Opcode, is_conditional_branch
+from repro.isa.registers import NUM_REGS
 
 #: Fixed enumeration order of the functional-unit classes.  Columnar
 #: consumers use the *position* in this tuple (``fu_code``) instead of
@@ -37,174 +46,278 @@ _FU_CODE: Dict[FUClass, int] = {cls: i for i, cls in enumerate(FU_ORDER)}
 NUM_FU_CLASSES = len(FU_ORDER)
 
 
-class TraceIndex:
-    """Columns plus static per-task / dataflow maps of one trace.
+# An instruction's *kind* packs its per-entry flags into one byte: the
+# functional-unit code in the low four bits, then the load, store and
+# task-entry flags.  The index expands a trace's pc column into one kind
+# byte per entry and derives each flag column with ``bytes.translate``.
+assert NUM_FU_CLASSES <= 16
+_LOAD_BIT, _STORE_BIT, _TASK_BIT = 16, 32, 64
+_FU_OF_KIND = bytes(k & 15 for k in range(256))
+_LOAD_OF_KIND = bytes(1 if k & _LOAD_BIT else 0 for k in range(256))
+_STORE_OF_KIND = bytes(1 if k & _STORE_BIT else 0 for k in range(256))
+_MEMORY_OF_KIND = bytes(1 if k & (_LOAD_BIT | _STORE_BIT) else 0 for k in range(256))
+_TASK_OF_KIND = bytes(1 if k & _TASK_BIT else 0 for k in range(256))
 
-    Attributes mirror what ``MultiscalarSimulator._prepare_static``
-    historically derived; the simulator now aliases them.
+#: Per opcode: the kind bits without the task-entry flag, and whether it
+#: is a conditional branch.  Keyed by mnemonic and read through the
+#: member's plain ``_value_`` attribute: an Enum member's ``__hash__``
+#: and its ``value`` property are Python calls, about five times the
+#: cost of a string-keyed lookup.
+_OPCODE_ROW = {
+    op.value: (
+        _FU_CODE[OPCODE_CLASS[op]]
+        | (_LOAD_BIT if op is Opcode.LW else 0)
+        | (_STORE_BIT if op is Opcode.SW else 0),
+        1 if is_conditional_branch(op) else 0,
+    )
+    for op in Opcode
+}
+
+
+class StaticTable:
+    """What every dynamic instance of a static instruction shares.
+
+    One row per PC of a program: ``inst[pc]`` is the
+    :class:`~repro.isa.instructions.Instruction`, ``kind[pc]`` its
+    functional-unit code and load, store and task-entry flags packed in
+    one byte, ``cond_branch[pc]`` whether it is a conditional branch,
+    and ``rd[pc]`` its destination register (``-1`` for none).
+    ``regs[pc]`` is the ``(src1, src2, dest)`` triple the register
+    dataflow walk reads: the sources with ``0`` for an absent or zero
+    register (register 0 never has a producer), and ``dest`` the written
+    register, ``0`` for none and ``-1`` for a store.  ``sources[pc]``
+    lists the non-zero source registers in operand order, repeats
+    included.
     """
 
-    __slots__ = (
-        "n",
-        # columns
-        "pc",
-        "addr",
-        "task_id",
-        "is_load",
-        "is_store",
-        "is_memory",
-        "fu_code",
-        "rd",
-        "load_seqs",
-        # task structure
-        "tasks",
-        "n_tasks",
-        "task_of",
-        "index_in_task",
-        "task_pcs",
-        # register dataflow
-        "src_operands",
-        "src_producers",
-        "reg_dependents",
-        "task_writesets",
-        # memory dependence oracle
-        "producers",
-        "dependents",
-        "prior_task_stores",
-        "all_store_seqs",
-        "addr_producer",
-        # memoized per-task aggregates (repro.frontend.columns)
-        "_columns",
-    )
+    __slots__ = ("inst", "kind", "cond_branch", "rd", "regs", "sources", "n_regs")
+
+    def __init__(self, instructions):
+        self.inst = list(instructions)
+        self.kind: List[int] = []
+        self.rd: List[int] = []
+        self.regs: List[Tuple[int, int, int]] = []
+        self.sources: List[Tuple[int, ...]] = []
+        cond_branch = []
+        n_regs = NUM_REGS
+        for inst in self.inst:
+            kind, branch = _OPCODE_ROW[inst.op._value_]
+            if inst.task_entry:
+                kind |= _TASK_BIT
+            self.kind.append(kind)
+            cond_branch.append(branch)
+            rd = inst.rd
+            self.rd.append(-1 if rd is None else rd)
+            src1 = inst.rs1 or 0
+            src2 = inst.rs2 or 0
+            dest = -1 if kind & _STORE_BIT else (rd or 0)
+            self.regs.append((src1, src2, dest))
+            self.sources.append(tuple(r for r in (src1, src2) if r))
+            n_regs = max(n_regs, src1 + 1, src2 + 1, dest + 1)
+        self.cond_branch = bytes(cond_branch)
+        self.n_regs = n_regs
+
+
+class TraceIndex:
+    """Per-entry columns plus the static per-task / dataflow maps of one
+    trace.
+
+    Attributes mirror what ``MultiscalarSimulator._prepare_static``
+    historically derived; the simulator now aliases them.  ``addr``
+    holds every entry's address (``None`` off memory), ``tasks`` each
+    task's seqs as a ``range`` (tasks are contiguous in commit order),
+    ``src_p1``/``src_p2`` the issue loop's register producers (``-1``
+    for none; the second is set only when the first is), and
+    ``task_load_seqs``/``task_n_stores`` the per-task aggregates
+    :class:`~repro.frontend.columns.TraceColumns` serves.
+    """
 
     def __init__(self, trace):
-        entries = trace.entries
-        n = len(entries)
+        static = trace.static
+        pcs = trace.pc
+        mem_addr = trace.mem_addr
+        n = len(pcs)
         self.n = n
+        self._static = static
+        self._mem_value = trace.mem_value
         self._columns = None
 
-        # -- columns --------------------------------------------------
-        self.pc = array("i", bytes(4 * n))
-        self.task_id = array("i", bytes(4 * n))
-        self.addr: List[Optional[int]] = [None] * n
-        self.is_load = bytearray(n)
-        self.is_store = bytearray(n)
-        self.is_memory = bytearray(n)
-        self.fu_code = bytearray(n)
-        self.rd = array("i", bytes(4 * n))
+        # -- per-entry flag columns: one kind byte per entry, translated
+        pc_list = pcs.tolist()
+        kind_of = static.kind
+        kinds = bytes([kind_of[pc] for pc in pc_list])
+        self.pc = pcs
+        self.is_load = is_load = bytearray(kinds.translate(_LOAD_OF_KIND))
+        self.is_store = bytearray(kinds.translate(_STORE_OF_KIND))
+        self.is_memory = is_memory = bytearray(kinds.translate(_MEMORY_OF_KIND))
+        self.fu_code = bytearray(kinds.translate(_FU_OF_KIND))
+        if is_memory.count(1) != len(mem_addr) or len(trace.mem_value) != len(mem_addr):
+            raise ValueError("%s: memory columns do not match the pc column" % trace.name)
+
+        # -- task structure: a task starts at seq 0 and at every later
+        #    entry of a task-entry PC, and spans a contiguous seq range
+        starts = [0] if n else []
+        starts.extend(compress(range(1, n), kinds.translate(_TASK_OF_KIND)[1:]))
+        ends = starts[1:]
+        ends.append(n)
+        self.tasks = tasks = list(map(range, starts, ends))
+        self.n_tasks = n_tasks = len(tasks)
+        self.task_pcs = [pc_list[s] for s in starts]
+        sizes = list(map(len, tasks))
+        self.task_of = task_of = list(chain.from_iterable(map(repeat, range(n_tasks), sizes)))
+        self.index_in_task = list(chain.from_iterable(map(range, sizes)))
+
+        # -- register producers, unrolled into two columns ------------
+        # last[reg] is the seq of the register's latest writer (-1 for
+        # none; register 0 is never written).  A store's address
+        # producer is its base register's writer (a store's address
+        # resolves before its data arrives).
+        regs = static.regs
+        last = [-1] * static.n_regs
+        src_p1 = [-1] * n
+        src_p2 = [-1] * n
+        addr_producer: Dict[int, Optional[int]] = {}
+        for seq, pc in enumerate(pc_list):
+            src1, src2, dest = regs[pc]
+            first = last[src1]
+            if first < 0:
+                src_p1[seq] = last[src2]
+            else:
+                src_p1[seq] = first
+                src_p2[seq] = last[src2]
+            if dest > 0:
+                last[dest] = seq
+            elif dest:
+                addr_producer[seq] = first if first >= 0 else None
+        self.src_p1 = src_p1
+        self.src_p2 = src_p2
+        self.addr_producer = addr_producer
+
+        # -- addresses and the memory dependence oracle, over memory
+        #    entries only ---------------------------------------------
+        # a load's producer is the latest earlier store to its address;
+        # loads are visited in order, so dependents lists come sorted.
+        # prior_task_stores maps a load to its task's earlier stores;
+        # loads with no store between them share one list.
+        addr: List[Optional[int]] = [None] * n
         load_seqs: List[int] = []
-        fu_of = _FU_CODE
-        for seq, entry in enumerate(entries):
-            inst = entry.inst
-            self.pc[seq] = inst.pc
-            self.task_id[seq] = entry.task_id
-            self.addr[seq] = entry.addr
-            if inst.is_load:
-                self.is_load[seq] = 1
-                self.is_memory[seq] = 1
+        store_seqs: List[int] = []
+        producers: Dict[int, Optional[int]] = {}
+        dependents: Dict[int, List[int]] = {}
+        prior: Dict[int, List[int]] = {}
+        task_load_seqs: List[List[int]] = [[] for _ in range(n_tasks)]
+        task_n_stores = [0] * n_tasks
+        last_store_to: Dict[int, int] = {}
+        current = -1
+        stores_so_far: List[int] = []
+        shared: Optional[List[int]] = None
+        for seq, a, load, t in zip(
+            compress(range(n), is_memory),
+            mem_addr,
+            compress(is_load, is_memory),
+            compress(task_of, is_memory),
+        ):
+            addr[seq] = a
+            if t != current:
+                current = t
+                stores_so_far = []
+                shared = None
+            if load:
                 load_seqs.append(seq)
-            elif inst.is_store:
-                self.is_store[seq] = 1
-                self.is_memory[seq] = 1
-            self.fu_code[seq] = fu_of[inst.fu_class]
-            rd = inst.rd
-            self.rd[seq] = -1 if rd is None else rd
+                task_load_seqs[t].append(seq)
+                producer = last_store_to.get(a)
+                producers[seq] = producer
+                if producer is not None:
+                    dependents.setdefault(producer, []).append(seq)
+                if stores_so_far:
+                    if shared is None:
+                        shared = list(stores_so_far)
+                    prior[seq] = shared
+            else:
+                store_seqs.append(seq)
+                task_n_stores[t] += 1
+                last_store_to[a] = seq
+                stores_so_far.append(seq)
+                shared = None
+        self.addr = addr
         self.load_seqs = load_seqs
+        self.all_store_seqs = store_seqs
+        self.producers = producers
+        self.dependents = dependents
+        self.prior_task_stores = prior
+        self.task_load_seqs = task_load_seqs
+        self.task_n_stores = task_n_stores
 
-        # -- task structure -------------------------------------------
-        self.tasks: List[List[int]] = [
-            [e.seq for e in slice_] for slice_ in trace.task_slices()
-        ]
-        self.n_tasks = len(self.tasks)
-        self.task_of = [0] * n
-        self.index_in_task = [0] * n
-        self.task_pcs = [0] * self.n_tasks
-        for t, seqs in enumerate(self.tasks):
-            self.task_pcs[t] = entries[seqs[0]].task_pc
-            for idx, seq in enumerate(seqs):
-                self.task_of[seq] = t
-                self.index_in_task[seq] = idx
+    # -- built on first read ---------------------------------------------
 
-        # -- register dataflow ----------------------------------------
-        # per source operand: (register, producer seq or None,
-        # penultimate-writer seq or None).  reg_dependents (producer ->
-        # consumers) and per-task-entry static write-sets are only read
-        # by the non-oracle register models, but they are functions of
-        # the trace alone, so the index builds them unconditionally.
+    @cached_property
+    def rd(self) -> array:
+        """Every entry's destination register (``-1`` for none).  Read by
+        the speculative register models' register-violation check and
+        the ``conservative`` model's write-sets."""
+        rd_of = self._static.rd
+        return array("i", [rd_of[pc] for pc in self.pc.tolist()])
+
+    @cached_property
+    def value(self) -> list:
+        """Every entry's loaded or stored value (``None`` off memory).
+        Read by VSYNC's value check and the trace's entry view."""
+        value: list = [None] * self.n
+        for seq, v in zip(compress(range(self.n), self.is_memory), self._mem_value):
+            value[seq] = v
+        return value
+
+    @property
+    def src_operands(self) -> List[tuple]:
+        """Per entry, one ``(register, producer seq or None,
+        penultimate-writer seq or None)`` tuple per non-zero source
+        operand.  Read by the speculative register models and the
+        sanitizer."""
+        return self._register_operands[0]
+
+    @property
+    def reg_dependents(self) -> Dict[int, List[int]]:
+        """Producer seq -> the seqs that read its register value, one
+        entry per operand, in order."""
+        return self._register_operands[1]
+
+    @cached_property
+    def task_writesets(self) -> Dict[int, frozenset]:
+        """Static write-set per task entry PC: the registers any dynamic
+        instance of that task writes (read by the ``conservative``
+        register model)."""
+        draft: Dict[int, set] = {}
+        rd = self.rd
+        for task_pc, seqs in zip(self.task_pcs, self.tasks):
+            written = draft.setdefault(task_pc, set())
+            for seq in seqs:
+                if rd[seq] > 0:
+                    written.add(rd[seq])
+        return {pc: frozenset(r) for pc, r in draft.items()}
+
+    @cached_property
+    def _register_operands(self):
+        sources = self._static.sources
+        dests = self._static.regs
         last_writer: Dict[int, int] = {}
         prev_writer: Dict[int, Optional[int]] = {}
-        self.src_operands: List[tuple] = [()] * n
-        self.src_producers: List[tuple] = [()] * n
-        self.reg_dependents: Dict[int, List[int]] = {}
-        for entry in entries:
-            inst = entry.inst
-            operands = []
-            for reg in inst.sources():
-                if reg == 0:
-                    continue
-                producer = last_writer.get(reg)
-                operands.append((reg, producer, prev_writer.get(reg)))
-                if producer is not None:
-                    self.reg_dependents.setdefault(producer, []).append(entry.seq)
-            self.src_operands[entry.seq] = tuple(operands)
-            self.src_producers[entry.seq] = tuple(
-                producer for _, producer, _ in operands if producer is not None
-            )
-            rd = inst.rd
-            if rd is not None and rd != 0:
-                prev_writer[rd] = last_writer.get(rd)
-                last_writer[rd] = entry.seq
-
-        # static write-set per task entry PC: the registers any dynamic
-        # instance of that task writes
-        draft: Dict[int, set] = {}
-        for task_id, seqs in enumerate(self.tasks):
-            regs = draft.setdefault(self.task_pcs[task_id], set())
-            for seq in seqs:
-                rd = self.rd[seq]
-                if rd > 0:
-                    regs.add(rd)
-        self.task_writesets: Dict[int, frozenset] = {
-            pc: frozenset(regs) for pc, regs in draft.items()
-        }
-
-        # -- memory dependence oracle ---------------------------------
-        self.producers = trace.load_producers()
-        self.dependents: Dict[int, List[int]] = {}
-        for load_seq, store_seq in self.producers.items():
-            if store_seq is not None:
-                self.dependents.setdefault(store_seq, []).append(load_seq)
-        for lst in self.dependents.values():
-            lst.sort()
-
-        # per-load list of earlier same-task stores (intra-task gating)
-        self.prior_task_stores: Dict[int, List[int]] = {}
-        is_load = self.is_load
-        is_store = self.is_store
-        for seqs in self.tasks:
-            stores_so_far: List[int] = []
-            for seq in seqs:
-                if is_load[seq] and stores_so_far:
-                    self.prior_task_stores[seq] = list(stores_so_far)
-                if is_store[seq]:
-                    stores_so_far.append(seq)
-
-        self.all_store_seqs = [seq for seq in range(n) if is_store[seq]]
-
-        # address-generation dataflow for stores: the base register only
-        # (a store's address resolves before its data arrives)
-        last_writer.clear()
-        self.addr_producer: Dict[int, Optional[int]] = {}
-        for entry in entries:
-            inst = entry.inst
-            if is_store[entry.seq]:
-                base = inst.rs1
-                self.addr_producer[entry.seq] = (
-                    last_writer.get(base) if base != 0 else None
-                )
-            rd = inst.rd
-            if rd is not None and rd != 0:
-                last_writer[rd] = entry.seq
+        operands_of: List[tuple] = [()] * self.n
+        reg_dependents: Dict[int, List[int]] = {}
+        for seq, pc in enumerate(self.pc):
+            srcs = sources[pc]
+            if srcs:
+                operands = []
+                for reg in srcs:
+                    producer = last_writer.get(reg)
+                    operands.append((reg, producer, prev_writer.get(reg)))
+                    if producer is not None:
+                        reg_dependents.setdefault(producer, []).append(seq)
+                operands_of[seq] = tuple(operands)
+            dest = dests[pc][2]
+            if dest > 0:
+                prev_writer[dest] = last_writer.get(dest)
+                last_writer[dest] = seq
+        return operands_of, reg_dependents
 
     def columns(self):
         """The per-task aggregates and derivation memo of this trace,

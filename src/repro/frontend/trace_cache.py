@@ -10,15 +10,18 @@ program and the instruction budget alone.  This module exploits that:
   ``max_instructions`` budget) plus :data:`TRACE_FORMAT_VERSION`.  The
   fingerprint is the cache key *and* the invalidation rule: change a
   kernel and the old entry simply stops being addressed.
-* :func:`serialize_trace` / :func:`deserialize_trace` — a compact
-  binary columnar encoding of a :class:`~repro.frontend.trace.Trace`
-  (per-field arrays instead of a pickle of entry objects), used by the
-  on-disk layer.
+* :func:`serialize_trace` / :func:`deserialize_trace` — the binary
+  form of a :class:`~repro.frontend.trace.Trace`'s own columns (the pc
+  of every entry, the address and value of every memory entry), written
+  and read with ``array.tobytes``/``frombytes``, used by the on-disk
+  layer.  A CRC-32 over the header and the payload guards every byte.
 * :class:`TraceCache` — two layers: a process-wide in-memory table
   (shared by every instance, so executor workers forked after a warm-up
   inherit it copy-on-write) and an optional on-disk store under
   ``<root>/<fp[:2]>/<fp>.trace`` with atomic writes.  Disk problems of
-  any kind read as misses; the cache never turns an interpretable
+  any kind read as misses — an unreadable or truncated file, a foreign
+  format version, and, through the checksum, a file whose bytes
+  changed after it was written; the cache never turns an interpretable
   program into an error.
 
 The process-global cache used by :meth:`Workload.trace
@@ -35,26 +38,36 @@ import os
 import pickle
 import struct
 import sys
+import zlib
 from array import array
 from pathlib import Path
 from typing import Dict, Optional
 
 from repro.frontend.interpreter import run_program
-from repro.frontend.trace import Trace, TraceEntry
+from repro.frontend.trace import Trace
+from repro.telemetry.profiler import PROFILER
 
 #: Version of the binary trace encoding.  Part of every fingerprint and
 #: of every file header: bumping it makes all previously written traces
 #: unreachable *and* unreadable, so a format change can never feed stale
-#: bytes into an experiment.
-TRACE_FORMAT_VERSION = 1
+#: bytes into an experiment.  Version 2 stores the trace's own columns
+#: (pc, memory addresses and values) under a CRC-32 of the whole file.
+TRACE_FORMAT_VERSION = 2
 
 _MAGIC = b"RTRC"
 
 _LITTLE = 1 if sys.byteorder == "little" else 0
 
-#: (attribute extractor order) -> array typecode of each binary column.
-_COLUMNS = ("pc", "next_pc", "task_id", "task_pc", "addr", "taken", "vtag", "vnum")
-_TYPECODES = ("i", "i", "i", "i", "q", "b", "b", "q")
+#: magic, format version, byte order, entry count, fingerprint, end pc,
+#: payload length; the CRC-32 of these bytes and the payload follows.
+_HEADER = struct.Struct("<4sHBxQ64sqQ")
+_CRC = struct.Struct("<I")
+_PAYLOAD_AT = _HEADER.size + _CRC.size
+
+#: column encodings: raw ``array`` bytes, or a pickle for a column of
+#: values that do not all fit the array's type (floats, big ints)
+_RAW, _PICKLED = 0, 1
+_BLOB = struct.Struct("<BQ")
 
 
 class TraceFormatError(Exception):
@@ -94,134 +107,109 @@ def program_fingerprint(program, max_instructions=5_000_000) -> str:
     return digest.hexdigest()
 
 
-def serialize_trace(trace, fingerprint="") -> bytes:
-    """Encode *trace* as compact binary columns.
+def _encode(column):
+    """One column as ``(encoding, bytes)``: the raw bytes of an
+    ``array('q')``, else a pickle of the list (exact for floats and big
+    ints; see :func:`~repro.frontend.trace.int_column`)."""
+    if isinstance(column, array):
+        return _RAW, column.tobytes()
+    return _PICKLED, pickle.dumps(column, protocol=4)
 
-    Layout: magic, format version, byte order, entry count, the
-    64-hex-char fingerprint, then one length-prefixed array per column.
-    Values get a per-entry tag column (none / int64 / float64 /
-    pickled overflow) because trace values are Python ints of arbitrary
-    width or floats from the FP opcodes.
+
+def _decode(encoding, blob):
+    if encoding == _RAW:
+        column = array("q")
+        column.frombytes(blob)
+        return column
+    if encoding == _PICKLED:
+        return pickle.loads(blob)
+    raise TraceFormatError("unknown column encoding %d" % encoding)
+
+
+def serialize_trace(trace, fingerprint="") -> bytes:
+    """Encode *trace* as its binary columns.
+
+    Layout: a header (magic, format version, byte order, entry count,
+    the 64-hex-char fingerprint, the last entry's next pc, the payload
+    length), the CRC-32 of the header and the payload, then the payload:
+    four length-prefixed columns — every entry's pc, the address and
+    the value of every memory entry, and the seqs of taken branches to
+    their own fall-through.  Columns are written with
+    ``array.tobytes``; a value or address column holding floats or ints
+    beyond 64 bits is pickled instead.
     """
-    entries = trace.entries
-    n = len(entries)
-    pc = array("i", bytes(4 * n))
-    next_pc = array("i", bytes(4 * n))
-    task_id = array("i", bytes(4 * n))
-    task_pc = array("i", bytes(4 * n))
-    addr = array("q", bytes(8 * n))
-    taken = array("b", bytes(n))
-    vtag = array("b", bytes(n))
-    vnum = array("q", bytes(8 * n))
-    overflow: Dict[int, object] = {}
-    pack = struct.pack
-    unpack = struct.unpack
-    for i, e in enumerate(entries):
-        pc[i] = e.inst.pc
-        next_pc[i] = e.next_pc
-        task_id[i] = e.task_id
-        task_pc[i] = e.task_pc
-        a = e.addr
-        addr[i] = -1 if a is None else a
-        t = e.taken
-        taken[i] = -1 if t is None else (1 if t else 0)
-        v = e.value
-        if v is None:
-            continue
-        if isinstance(v, float):
-            vtag[i] = 2
-            vnum[i] = unpack("<q", pack("<d", v))[0]
-        elif isinstance(v, int) and -(2**63) <= v < 2**63:
-            vtag[i] = 1
-            vnum[i] = v
-        else:
-            vtag[i] = 3
-            overflow[i] = v
-    fp = fingerprint.encode("ascii")[:64].ljust(64, b"\0")
-    parts = [_MAGIC, pack("<HBxQ", TRACE_FORMAT_VERSION, _LITTLE, n), fp]
-    for column, typecode in zip(
-        (pc, next_pc, task_id, task_pc, addr, taken, vtag, vnum), _TYPECODES
+    parts = []
+    for encoding, blob in (
+        (_RAW, trace.pc.tobytes()),
+        _encode(trace.mem_addr),
+        _encode(trace.mem_value),
+        _encode(array("q", sorted(trace.taken_in_place))),
     ):
-        blob = column.tobytes()
-        parts.append(pack("<cBQ", typecode.encode(), column.itemsize, len(blob)))
+        parts.append(_BLOB.pack(encoding, len(blob)))
         parts.append(blob)
-    blob = pickle.dumps(overflow, protocol=2)
-    parts.append(pack("<Q", len(blob)))
-    parts.append(blob)
-    return b"".join(parts)
+    payload = b"".join(parts)
+    fp = fingerprint.encode("ascii")[:64].ljust(64, b"\0")
+    header = _HEADER.pack(
+        _MAGIC, TRACE_FORMAT_VERSION, _LITTLE, len(trace.pc), fp, trace.end_pc, len(payload)
+    )
+    crc = zlib.crc32(payload, zlib.crc32(header))
+    return b"".join((header, _CRC.pack(crc), payload))
 
 
 def deserialize_trace(data, program, fingerprint=None) -> Trace:
     """Decode :func:`serialize_trace` bytes back into a :class:`Trace`.
 
-    *program* supplies the static instructions the entries point at.
+    *program* supplies the static instructions the pc column indexes.
     When *fingerprint* is given it must match the stored one — the
     caller's way of asserting the bytes belong to this exact program.
-    Raises :class:`TraceFormatError` on any mismatch or corruption.
+    Raises :class:`TraceFormatError` on any mismatch or corruption,
+    including a single flipped bit anywhere in the file.  Decoding
+    reads each column with ``frombytes``; no Python loop runs per entry.
     """
-    try:
-        if data[:4] != _MAGIC:
-            raise TraceFormatError("bad magic")
-        version, little, n = struct.unpack_from("<HBxQ", data, 4)
-        if version != TRACE_FORMAT_VERSION:
-            raise TraceFormatError("format version %d != %d" % (version, TRACE_FORMAT_VERSION))
-        if little != _LITTLE:
-            raise TraceFormatError("byte-order mismatch")
-        stored_fp = data[16:80].rstrip(b"\0").decode("ascii")
-        if fingerprint is not None and stored_fp != fingerprint:
-            raise TraceFormatError("fingerprint mismatch")
-        offset = 80
-        columns = []
-        for typecode in _TYPECODES:
-            code, itemsize, length = struct.unpack_from("<cBQ", data, offset)
-            offset += 10
-            column = array(typecode)
-            if code != typecode.encode() or itemsize != column.itemsize:
-                raise TraceFormatError("column layout mismatch")
-            if length != column.itemsize * n:
-                raise TraceFormatError("column length mismatch")
-            column.frombytes(data[offset : offset + length])
-            offset += length
-            columns.append(column)
-        (length,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        overflow = pickle.loads(data[offset : offset + length])
-    except TraceFormatError:
-        raise
-    except Exception as exc:
-        raise TraceFormatError("truncated or corrupt trace: %s" % (exc,)) from exc
+    with PROFILER.scope("frontend.decode"):
+        try:
+            return _deserialize(data, program, fingerprint)
+        except TraceFormatError:
+            raise
+        except Exception as exc:
+            raise TraceFormatError("truncated or corrupt trace: %s" % (exc,)) from exc
 
-    pc, next_pc, task_id, task_pc, addr, taken, vtag, vnum = columns
-    instructions = program.instructions
-    unpack = struct.unpack
-    pack = struct.pack
-    entries = []
-    append = entries.append
-    for i in range(n):
-        a = addr[i]
-        t = taken[i]
-        tag = vtag[i]
-        if tag == 0:
-            v = None
-        elif tag == 1:
-            v = vnum[i]
-        elif tag == 2:
-            v = unpack("<d", pack("<q", vnum[i]))[0]
-        else:
-            v = overflow[i]
-        append(
-            TraceEntry(
-                i,
-                instructions[pc[i]],
-                None if a < 0 else a,
-                v,
-                None if t < 0 else bool(t),
-                next_pc[i],
-                task_id[i],
-                task_pc[i],
-            )
-        )
-    return Trace(program, entries)
+
+def _deserialize(data, program, fingerprint) -> Trace:
+    magic, version, little, n, fp, end_pc, length = _HEADER.unpack_from(data, 0)
+    if magic != _MAGIC:
+        raise TraceFormatError("bad magic")
+    if version != TRACE_FORMAT_VERSION:
+        raise TraceFormatError("format version %d != %d" % (version, TRACE_FORMAT_VERSION))
+    if little != _LITTLE:
+        raise TraceFormatError("byte-order mismatch")
+    if len(data) != _PAYLOAD_AT + length:
+        raise TraceFormatError("payload length mismatch")
+    view = memoryview(data)
+    (crc,) = _CRC.unpack_from(data, _HEADER.size)
+    if crc != zlib.crc32(view[_PAYLOAD_AT:], zlib.crc32(view[: _HEADER.size])):
+        raise TraceFormatError("checksum mismatch")
+    if fingerprint is not None and fp.rstrip(b"\0").decode("ascii") != fingerprint:
+        raise TraceFormatError("fingerprint mismatch")
+    offset = _PAYLOAD_AT
+    blobs = []
+    for _ in range(4):
+        encoding, size = _BLOB.unpack_from(data, offset)
+        offset += _BLOB.size
+        blobs.append((encoding, view[offset : offset + size]))
+        offset += size
+    if offset != len(data):
+        raise TraceFormatError("column layout mismatch")
+    (pc_encoding, pc_blob), addr_blob, value_blob, in_place_blob = blobs
+    pcs = array("i")
+    if pc_encoding != _RAW or len(pc_blob) != pcs.itemsize * n:
+        raise TraceFormatError("pc column mismatch")
+    pcs.frombytes(pc_blob)
+    mem_addr = _decode(*addr_blob)
+    mem_value = _decode(*value_blob)
+    if len(mem_value) != len(mem_addr):
+        raise TraceFormatError("memory column length mismatch")
+    return Trace(program, pcs, mem_addr, mem_value, end_pc, _decode(*in_place_blob))
 
 
 #: Process-wide in-memory layer, keyed by fingerprint.  Shared by every

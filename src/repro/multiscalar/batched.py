@@ -181,22 +181,11 @@ def run_batched(sim) -> SpeculationStats:
     stats = sim.stats
     task_of = sim.task_of
     index_in_task = sim.index_in_task
-    src_producers = sim.src_producers
-
     # register producers unrolled into two parallel columns (-1 = none):
     # the ISA has at most two source registers, so the issue loop can
     # check both without tuple iteration overhead
-    def _build_src_pair():
-        p1 = [-1] * n
-        p2 = [-1] * n
-        for s, prods in enumerate(src_producers):
-            if prods:
-                p1[s] = prods[0]
-                if len(prods) > 1:
-                    p2[s] = prods[1]
-        return p1, p2
-
-    src_p1, src_p2 = cols.derived("src_pair", _build_src_pair)
+    src_p1 = sim._index.src_p1
+    src_p2 = sim._index.src_p2
 
     prior_stores_get = sim.prior_task_stores.get  # earlier same-task stores
     dependents_get = sim.dependents.get
@@ -207,7 +196,6 @@ def run_batched(sim) -> SpeculationStats:
     c_is_memory = sim._c_is_memory
     c_fu = sim._c_fu
     c_pc = sim._c_pc
-    c_rd = sim._c_rd
 
     unknown_set = unknown_addr._set
     unknown_min = unknown_addr.minimum
@@ -244,6 +232,8 @@ def run_batched(sim) -> SpeculationStats:
     source_ready_time = sim._source_ready_time
     oracle_regs = reg_mode == "oracle"
     reg_violations = reg_mode in ("always", "predict")
+    # destination registers: read only by the register-violation check
+    c_rd = sim._index.rd if reg_violations else None
     schedule_fetch = sim._schedule_fetch
     may_issue_load = policy.may_issue_load
     deny_hints = policy.deny_hints

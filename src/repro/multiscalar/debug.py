@@ -52,6 +52,10 @@ class TimelineRecorder(SpeculationPolicy):
         super().bind(sim)
         self.inner.bind(sim)
 
+    def release(self, proxy):
+        super().release(proxy)
+        self.inner.release(proxy)
+
     def may_issue_load(self, seq, now):
         self.load_first_attempt.setdefault(seq, now)
         return self.inner.may_issue_load(seq, now)

@@ -55,6 +55,12 @@ class SpeculationPolicy:
         """Attach to a simulator instance before the run starts."""
         self.sim = sim
 
+    def release(self, proxy):
+        """The run ended: keep *proxy*, a weak proxy of the simulator, so
+        the policy no longer holds its simulator alive.  Everything the
+        policy learned stays readable."""
+        self.sim = proxy
+
     def may_issue_load(self, seq, now) -> bool:
         """May the operand-ready load *seq* access memory at *now*?
 
@@ -245,12 +251,12 @@ class MechanismPolicy(SpeculationPolicy):
     def name(self):
         return self.predictor_name.upper()
 
-    def _instance_of(self, entry):
+    def _instance_of(self, seq):
         """The dynamic tag: task id (distance tagging, the paper's
         evaluated scheme) or the accessed data address."""
         if self.tagging == "distance":
-            return entry.task_id
-        return entry.addr
+            return self.sim.task_of[seq]
+        return self.sim._c_addr[seq]
 
     def bind(self, sim):
         super().bind(sim)
@@ -293,17 +299,15 @@ class MechanismPolicy(SpeculationPolicy):
         )
 
     def _defer(self, seq, kind, payload):
-        task_id = self.sim.trace[seq].task_id
+        task_id = self.sim.task_of[seq]
         self._pending_updates.setdefault(task_id, []).append((kind, payload, seq))
 
     def _park_or_clear(self, seq, now):
         """First attempt: run the load through the MDPT/MDST."""
         sim = self.sim
-        entry = sim.trace[seq]
-        task_id = entry.task_id
         result = self.engine.load_request(
-            entry.pc,
-            self._instance_of(entry),
+            sim._c_pc[seq],
+            self._instance_of(seq),
             seq,
             task_pc_of=sim.task_pc_at if self.tagging == "distance" else None,
         )
@@ -369,9 +373,11 @@ class MechanismPolicy(SpeculationPolicy):
         """The paper signals when the store is ready to access memory
         (Figure 4 action 5), concurrent with its cache access."""
         sim = self.sim
-        entry = sim.trace[seq]
         woken = self.engine.store_request(
-            entry.pc, self._instance_of(entry), stid=seq, task_pc=entry.task_pc
+            sim._c_pc[seq],
+            self._instance_of(seq),
+            stid=seq,
+            task_pc=sim.task_pcs[sim.task_of[seq]],
         )
         for load_seq in woken:
             self.wake_load(load_seq, now)
@@ -383,17 +389,17 @@ class MechanismPolicy(SpeculationPolicy):
 
     def on_violation(self, store_seq, load_seq, now):
         sim = self.sim
-        store = sim.trace[store_seq]
-        load = sim.trace[load_seq]
+        task_of = sim.task_of
+        store_task = task_of[store_seq]
         if self.tagging == "distance":
-            distance = load.task_id - store.task_id
+            distance = task_of[load_seq] - store_task
         else:
             distance = 0  # address tags match directly; no offset needed
         self.engine.record_mis_speculation(
-            store.pc,
-            load.pc,
+            sim._c_pc[store_seq],
+            sim._c_pc[load_seq],
             distance=distance,
-            store_task_pc=store.task_pc,
+            store_task_pc=sim.task_pcs[store_task],
         )
 
     def explain_violation(self, store_seq, load_seq):
@@ -403,10 +409,8 @@ class MechanismPolicy(SpeculationPolicy):
         strengthened by :meth:`SynchronizationEngine.record_mis_speculation`)
         reflects the squash-time state the next instance will consult.
         """
-        trace = self.sim.trace
-        store_pc = trace[store_seq].pc
-        load_pc = trace[load_seq].pc
-        entry = self.engine.mdpt.get(store_pc, load_pc)
+        c_pc = self.sim._c_pc
+        entry = self.engine.mdpt.get(c_pc[store_seq], c_pc[load_seq])
         mdpt_entry = None
         if entry is not None:
             state = entry.state
@@ -437,7 +441,7 @@ class MechanismPolicy(SpeculationPolicy):
 
     def on_squash(self, first_seq, now):
         sim = self.sim
-        first_task = sim.trace[first_seq].task_id
+        first_task = sim.task_of[first_seq]
         for task_id, updates in list(self._pending_updates.items()):
             if task_id < first_task:
                 continue
@@ -484,7 +488,7 @@ class MechanismPolicy(SpeculationPolicy):
             elif kind == "reward_all":
                 # reward every MDPT entry that predicted this load; the
                 # load PC is enough — the signalled pair(s) match it.
-                load_pc = self.sim.trace[payload].pc
+                load_pc = self.sim._c_pc[payload]
                 for entry in list(self.engine.mdpt.lookup_load(load_pc)):
                     self.engine.reward_pair(entry.store_pc, entry.load_pc)
 
@@ -750,14 +754,14 @@ class ValueSyncPolicy(MechanismPolicy):
         self.value_speculations = 0
 
     def _park_or_clear(self, seq, now):
-        entry = self.sim.trace[seq]
+        pc = self.sim._c_pc[seq]
         # the prediction for THIS load must precede its own training
-        predicted = self.values.predict(entry.pc)
+        predicted = self.values.predict(pc)
         if seq not in self._trained:
             # value predictors train speculatively at execute time; one
             # training per dynamic instance, squash or not
             self._trained.add(seq)
-            self.values.train(entry.pc, entry.value)
+            self.values.train(pc, self.sim._index.value[seq])
         proceeded = super()._park_or_clear(seq, now)
         if proceeded or self._status[seq] != self._PARKED:
             return proceeded
@@ -781,7 +785,7 @@ class ValueSyncPolicy(MechanismPolicy):
                 continue
             if not sim.issued[load_seq]:
                 continue
-            actual = sim.trace[load_seq].value
+            actual = sim._index.value[load_seq]
             correct = predicted == actual
             self.values.record_outcome(correct)
             if correct:
@@ -837,12 +841,14 @@ class StoreSetPolicy(SpeculationPolicy):
 
     def on_task_dispatched(self, task_id, now):
         sim = self.sim
+        is_load = sim._c_is_load
+        is_store = sim._c_is_store
+        c_pc = sim._c_pc
         for seq in sim.tasks[task_id]:
-            entry = sim.trace[seq]
-            if entry.is_store:
-                self.predictor.store_fetched(entry.pc, seq)
-            elif entry.is_load:
-                dep = self.predictor.load_fetched(entry.pc)
+            if is_store[seq]:
+                self.predictor.store_fetched(c_pc[seq], seq)
+            elif is_load[seq]:
+                dep = self.predictor.load_fetched(c_pc[seq])
                 if dep is not None:
                     self._wait_for[seq] = dep
 
@@ -871,11 +877,11 @@ class StoreSetPolicy(SpeculationPolicy):
         return [(WAKE_ISSUE, dep), (WAKE_EXEC_MIN, seq)]
 
     def on_store_issued(self, seq, now):
-        self.predictor.store_issued(self.sim.trace[seq].pc, seq)
+        self.predictor.store_issued(self.sim._c_pc[seq], seq)
 
     def on_violation(self, store_seq, load_seq, now):
-        trace = self.sim.trace
-        self.predictor.on_violation(trace[store_seq].pc, trace[load_seq].pc)
+        c_pc = self.sim._c_pc
+        self.predictor.on_violation(c_pc[store_seq], c_pc[load_seq])
 
     def on_squash(self, first_seq, now):
         self.predictor.squash(lambda store_id: store_id >= first_seq)
@@ -885,12 +891,14 @@ class StoreSetPolicy(SpeculationPolicy):
         # squashed instructions re-fetch through the SSIT/LFST in program
         # order, exactly like their original dispatch
         sim = self.sim
+        is_load = sim._c_is_load
+        is_store = sim._c_is_store
+        c_pc = sim._c_pc
         for seq in sim.squashed_seqs(first_seq):
-            entry = sim.trace[seq]
-            if entry.is_store:
-                self.predictor.store_fetched(entry.pc, seq)
-            elif entry.is_load:
-                dep = self.predictor.load_fetched(entry.pc)
+            if is_store[seq]:
+                self.predictor.store_fetched(c_pc[seq], seq)
+            elif is_load[seq]:
+                dep = self.predictor.load_fetched(c_pc[seq])
                 if dep is not None and not (
                     sim.issued[dep] and sim._store_perform[dep] <= now
                 ):

@@ -22,6 +22,7 @@ not executed; their cost is modeled as a dispatch delay
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Optional
 
 from repro.core.stats import SpeculationStats
@@ -110,7 +111,9 @@ class MultiscalarSimulator:
         trace lets a whole experiment grid share one copy.  The aliases
         keep the simulator's historical attribute names (policies and
         tests read them), and the ``_c_*`` names are the columnar views
-        the hot loops index by ``seq``.
+        the hot loops index by ``seq``.  The destination registers and
+        register operand maps only the speculative register models read
+        stay on the index, which builds them on first use.
         """
         index = self.trace.index()
         self._index = index
@@ -120,10 +123,6 @@ class MultiscalarSimulator:
         self.task_of = index.task_of
         self.index_in_task = index.index_in_task
         self.task_pcs = index.task_pcs
-        self.src_operands = index.src_operands
-        self.src_producers = index.src_producers
-        self.reg_dependents = index.reg_dependents
-        self.task_writesets = index.task_writesets
         self.producers = index.producers
         self.dependents = index.dependents
         self.prior_task_stores = index.prior_task_stores
@@ -135,7 +134,6 @@ class MultiscalarSimulator:
         self._c_is_store = index.is_store
         self._c_is_memory = index.is_memory
         self._c_fu = index.fu_code
-        self._c_rd = index.rd
 
     # ------------------------------------------------------------------
     # helpers used by policies
@@ -200,10 +198,23 @@ class MultiscalarSimulator:
         class holds the static index, the helpers policies call, and the
         cold paths the loop calls (violations, squash, register
         violations, the i-cache fetch schedule).
+
+        When the run ends, the policy, the squash ledger and the
+        sanitizer keep only a weak proxy of the simulator, so a finished
+        simulator is freed as soon as its last outside reference goes,
+        without waiting for the cyclic garbage collector.
         """
         from repro.multiscalar.batched import run_batched
 
-        return run_batched(self)
+        try:
+            return run_batched(self)
+        finally:
+            proxy = weakref.proxy(self)
+            self.policy.release(proxy)
+            if self._squash_ledger is not None:
+                self._squash_ledger.sim = proxy
+            if self._sanitizer is not None:
+                self._sanitizer.bind(proxy)
 
     def _publish_run_metrics(self):
         """End-of-run gauges (simulated-time totals and machine shape)."""
@@ -250,7 +261,7 @@ class MultiscalarSimulator:
         if producer is not None:
             first = max(first, self.task_of[producer] + 1)
         for other in range(first, task_id):
-            if reg not in self.task_writesets.get(self.task_pcs[other], ()):
+            if reg not in self._index.task_writesets.get(self.task_pcs[other], ()):
                 continue
             last_seq = self.tasks[other][-1]
             done = self.done[last_seq]
@@ -261,7 +272,7 @@ class MultiscalarSimulator:
     def _source_ready_time(self, seq, task_id, now) -> int:
         ready = 0
         conservative = self._reg_spec_mode == "conservative"
-        for reg, producer, prev in self.src_operands[seq]:
+        for reg, producer, prev in self._index.src_operands[seq]:
             if conservative and self._maybe_writer_stall(reg, producer, task_id, now):
                 return -1
             if producer is None:
@@ -313,7 +324,7 @@ class MultiscalarSimulator:
         """Earliest consumer that issued before this producer's value
         could have reached it (it used a stale register value)."""
         producer_task = self.task_of[producer]
-        for consumer in self.reg_dependents.get(producer, ()):
+        for consumer in self._index.reg_dependents.get(producer, ()):
             consumer_task = self.task_of[consumer]
             if consumer_task <= producer_task:
                 continue

@@ -121,7 +121,7 @@ def profile_dependences(trace) -> DependenceProfile:
     index = trace.index()
     producers = index.producers
     c_pc = index.pc
-    c_task = index.task_id
+    c_task = index.task_of
     c_addr = index.addr
     pairs: Dict[Tuple[int, int], PairProfile] = {}
     dependent = 0

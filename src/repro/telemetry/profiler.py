@@ -16,10 +16,12 @@ Two export shapes:
   simulated time.
 
 The module-level :data:`PROFILER` is the default instance the
-experiment runners, ``repro profile`` and the static analyses
-(``staticdep.symbolic``, ``staticdep.pdg``, ``staticdep.slices``)
-publish into.  Recording a scope costs two ``perf_counter`` calls and
-one append — cheap enough to leave on unconditionally.
+experiment runners, ``repro profile``, the frontend
+(``frontend.interpret``, ``frontend.decode``, ``frontend.index``) and
+the static analyses (``staticdep.symbolic``, ``staticdep.pdg``,
+``staticdep.slices``) publish into.  Recording a scope costs two
+``perf_counter`` calls and one append — cheap enough to leave on
+unconditionally.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ class ProfileRecord:
     depth: int
     #: name of the enclosing scope, or None at top level
     parent: Optional[str] = None
+    #: an enclosing scope maps to a pipeline phase (this record's time
+    #: is already part of that phase)
+    in_phase: bool = False
 
     @property
     def seconds(self) -> float:
@@ -70,6 +75,7 @@ class ProfileScope:
                 stop,
                 depth=len(stack),
                 parent=stack[-1].name if stack else None,
+                in_phase=any(scope.name in PHASE_OF for scope in stack),
             )
         )
         return False
@@ -80,10 +86,17 @@ PHASES = ("interpret", "simulate", "report")
 
 #: Scope-name -> pipeline-phase mapping.  Scopes absent from the map
 #: (roll-ups like ``total``, and the ``staticdep.*`` analyses a policy
-#: runs inside ``simulate``) stay out of the phase breakdown so phase
-#: seconds never double-count.
+#: runs inside ``simulate``) stay out of the phase breakdown.  The
+#: frontend records ``frontend.interpret``, ``frontend.decode`` and
+#: ``frontend.index`` wherever a trace is interpreted, decoded from the
+#: trace cache or indexed; they count toward ``interpret`` unless an
+#: enclosing scope already carries a phase, so phase seconds never
+#: double-count.
 PHASE_OF = {
     "trace-gen": "interpret",
+    "frontend.interpret": "interpret",
+    "frontend.decode": "interpret",
+    "frontend.index": "interpret",
     "simulate": "simulate",
     "dependence-profile": "report",
     "window-analysis": "report",
@@ -125,20 +138,23 @@ class Profiler:
     def phases(self, since=0) -> Dict[str, dict]:
         """Cumulative wall time per pipeline phase.
 
-        Folds the recorded scope names into the canonical pipeline
-        phases (:data:`PHASES`: interpret, simulate, report) via
-        :data:`PHASE_OF`.  Roll-up scopes are excluded, so phase
-        seconds sum to at most the total.  Only phases with at least
-        one record appear.
+        Folds the recorded scopes into the canonical pipeline phases
+        (:data:`PHASES`: interpret, simulate, report) via
+        :data:`PHASE_OF`.  Roll-up scopes are excluded, and a scope
+        inside another phase scope counts only through the outer one,
+        so phase seconds sum to at most the total.  Only phases with at
+        least one record appear.
         """
         out: Dict[str, dict] = {}
-        for name, agg in self.summary(since).items():
-            phase = PHASE_OF.get(name)
-            if phase is None:
+        for record in self.records[since:]:
+            phase = PHASE_OF.get(record.name)
+            if phase is None or record.in_phase:
                 continue
             acc = out.setdefault(phase, {"calls": 0, "seconds": 0.0})
-            acc["calls"] += agg["calls"]
-            acc["seconds"] = round(acc["seconds"] + agg["seconds"], 6)
+            acc["calls"] += 1
+            acc["seconds"] += record.seconds
+        for acc in out.values():
+            acc["seconds"] = round(acc["seconds"], 6)
         return {p: out[p] for p in PHASES if p in out}
 
     def nested(self, since=0) -> Dict[str, str]:
@@ -147,7 +163,9 @@ class Profiler:
 
         Their time is part of the phase's, so :meth:`to_text` lists
         them beneath its row — as ``repro profile`` shows the static
-        analyses a policy runs while binding, under ``simulate``.
+        analyses a policy runs while binding under ``simulate``, and
+        the frontend's interpretation and index build under
+        ``trace-gen``.
         """
         parents: Dict[str, Set[Optional[str]]] = {}
         for record in self.records[since:]:
@@ -156,8 +174,7 @@ class Profiler:
         for name, found in parents.items():
             parent = next(iter(found))
             if len(found) == 1 and parent is not None and parent in PHASE_OF:
-                if name not in PHASE_OF:
-                    out[name] = parent
+                out[name] = parent
         return out
 
     def to_text(self, since=0, top=None) -> str:

@@ -1,6 +1,7 @@
 """Tests for Trace utilities and the true-dependence oracle."""
 
 import pickle
+from array import array
 
 from repro.frontend import run_program
 from repro.frontend.trace import Trace, TraceEntry
@@ -104,18 +105,32 @@ def test_trace_and_entries_use_slots():
     assert not hasattr(trace, "__dict__")
     assert not hasattr(trace[0], "__dict__")
     assert Trace.__slots__ and TraceEntry.__slots__
+    # the trace holds columns, not entry objects: the view builds a
+    # fresh entry per access
+    assert isinstance(trace.pc, array)
+    assert trace[3] is not trace[3]
+    assert not any(
+        isinstance(getattr(trace, slot), TraceEntry)
+        or (
+            isinstance(getattr(trace, slot), list)
+            and any(isinstance(x, TraceEntry) for x in getattr(trace, slot))
+        )
+        for slot in Trace.__slots__
+    )
 
 
 def test_pickle_round_trip_preserves_entries_and_drops_memos():
     trace = make_store_load_chain()
-    # populate both memoized derivations before pickling
-    trace.load_producers()
+    # populate the memoized index before pickling
     trace.index()
+    trace.columns()
     clone = pickle.loads(pickle.dumps(trace))
     # memos are rebuilt lazily, not shipped
-    assert clone._load_producers is None
     assert clone._index is None
     assert len(clone) == len(trace)
+    assert list(clone.pc) == list(trace.pc)
+    assert clone.mem_addr == trace.mem_addr and clone.mem_value == trace.mem_value
+    assert clone.end_pc == trace.end_pc
     for original, copied in zip(trace, clone):
         for slot in TraceEntry.__slots__:
             if slot == "inst":

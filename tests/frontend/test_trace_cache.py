@@ -2,8 +2,12 @@
 
 import os
 import pickle
+import struct
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.frontend import run_program
 from repro.frontend import trace_cache as tc
@@ -199,6 +203,59 @@ def test_corrupt_disk_entry_reads_as_miss(tmp_path):
     again = TraceCache(tmp_path)
     again.get_or_run(program)
     assert again.disk_hits == 1
+
+
+def _stored_bytes(program, root):
+    clear_memory_cache()
+    TraceCache(root).get_or_run(program)
+    return TraceCache(root).path(program_fingerprint(program)).read_bytes()
+
+
+def _assert_damaged_file_is_a_miss(program, root, damaged):
+    path = TraceCache(root).path(program_fingerprint(program))
+    path.write_bytes(damaged)
+    clear_memory_cache()
+    cache = TraceCache(root)
+    trace = cache.get_or_run(program)
+    assert (cache.misses, cache.disk_hits) == (1, 0)
+    assert_traces_equal(trace, run_program(program))
+
+
+@pytest.mark.parametrize("make", [make_program, make_exotic_values_program])
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_truncated_or_bit_flipped_file_reads_as_miss(make, data):
+    program = make()
+    with tempfile.TemporaryDirectory() as root:
+        stored = _stored_bytes(program, root)
+        if data.draw(st.booleans(), label="truncate"):
+            cut = data.draw(st.integers(0, len(stored) - 1), label="length")
+            damaged = stored[:cut]
+        else:
+            offset = data.draw(st.integers(0, len(stored) - 1), label="offset")
+            bit = data.draw(st.integers(0, 7), label="bit")
+            damaged = bytearray(stored)
+            damaged[offset] ^= 1 << bit
+            damaged = bytes(damaged)
+        _assert_damaged_file_is_a_miss(program, root, damaged)
+
+
+def test_flipped_address_bit_reads_as_miss(tmp_path):
+    # one flipped bit in a load's address, the corruption a header-only
+    # check serves as a hit with a different producing store
+    program = make_program()
+    stored = _stored_bytes(program, tmp_path)
+    trace = run_program(program)
+    load = next(e for e in trace if e.is_load)
+    needle = struct.pack("<q", load.addr)
+    at = stored.index(needle)
+    damaged = bytearray(stored)
+    damaged[at] ^= 0x10
+    _assert_damaged_file_is_a_miss(program, tmp_path, bytes(damaged))
 
 
 def test_unwritable_disk_root_never_fails_a_run(tmp_path):

@@ -1,15 +1,15 @@
 """Property tests for the columnar views of a trace.
 
-The per-entry ``__slots__`` objects remain the source of truth; the
-per-entry columns of :class:`~repro.frontend.static_index.TraceIndex`
-and the per-task aggregates of
-:class:`~repro.frontend.columns.TraceColumns` are derived, memoized
-projections that the simulator's issue loop trusts blindly.  These
-properties pin them over generator-random traces: every column equals
-the object view (``rd`` uses the ``-1`` sentinel), the per-task
-aggregates match ``task_slices``, serialization and pickling round-trip
-to identical columns, and a ``TRACE_FORMAT_VERSION`` bump invalidates
-both the fingerprint and any previously serialized bytes.
+The trace's columns are the source of truth; the per-entry columns of
+:class:`~repro.frontend.static_index.TraceIndex` and the per-task
+aggregates of :class:`~repro.frontend.columns.TraceColumns` are
+derived, memoized projections that the simulator's issue loop trusts
+blindly.  These properties pin them over generator-random traces: every
+column equals the on-demand entry view (``rd`` uses the ``-1``
+sentinel), the per-task aggregates match ``task_slices``,
+serialization and pickling round-trip to identical columns, and a
+``TRACE_FORMAT_VERSION`` bump invalidates both the fingerprint and any
+previously serialized bytes.
 """
 
 from pathlib import Path
@@ -45,7 +45,6 @@ configs = st.builds(
 INDEX_COLUMNS = (
     "pc",
     "addr",
-    "task_id",
     "is_load",
     "is_store",
     "is_memory",
@@ -79,7 +78,6 @@ def test_columns_equal_entry_object_view(config):
         idx = index_in_task[entry.task_id] = index_in_task.get(entry.task_id, -1) + 1
         assert got["pc"][seq] == entry.pc
         assert got["addr"][seq] == entry.addr
-        assert got["task_id"][seq] == entry.task_id
         assert got["task_of"][seq] == entry.task_id
         assert got["is_load"][seq] == int(entry.is_load)
         assert got["is_store"][seq] == int(entry.is_store)

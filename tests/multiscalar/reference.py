@@ -310,7 +310,7 @@ def _process_events(sim, now):
             violator = sim._find_violation(seq, time)
             if violator is not None:
                 sim._handle_violation(seq, violator, time)
-        if reg_violations and sim._c_rd[seq] > 0:
+        if reg_violations and sim._index.rd[seq] > 0:
             violator = sim._find_register_violation(seq, time)
             if violator is not None:
                 sim._handle_register_violation(seq, violator, time)

@@ -223,6 +223,24 @@ def test_profile_command_json_phases(capsys):
     assert phases["report"]["seconds"] == payload["profile"]["dependence-profile"]["seconds"]
 
 
+def test_profile_command_charges_the_index_build_to_interpret(capsys, monkeypatch):
+    from repro.frontend import trace_cache
+
+    # a fresh trace, so this run interprets (or decodes) and indexes it
+    monkeypatch.setattr(trace_cache, "_MEMORY", {})
+    assert main(["profile", "sc", "--scale", "tiny", "-n", "4", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    profile = payload["profile"]
+    assert profile["frontend.index"]["calls"] == 1
+    # the index is built inside trace-gen, not inside dependence-profile
+    assert payload["nested"]["frontend.index"] == "trace-gen"
+    frontend = [s for s in ("frontend.interpret", "frontend.decode") if s in profile]
+    assert frontend and all(payload["nested"][s] == "trace-gen" for s in frontend)
+    # nested frontend scopes are counted once, through trace-gen
+    assert payload["phases"]["interpret"] == profile["trace-gen"]
+    assert payload["phases"]["report"] == profile["dependence-profile"]
+
+
 def test_profile_command_reports_bind_time_analysis_under_simulate(capsys):
     # a slice-warmed policy runs the symbolic analysis, the PDG build and
     # slice extraction while binding, inside sim.run(): the profile must
