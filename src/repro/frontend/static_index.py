@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.opcodes import OPCODE_CLASS, FUClass, Opcode, is_conditional_branch
@@ -164,7 +164,7 @@ class TraceIndex:
         self.n_tasks = n_tasks = len(tasks)
         self.task_pcs = [pc_list[s] for s in starts]
         sizes = list(map(len, tasks))
-        self.task_of = task_of = list(chain.from_iterable(map(repeat, range(n_tasks), sizes)))
+        self.task_of = task_of = list(chain.from_iterable([t] * k for t, k in enumerate(sizes)))
         self.index_in_task = list(chain.from_iterable(map(range, sizes)))
 
         # -- register producers, unrolled into two columns ------------

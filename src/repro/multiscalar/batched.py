@@ -48,7 +48,7 @@ the pre-squash entry list.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.stats import SpeculationStats
 from repro.frontend.static_index import FU_ORDER, NUM_FU_CLASSES
@@ -233,7 +233,7 @@ def run_batched(sim) -> SpeculationStats:
     oracle_regs = reg_mode == "oracle"
     reg_violations = reg_mode in ("always", "predict")
     # destination registers: read only by the register-violation check
-    c_rd = sim._index.rd if reg_violations else None
+    c_rd: Any = sim._index.rd if reg_violations else None
     schedule_fetch = sim._schedule_fetch
     may_issue_load = policy.may_issue_load
     deny_hints = policy.deny_hints

@@ -212,7 +212,7 @@ class MultiscalarSimulator:
             proxy = weakref.proxy(self)
             self.policy.release(proxy)
             if self._squash_ledger is not None:
-                self._squash_ledger.sim = proxy
+                self._squash_ledger.bind(proxy)
             if self._sanitizer is not None:
                 self._sanitizer.bind(proxy)
 
