@@ -136,9 +136,11 @@ class Trace:
     def __getstate__(self):
         # the static table and the memoized index are cheap to rebuild
         # and heavy to ship; pickles (executor workers, caches) carry
-        # only the columns
+        # only the columns and the instructions they index (the same
+        # list as the program's, which pickle stores once)
         return (
             self.program,
+            self._instructions,
             self.pc,
             self.mem_addr,
             self.mem_value,
@@ -147,9 +149,16 @@ class Trace:
         )
 
     def __setstate__(self, state):
-        self.program, self.pc, self.mem_addr, self.mem_value, self.end_pc, taken = state
+        (
+            self.program,
+            self._instructions,
+            self.pc,
+            self.mem_addr,
+            self.mem_value,
+            self.end_pc,
+            taken,
+        ) = state
         self.taken_in_place = frozenset(taken)
-        self._instructions = self.program.instructions
         self._static = None
         self._index = None
 

@@ -140,6 +140,13 @@ def test_pickle_round_trip_preserves_entries_and_drops_memos():
                 assert getattr(copied, slot) == getattr(original, slot)
     assert clone.load_producers() == trace.load_producers()
     assert clone.index().producers == trace.index().producers
+    # the pickle carries the instructions the columns index, so a trace
+    # whose program was dropped still round-trips and indexes
+    trace.program = None
+    orphan = pickle.loads(pickle.dumps(trace))
+    assert orphan.program is None
+    assert orphan.index().producers == trace.index().producers
+    assert orphan[3].inst.pc == trace[3].inst.pc
 
 
 def test_trace_indexing_and_repr():
