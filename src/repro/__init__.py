@@ -4,14 +4,14 @@
 
 Subpackages:
 
-* :mod:`repro.isa` — the RISC ISA, assembler DSL, parser, disassembler,
-  and binary program images.
+* :mod:`repro.isa` — the RISC ISA, assembler DSL, and text-assembly
+  parser.
 * :mod:`repro.frontend` — the functional interpreter, dynamic traces,
   the true-dependence oracle, and trace analysis.
 * :mod:`repro.workloads` — the synthetic SPEC-signature suites, the
   microbenchmarks, and the random program generator.
-* :mod:`repro.memsys` — banked data cache, i-cache, memory bus, and the
-  Address Resolution Buffer.
+* :mod:`repro.memsys` — banked data cache, i-cache, and the Address
+  Resolution Buffer.
 * :mod:`repro.oracle` — the unrealistic-OoO window model, the Data
   Dependence Cache, and the dependence profiler.
 * :mod:`repro.multiscalar` — the cycle-level Multiscalar timing

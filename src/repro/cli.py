@@ -981,6 +981,7 @@ def _parse_override(text):
 
 def cmd_sweep(args) -> int:
     from repro.experiments.sweeps import sweep
+    from repro.telemetry import PROFILER
 
     usage_error = _check_executor_usage(args)
     if usage_error is not None:
@@ -997,6 +998,7 @@ def cmd_sweep(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     start = time.time()
+    mark = PROFILER.mark()
     metrics, trace = _executor_telemetry(args)
     jobs = _resolved_jobs(args)
     backend = _make_backend(args, jobs)
@@ -1048,8 +1050,10 @@ def cmd_sweep(args) -> int:
         if progress_writer is not None:
             progress_writer.close()
     report = result.report
+    # the phase times this process recorded: every cell's on an inline run
+    phases = PROFILER.summary(since=mark)
     if report is not None:
-        _write_executor_telemetry(args, report, metrics, trace)
+        _write_executor_telemetry(args, report, metrics, trace, profile=phases)
     if _ledger_enabled(args):
         from repro.experiments.sweeps import sweep_cells
 
@@ -1081,6 +1085,7 @@ def cmd_sweep(args) -> int:
                     policy_overrides=policy_overrides,
                 )
             ),
+            phases=phases,
             executor=report.counters() if report is not None else None,
             metrics=metrics.to_dict() if metrics is not None else None,
             wall_seconds=round(time.time() - start, 6),

@@ -41,14 +41,6 @@ class PredictionBreakdown:
         """The four buckets as percentages (Table 8 rows)."""
         return {b: 100.0 * self.rate(b) for b in ("nn", "ny", "yn", "yy")}
 
-    def merge(self, other) -> "PredictionBreakdown":
-        return PredictionBreakdown(
-            nn=self.nn + other.nn,
-            ny=self.ny + other.ny,
-            yn=self.yn + other.yn,
-            yy=self.yy + other.yy,
-        )
-
 
 @dataclass
 class SpeculationStats:

@@ -70,11 +70,6 @@ class LastValuePredictor:
         else:
             self.misses += 1
 
-    @property
-    def accuracy(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class StridePredictor(LastValuePredictor):
     """Last value plus stride: predicts ``last + stride``.

@@ -71,13 +71,6 @@ class SweepResult:
                 out.append(point)
         return out
 
-    def best(self, metric="cycles", **criteria) -> SweepPoint:
-        """The point minimizing *metric* among matching points."""
-        candidates = self.select(**criteria)
-        if not candidates:
-            raise KeyError("no sweep points match %r" % (criteria,))
-        return min(candidates, key=lambda p: getattr(p, metric))
-
     def to_table(self, title="parameter sweep") -> ExperimentTable:
         override_keys = sorted(
             {key for point in self.points for key, _ in point.overrides}

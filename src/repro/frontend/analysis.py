@@ -66,20 +66,6 @@ class TraceAnalysis:
             for cls, count in sorted(self.mix.items(), key=lambda kv: -kv[1])
         }
 
-    def task_size_histogram(self, buckets=(4, 8, 16, 32, 64, 128)) -> Dict[str, int]:
-        """Task sizes bucketed for display."""
-        histogram: Dict[str, int] = {}
-        edges = list(buckets)
-        for size in self.task_sizes:
-            for edge in edges:
-                if size <= edge:
-                    key = "<=%d" % edge
-                    break
-            else:
-                key = ">%d" % edges[-1]
-            histogram[key] = histogram.get(key, 0) + 1
-        return histogram
-
     def summary(self) -> dict:
         return {
             "trace": self.trace_name,

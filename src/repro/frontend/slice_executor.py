@@ -98,6 +98,15 @@ class SliceExecutor:
         events: List[SliceEvent] = []
         used = 0
         O = Opcode
+        LW, SW, ADD, ADDI, SUB = O.LW, O.SW, O.ADD, O.ADDI, O.SUB
+        AND, ANDI, OR, ORI, XOR, XORI, NOR = O.AND, O.ANDI, O.OR, O.ORI, O.XOR, O.XORI, O.NOR
+        SLT, SLTI, SLL, SRL, SRA, LUI, LI = O.SLT, O.SLTI, O.SLL, O.SRL, O.SRA, O.LUI, O.LI
+        MUL, DIV, REM = O.MUL, O.DIV, O.REM
+        BEQ, BNE, BLT, BGE, BLE, BGT = O.BEQ, O.BNE, O.BLT, O.BGE, O.BLE, O.BGT
+        J, JAL, JR, HALT, NOP = O.J, O.JAL, O.JR, O.HALT, O.NOP
+        FADD_S, FADD_D, FSUB_S, FSUB_D = O.FADD_S, O.FADD_D, O.FSUB_S, O.FSUB_D
+        FMUL_S, FMUL_D, FDIV_S, FDIV_D = O.FMUL_S, O.FMUL_D, O.FDIV_S, O.FDIV_D
+        FSQRT_S, FSQRT_D = O.FSQRT_S, O.FSQRT_D
 
         while not self.finished:
             if max_instructions is not None and used >= max_instructions:
@@ -126,124 +135,124 @@ class SliceExecutor:
             value = None
             next_pc = pc + 1
 
-            if op is O.LW:
+            if op is LW:
                 addr = _check_addr(regs[inst.rs1] + inst.imm)
                 value = memory.get(addr, 0)
                 if inst.rd != ZERO:
                     regs[inst.rd] = value
-            elif op is O.SW:
+            elif op is SW:
                 addr = _check_addr(regs[inst.rs1] + inst.imm)
                 value = regs[inst.rs2]
                 memory[addr] = value
-            elif op is O.ADD:
+            elif op is ADD:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] + regs[inst.rs2]
-            elif op is O.ADDI:
+            elif op is ADDI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] + inst.imm
-            elif op is O.SUB:
+            elif op is SUB:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] - regs[inst.rs2]
-            elif op is O.AND:
+            elif op is AND:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] & regs[inst.rs2]
-            elif op is O.ANDI:
+            elif op is ANDI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] & inst.imm
-            elif op is O.OR:
+            elif op is OR:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] | regs[inst.rs2]
-            elif op is O.ORI:
+            elif op is ORI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] | inst.imm
-            elif op is O.XOR:
+            elif op is XOR:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] ^ regs[inst.rs2]
-            elif op is O.XORI:
+            elif op is XORI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] ^ inst.imm
-            elif op is O.NOR:
+            elif op is NOR:
                 if inst.rd != ZERO:
                     regs[inst.rd] = ~(regs[inst.rs1] | regs[inst.rs2])
-            elif op is O.SLT:
+            elif op is SLT:
                 if inst.rd != ZERO:
                     regs[inst.rd] = 1 if regs[inst.rs1] < regs[inst.rs2] else 0
-            elif op is O.SLTI:
+            elif op is SLTI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = 1 if regs[inst.rs1] < inst.imm else 0
-            elif op is O.SLL:
+            elif op is SLL:
                 if inst.rd != ZERO:
                     shifted = (regs[inst.rs1] << (inst.imm & 31)) & 0xFFFFFFFF
                     if shifted >= 0x80000000:
                         shifted -= 0x100000000
                     regs[inst.rd] = shifted
-            elif op is O.SRL:
+            elif op is SRL:
                 if inst.rd != ZERO:
                     regs[inst.rd] = (regs[inst.rs1] & 0xFFFFFFFF) >> (inst.imm & 31)
-            elif op is O.SRA:
+            elif op is SRA:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] >> (inst.imm & 31)
-            elif op is O.LUI:
+            elif op is LUI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = inst.imm << 16
-            elif op is O.LI:
+            elif op is LI:
                 if inst.rd != ZERO:
                     regs[inst.rd] = inst.imm
-            elif op is O.MUL:
+            elif op is MUL:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] * regs[inst.rs2]
-            elif op is O.DIV:
+            elif op is DIV:
                 if inst.rd != ZERO:
                     regs[inst.rd] = _sdiv(regs[inst.rs1], regs[inst.rs2])
-            elif op is O.REM:
+            elif op is REM:
                 if inst.rd != ZERO:
                     regs[inst.rd] = _srem(regs[inst.rs1], regs[inst.rs2])
-            elif op is O.BEQ:
+            elif op is BEQ:
                 if regs[inst.rs1] == regs[inst.rs2]:
                     next_pc = inst.target
-            elif op is O.BNE:
+            elif op is BNE:
                 if regs[inst.rs1] != regs[inst.rs2]:
                     next_pc = inst.target
-            elif op is O.BLT:
+            elif op is BLT:
                 if regs[inst.rs1] < regs[inst.rs2]:
                     next_pc = inst.target
-            elif op is O.BGE:
+            elif op is BGE:
                 if regs[inst.rs1] >= regs[inst.rs2]:
                     next_pc = inst.target
-            elif op is O.BLE:
+            elif op is BLE:
                 if regs[inst.rs1] <= regs[inst.rs2]:
                     next_pc = inst.target
-            elif op is O.BGT:
+            elif op is BGT:
                 if regs[inst.rs1] > regs[inst.rs2]:
                     next_pc = inst.target
-            elif op is O.J:
+            elif op is J:
                 next_pc = inst.target
-            elif op is O.JAL:
+            elif op is JAL:
                 if inst.rd != ZERO:
                     regs[inst.rd] = pc + 1
                 next_pc = inst.target
-            elif op is O.JR:
+            elif op is JR:
                 next_pc = regs[inst.rs1]
-            elif op is O.HALT:
+            elif op is HALT:
                 next_pc = -1
-            elif op is O.NOP:
+            elif op is NOP:
                 pass
-            elif op in (O.FADD_S, O.FADD_D):
+            elif op is FADD_S or op is FADD_D:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] + regs[inst.rs2]
-            elif op in (O.FSUB_S, O.FSUB_D):
+            elif op is FSUB_S or op is FSUB_D:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] - regs[inst.rs2]
-            elif op in (O.FMUL_S, O.FMUL_D):
+            elif op is FMUL_S or op is FMUL_D:
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] * regs[inst.rs2]
-            elif op in (O.FDIV_S, O.FDIV_D):
+            elif op is FDIV_S or op is FDIV_D:
                 divisor = regs[inst.rs2]
                 if divisor == 0:
                     raise InterpreterError("floating-point division by zero")
                 if inst.rd != ZERO:
                     regs[inst.rd] = regs[inst.rs1] / divisor
-            elif op in (O.FSQRT_S, O.FSQRT_D):
+            elif op is FSQRT_S or op is FSQRT_D:
                 operand = regs[inst.rs1]
                 if operand < 0:
                     raise InterpreterError("square root of a negative value")

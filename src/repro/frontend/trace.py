@@ -267,12 +267,6 @@ class Trace:
         """
         return self.index().columns()
 
-    def dependence_edges(self):
-        """Iterate over true dependence edges as (store_entry, load_entry)."""
-        for load_seq, store_seq in self.load_producers().items():
-            if store_seq is not None:
-                yield self.entry(store_seq), self.entry(load_seq)
-
     def task_slices(self) -> List[List[TraceEntry]]:
         """Split the trace into per-task lists of entries, in task order."""
         return [list(map(self.entry, seqs)) for seqs in self.index().tasks]

@@ -1,16 +1,6 @@
 """The repro RISC ISA: registers, opcodes, instructions, programs, assembler."""
 
 from repro.isa.assembler import Assembler
-from repro.isa.encoding import (
-    EncodingError,
-    decode_instruction,
-    decode_program,
-    encode_instruction,
-    encode_program,
-    load_program,
-    save_program,
-)
-from repro.isa.disasm import disassemble, disassemble_instruction
 from repro.isa.instructions import Instruction
 from repro.isa.parser import ParseError, parse_assembly, parse_file
 from repro.isa.opcodes import FUClass, Opcode
@@ -20,27 +10,17 @@ from repro.isa.registers import (
     NUM_INT_REGS,
     NUM_REGS,
     ZERO,
-    is_fp_register,
     parse_register,
     register_name,
 )
 
 __all__ = [
     "Assembler",
-    "EncodingError",
     "FUClass",
     "Instruction",
     "ParseError",
-    "decode_instruction",
-    "decode_program",
-    "disassemble",
-    "disassemble_instruction",
-    "encode_instruction",
-    "encode_program",
-    "load_program",
     "parse_assembly",
     "parse_file",
-    "save_program",
     "NUM_FP_REGS",
     "NUM_INT_REGS",
     "NUM_REGS",
@@ -48,7 +28,6 @@ __all__ = [
     "Program",
     "ProgramError",
     "ZERO",
-    "is_fp_register",
     "parse_register",
     "register_name",
 ]

@@ -84,10 +84,6 @@ class Instruction:
             srcs.append(self.rs2)
         return tuple(srcs)
 
-    def destination(self):
-        """Return the destination register index or None."""
-        return self.rd
-
     def __str__(self):
         parts = [self.op.value]
         operands = []

@@ -174,11 +174,6 @@ def is_store(opcode):
     return opcode in STORE_OPCODES
 
 
-def is_memory(opcode):
-    """Return True if *opcode* accesses memory."""
-    return opcode in LOAD_OPCODES or opcode in STORE_OPCODES
-
-
 def is_control(opcode):
     """Return True if *opcode* may redirect control flow."""
     return opcode in CONTROL_OPCODES

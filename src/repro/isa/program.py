@@ -121,18 +121,6 @@ class Program:
         """Return the PCs of all static task-entry points."""
         return [inst.pc for inst in self.instructions if inst.task_entry]
 
-    def listing(self) -> str:
-        """Return a human-readable assembly listing."""
-        pc_to_labels: Dict[int, List[str]] = {}
-        for label, pc in self.labels.items():
-            pc_to_labels.setdefault(pc, []).append(label)
-        lines = []
-        for pc, inst in enumerate(self.instructions):
-            for label in sorted(pc_to_labels.get(pc, ())):
-                lines.append("%s:" % label)
-            lines.append("  %4d: %s" % (pc, inst))
-        return "\n".join(lines)
-
     def __repr__(self):
         return "Program(name=%r, %d instructions, %d labels)" % (
             self.name,

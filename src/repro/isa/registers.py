@@ -99,8 +99,3 @@ def register_name(index):
     if not 0 <= index < NUM_REGS:
         raise ValueError("register index out of range: %d" % index)
     return _INDEX_TO_NAME[index]
-
-
-def is_fp_register(index):
-    """Return True if *index* names a floating-point register."""
-    return NUM_INT_REGS <= index < NUM_REGS

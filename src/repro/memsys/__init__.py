@@ -1,17 +1,14 @@
-"""Memory-system substrates: banked cache, memory bus, and the ARB."""
+"""Memory-system substrates: banked cache, i-cache, and the ARB."""
 
 from repro.memsys.arb import AddressResolutionBuffer, Violation
-from repro.memsys.bus import BusConfig, MemoryBus
 from repro.memsys.cache import BankedCache, CacheConfig
 from repro.memsys.icache import ICacheConfig, InstructionCache
 
 __all__ = [
     "AddressResolutionBuffer",
     "BankedCache",
-    "BusConfig",
     "CacheConfig",
     "ICacheConfig",
     "InstructionCache",
-    "MemoryBus",
     "Violation",
 ]

@@ -79,24 +79,6 @@ class BankedCache:
         tags[index] = tag
         return start + cfg.hit_latency + cfg.miss_penalty
 
-    def lookup(self, addr) -> bool:
-        """Non-mutating hit check (no timing side effects)."""
-        cfg = self.config
-        return self._tags[cfg.bank_of(addr)].get(cfg.set_of(addr)) == cfg.tag_of(addr)
-
     @property
     def accesses(self) -> int:
         return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
-    def reset(self):
-        """Clear tags, busy state, and counters (used across squash-free reruns)."""
-        self._tags = [dict() for _ in range(self.config.banks)]
-        self._bank_busy_until = [0] * self.config.banks
-        self.hits = 0
-        self.misses = 0
-        self.bank_conflict_cycles = 0

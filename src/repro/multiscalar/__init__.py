@@ -1,14 +1,11 @@
 """Multiscalar processor substrate: config, sequencer, policies, simulator."""
 
-from repro.multiscalar.debug import TimelineRecorder, ViolationRecord
 from repro.multiscalar.explain import ExplainReport, SquashLedger, explain_program
 from repro.multiscalar.config import (
     FU_COUNTS,
     FU_LATENCIES,
     MultiscalarConfig,
     active_kernel,
-    eight_stage,
-    four_stage,
 )
 from repro.multiscalar.policies import (
     AlwaysPolicy,
@@ -28,7 +25,7 @@ from repro.multiscalar.processor import (
     SimulationError,
     simulate,
 )
-from repro.multiscalar.sequencer import PathBasedTaskPredictor, ReturnAddressStack
+from repro.multiscalar.sequencer import PathBasedTaskPredictor
 
 __all__ = [
     "AlwaysPolicy",
@@ -44,18 +41,13 @@ __all__ = [
     "NeverPolicy",
     "PathBasedTaskPredictor",
     "PerfectSyncPolicy",
-    "ReturnAddressStack",
     "SimulationError",
     "SpeculationPolicy",
     "StaticPrimedSyncPolicy",
     "StoreSetPolicy",
-    "TimelineRecorder",
     "ValueSyncPolicy",
-    "ViolationRecord",
     "WaitPolicy",
     "available_policies",
-    "eight_stage",
-    "four_stage",
     "make_policy",
     "simulate",
 ]

@@ -121,13 +121,3 @@ class MultiscalarConfig:
     def make_cache_config(self) -> CacheConfig:
         """Banked data cache: 2x banks per stage, 8 KB each (Section 5.2)."""
         return CacheConfig(banks=2 * self.stages)
-
-
-def four_stage() -> MultiscalarConfig:
-    """The paper's 4-stage configuration."""
-    return MultiscalarConfig(stages=4)
-
-
-def eight_stage() -> MultiscalarConfig:
-    """The paper's 8-stage configuration."""
-    return MultiscalarConfig(stages=8)

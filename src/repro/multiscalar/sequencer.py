@@ -3,38 +3,16 @@
 The Multiscalar sequencer walks the control-flow graph a task at a time,
 predicting each task's successor without inspecting the task's
 instructions.  The paper uses the path-based scheme of Jacobson et al.
-[13] with a return-address stack; this module implements a path-based
-predictor — a table indexed by the hashed history of recent task PCs —
-plus a small RAS for workloads with task-granularity calls.
+[13] with a return-address stack; this module implements the path-based
+predictor only — a table indexed by the hashed history of recent task
+PCs.  No return-address stack is modelled: the path history alone
+predicts a task-granularity return.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
-
-
-class ReturnAddressStack:
-    """A bounded return-address stack (64 entries in the paper)."""
-
-    def __init__(self, depth=64):
-        if depth <= 0:
-            raise ValueError("RAS depth must be positive")
-        self.depth = depth
-        self._stack = []
-        self.overflows = 0
-
-    def push(self, pc):
-        if len(self._stack) >= self.depth:
-            del self._stack[0]
-            self.overflows += 1
-        self._stack.append(pc)
-
-    def pop(self) -> Optional[int]:
-        return self._stack.pop() if self._stack else None
-
-    def __len__(self):
-        return len(self._stack)
 
 
 class PathBasedTaskPredictor:

@@ -53,17 +53,6 @@ class DataDependenceCache:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        """Miss fraction in [0, 1]; 0.0 for an unused cache."""
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
-    def reset_counters(self):
-        """Clear hit/miss counters but keep cached entries."""
-        self.hits = 0
-        self.misses = 0
-
 
 @dataclass
 class DDCResult:

@@ -90,13 +90,6 @@ class DependenceProfile:
                 return rank
         return len(self.pairs)
 
-    def task_distance_histogram(self) -> Counter:
-        """Aggregate task-distance distribution over all pairs."""
-        histogram = Counter()
-        for profile in self.pairs.values():
-            histogram.update(profile.task_distances)
-        return histogram
-
     def unstable_pairs(self, threshold=0.9) -> List[PairProfile]:
         """Pairs whose distance stability falls below *threshold* —
         candidates for mis-synchronization under DIST tagging."""

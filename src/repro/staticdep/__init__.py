@@ -25,7 +25,6 @@ from repro.staticdep.analysis import (
 from repro.staticdep.cfg import BasicBlock, ControlFlowGraph, build_cfg
 from repro.staticdep.checker import (
     CrossCheckResult,
-    check_suite,
     cross_check,
     cross_check_workload,
 )
@@ -162,7 +161,6 @@ __all__ = [
     "access_expr",
     "analyze_program",
     "build_cfg",
-    "check_suite",
     "cross_check",
     "cross_check_workload",
     "has_errors",

@@ -60,10 +60,6 @@ class StaticDependenceAnalysis:
         """Candidate producers of the load at *load_pc*."""
         return [p for p in self.pairs if p.load_pc == load_pc]
 
-    def pairs_for_store(self, store_pc: int) -> List[StaticPair]:
-        """Candidate consumers of the store at *store_pc*."""
-        return [p for p in self.pairs if p.store_pc == store_pc]
-
     def dead_stores(self) -> List[int]:
         """Reachable stores provably observed by no load."""
         return self.reaching.dead_stores()

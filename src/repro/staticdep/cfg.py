@@ -152,17 +152,6 @@ class ControlFlowGraph:
         """
         return TaskDistances(self, src_pc).to(dst_pc)
 
-    def to_dot(self) -> str:
-        """Render the graph in Graphviz dot syntax (debug aid)."""
-        lines = ["digraph %s {" % (self.program.name.replace("-", "_") or "cfg")]
-        for block in self.blocks:
-            label = "B%d\\npc %d..%d" % (block.index, block.start, block.end - 1)
-            lines.append('  B%d [shape=box, label="%s"];' % (block.index, label))
-            for succ in block.successors:
-                lines.append("  B%d -> B%d;" % (block.index, succ))
-        lines.append("}")
-        return "\n".join(lines)
-
 
 class TaskDistances:
     """Minimum task-entry crossings from one source instruction.

@@ -18,7 +18,7 @@ against that ground truth:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.frontend.trace import Trace
 from repro.oracle import profile_dependences
@@ -109,15 +109,3 @@ def cross_check_workload(name: str, scale: str = "test") -> CrossCheckResult:
 
     program = get_workload(name).program(scale)
     return cross_check(run_program(program), analyze_program(program))
-
-
-def check_suite(suite_name: str, scale: str = "test") -> List[CrossCheckResult]:
-    """Cross-check every workload of a suite."""
-    from repro.frontend import run_program
-    from repro.workloads import suite
-
-    results = []
-    for workload in suite(suite_name):
-        program = workload.program(scale)
-        results.append(cross_check(run_program(program), analyze_program(program)))
-    return results

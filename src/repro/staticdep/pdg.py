@@ -215,11 +215,9 @@ class ProgramDependenceGraph:
         self.register_edges = self._build_register_edges()
         self.control_edges = self._build_control_edges()
         self.memory_edges = self._build_memory_edges()
-        self._preds: Dict[int, List[PDGEdge]] = {pc: [] for pc in self._reachable_pcs}
         self._succs: Dict[int, List[PDGEdge]] = {pc: [] for pc in self._reachable_pcs}
         for edge in self.edges():
             self._succs[edge.src].append(edge)
-            self._preds[edge.dst].append(edge)
         self._memory_by_load: Dict[int, List[PDGEdge]] = {}
         self._memory_by_store: Dict[int, List[PDGEdge]] = {}
         for edge in self.memory_edges:
@@ -380,9 +378,6 @@ class ProgramDependenceGraph:
     def edges(self) -> List[PDGEdge]:
         return self.register_edges + self.control_edges + self.memory_edges
 
-    def predecessors(self, pc: int) -> List[PDGEdge]:
-        return list(self._preds.get(pc, ()))
-
     def successors(self, pc: int) -> List[PDGEdge]:
         return list(self._succs.get(pc, ()))
 
@@ -509,23 +504,6 @@ class ProgramDependenceGraph:
             cost=self._cost(pcs),
             loop_carried=loop_carried,
         )
-
-    def slice_forward(self, pc: int, include_no: bool = False) -> FrozenSet[int]:
-        """Transitive consumers of the instruction at *pc* over register,
-        control, and (non-NO unless *include_no*) memory edges."""
-        if pc not in self._use_defs:
-            raise ValueError("pc %d is not a reachable instruction" % pc)
-        reached: Set[int] = {pc}
-        worklist = deque((pc,))
-        while worklist:
-            current = worklist.popleft()
-            for edge in self._succs.get(current, ()):
-                if edge.kind == MEM_EDGE and edge.label == NO and not include_no:
-                    continue
-                if edge.dst not in reached:
-                    reached.add(edge.dst)
-                    worklist.append(edge.dst)
-        return frozenset(reached)
 
     def _cost(self, pcs: FrozenSet[int]) -> SliceCost:
         loads = len(pcs & self._load_pcs)

@@ -543,9 +543,6 @@ class SpecTaintAnalysis:
     def gated(self) -> List[LeakVerdict]:
         return [v for v in self.verdicts if v.verdict == GATED]
 
-    def no_leaks(self) -> List[LeakVerdict]:
-        return [v for v in self.verdicts if v.verdict == NO_LEAK]
-
     def verdict_for(self, store_pc: int, load_pc: int) -> Optional[LeakVerdict]:
         for verdict in self.verdicts:
             if verdict.store_pc == store_pc and verdict.load_pc == load_pc:

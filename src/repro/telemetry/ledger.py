@@ -151,9 +151,6 @@ class RunLedger:
             return matches[0]
         return None
 
-    def last(self, n: int = 10) -> List[dict]:
-        return self.records()[-n:]
-
     def __len__(self) -> int:
         return len(self.records())
 

@@ -96,9 +96,8 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def to_dict(self) -> dict:
-        """Lossless snapshot: with ``max_exponent`` alongside the sparse
-        bucket list (zero-count buckets elided) and the overflow bucket,
-        :meth:`from_dict` reconstructs the histogram exactly."""
+        """Lossless snapshot: ``max_exponent`` alongside the sparse
+        bucket list (zero-count buckets elided) and the overflow bucket."""
         return {
             "count": self.count,
             "sum": self.total,
@@ -113,20 +112,6 @@ class Histogram:
             ],
             "overflow": self.overflow,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Histogram":
-        """Inverse of :meth:`to_dict` (the bucket boundary ``le`` is
-        ``2**i - 1``, so ``i = le.bit_length()``)."""
-        out = cls(payload.get("max_exponent", 16))
-        out.count = payload["count"]
-        out.total = payload["sum"]
-        out.min = payload["min"]
-        out.max = payload["max"]
-        out.overflow = payload.get("overflow", 0)
-        for bucket in payload.get("buckets", []):
-            out.buckets[int(bucket["le"]).bit_length()] = bucket["count"]
-        return out
 
 
 class TimeSeries:
@@ -192,12 +177,6 @@ class MetricRegistry:
             instrument = self._series[name] = TimeSeries()
         return instrument
 
-    def names(self) -> List[str]:
-        out: List[str] = []
-        for kind in (self._counters, self._gauges, self._histograms, self._series):
-            out.extend(kind)
-        return sorted(out)
-
     def to_dict(self) -> dict:
         """The whole catalogue as one JSON-serializable object."""
         return {
@@ -206,34 +185,6 @@ class MetricRegistry:
             "histograms": {k: h.to_dict() for k, h in sorted(self._histograms.items())},
             "series": {k: s.to_list() for k, s in sorted(self._series.items())},
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MetricRegistry":
-        """Rebuild a registry from a :meth:`to_dict` snapshot.
-
-        The round trip is lossless: ``from_dict(r.to_dict()).to_dict()
-        == r.to_dict()`` for any registry *r*.
-        """
-        out = cls()
-        for name, value in payload.get("counters", {}).items():
-            out.counter(name).value = value
-        for name, value in payload.get("gauges", {}).items():
-            out.gauge(name).value = value
-        for name, hist in payload.get("histograms", {}).items():
-            out._check_unique(name, out._histograms)
-            out._histograms[name] = Histogram.from_dict(hist)
-        for name, samples in payload.get("series", {}).items():
-            series = out.series(name)
-            for t, v in samples:
-                series.samples.append((t, v))
-        return out
-
-    def to_prometheus(self) -> str:
-        """This registry in the Prometheus text exposition format (see
-        :func:`repro.telemetry.prometheus.to_prometheus`)."""
-        from repro.telemetry.prometheus import to_prometheus
-
-        return to_prometheus(self.to_dict())
 
 
 class _NullCounter(Counter):

@@ -80,9 +80,6 @@ class TraceEventSink:
             }
         )
 
-    def process_name(self, name):
-        self._metadata("process_name", name, tid=0)
-
     def thread_name(self, tid, name):
         self._metadata("thread_name", name, tid=tid)
 

@@ -17,7 +17,6 @@ from repro.workloads.base import (
     resolve_scale,
     scaled,
     suite,
-    suite_traces,
 )
 
 try:  # spec95 kernels are optional during bootstrap
@@ -41,5 +40,4 @@ __all__ = [
     "resolve_scale",
     "scaled",
     "suite",
-    "suite_traces",
 ]

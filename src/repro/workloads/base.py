@@ -16,7 +16,7 @@ distances — are reproduced by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.frontend import cached_run_program
 from repro.frontend.trace import Trace
@@ -128,12 +128,6 @@ def suite(suite_name) -> List[Workload]:
     return members
 
 
-def suite_traces(suite_name, scale="ref") -> Iterable[Tuple[str, Trace]]:
-    """Yield (name, trace) for every workload of a suite."""
-    for workload in suite(suite_name):
-        yield workload.name, workload.trace(scale)
-
-
 class MemoryLayout:
     """A bump allocator for laying out data regions in program memory.
 
@@ -157,7 +151,3 @@ class MemoryLayout:
         if self._next % self._align:
             self._next += self._align - self._next % self._align
         return base
-
-    def end(self) -> int:
-        """First address past all reserved regions."""
-        return self._next

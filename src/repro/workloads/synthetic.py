@@ -62,18 +62,3 @@ def fill_permutation_links(asm, base, count, stride_words, seed, offset_words=0)
         addr = base + rec * stride + offset_words * 4
         asm.word(addr, base + succ * stride)
     return base + order[0] * stride
-
-
-def counted_loop(asm, label, counter_reg, limit_reg, body, task_per_iteration=True):
-    """Emit ``for counter in 0..limit-1`` around *body*.
-
-    *body* is a callable that emits the loop body.  When
-    *task_per_iteration* is set, each iteration starts a new Multiscalar
-    task (the common partitioning in the paper's loop-dominated codes).
-    """
-    asm.label(label)
-    if task_per_iteration:
-        asm.task_begin()
-    body()
-    asm.addi(counter_reg, counter_reg, 1)
-    asm.blt(counter_reg, limit_reg, label)

@@ -28,17 +28,6 @@ def test_select_by_policy_and_override(small_sweep):
     assert all(p.override("stages") == 4 for p in always4)
 
 
-def test_best_finds_minimum_cycles(small_sweep):
-    best = small_sweep.best(policy="always")
-    all_always = small_sweep.select(policy="always")
-    assert best.cycles == min(p.cycles for p in all_always)
-
-
-def test_best_raises_on_empty_selection(small_sweep):
-    with pytest.raises(KeyError):
-        small_sweep.best(policy="nonexistent")
-
-
 def test_squash_penalty_only_affects_speculative_policies(small_sweep):
     """PSYNC never squashes, so its cycles are penalty-invariant."""
     for stages in (2, 4):

@@ -93,15 +93,6 @@ def test_mix_percentages_sum_to_100():
     assert sum(analysis.mix_percentages().values()) == pytest.approx(100.0)
 
 
-def test_task_size_histogram():
-    trace = get_workload("espresso").trace("tiny")
-    analysis = analyze_trace(trace)
-    histogram = analysis.task_size_histogram()
-    assert sum(histogram.values()) == len(analysis.task_sizes)
-    # espresso tasks are large
-    assert histogram.get(">64", 0) + histogram.get("<=128", 0) > 0
-
-
 def test_summary_keys():
     trace = get_workload("sc").trace("tiny")
     summary = analyze_trace(trace).summary()

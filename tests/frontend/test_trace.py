@@ -53,16 +53,6 @@ def test_intervening_store_to_other_address_ignored():
     assert trace.load_producers()[load.seq] == 3
 
 
-def test_dependence_edges_yields_entry_pairs():
-    trace = make_store_load_chain()
-    edges = list(trace.dependence_edges())
-    assert len(edges) == 2
-    for store, load in edges:
-        assert store.is_store and load.is_load
-        assert store.addr == load.addr
-        assert store.seq < load.seq
-
-
 def test_counts_are_consistent():
     trace = make_store_load_chain()
     assert trace.count_loads() == 2

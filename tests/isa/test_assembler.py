@@ -168,17 +168,6 @@ def test_move_is_add_with_zero():
     assert program[0].rs2 == 0
 
 
-def test_listing_contains_labels_and_instructions():
-    a = Assembler()
-    a.label("top")
-    a.addi("t0", "t0", 1)
-    a.halt()
-    listing = a.assemble().listing()
-    assert "top:" in listing
-    assert "addi" in listing
-    assert "halt" in listing
-
-
 def test_validate_rejects_bad_register_index():
     inst = Instruction(Opcode.ADD, rd=99, rs1=1, rs2=2)
     halt = Instruction(Opcode.HALT)
@@ -204,7 +193,7 @@ def test_instruction_sources_and_destination():
     a.halt()
     program = a.assemble()
     assert program[0].sources() == (9, 10)
-    assert program[0].destination() == 8
+    assert program[0].rd == 8
 
 
 def test_str_rendering_smoke():

@@ -7,7 +7,6 @@ from repro.isa.opcodes import (
     is_conditional_branch,
     is_control,
     is_load,
-    is_memory,
     is_store,
 )
 
@@ -22,8 +21,6 @@ def test_load_store_classification():
     assert not is_load(Opcode.SW)
     assert is_store(Opcode.SW)
     assert not is_store(Opcode.LW)
-    assert is_memory(Opcode.LW) and is_memory(Opcode.SW)
-    assert not is_memory(Opcode.ADD)
 
 
 def test_memory_opcodes_use_memory_unit():

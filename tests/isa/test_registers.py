@@ -6,7 +6,6 @@ from repro.isa.registers import (
     NUM_INT_REGS,
     NUM_REGS,
     ZERO,
-    is_fp_register,
     parse_register,
     register_name,
 )
@@ -61,10 +60,3 @@ def test_register_name_round_trips_conventional_aliases():
 def test_register_name_rejects_out_of_range():
     with pytest.raises(ValueError):
         register_name(NUM_REGS)
-
-
-def test_is_fp_register():
-    assert not is_fp_register(0)
-    assert not is_fp_register(NUM_INT_REGS - 1)
-    assert is_fp_register(NUM_INT_REGS)
-    assert is_fp_register(NUM_REGS - 1)

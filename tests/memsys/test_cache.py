@@ -52,22 +52,3 @@ def test_different_banks_no_contention():
     cache.access(0, 0)
     cache.access(64, 0)  # other bank
     assert cache.bank_conflict_cycles == 0
-
-
-def test_lookup_is_pure():
-    cache = BankedCache()
-    assert cache.lookup(0x2000) is False
-    cache.access(0x2000, 0)
-    assert cache.lookup(0x2000) is True
-    assert cache.accesses == 1  # lookup did not count
-
-
-def test_miss_rate_and_reset():
-    cache = BankedCache()
-    cache.access(0, 0)
-    cache.access(0, 10)
-    assert cache.miss_rate == 0.5
-    cache.reset()
-    assert cache.accesses == 0
-    assert cache.miss_rate == 0.0
-    assert cache.lookup(0) is False

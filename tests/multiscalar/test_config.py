@@ -3,13 +3,7 @@
 import pytest
 
 from repro.isa.opcodes import FUClass, Opcode, OPCODE_CLASS
-from repro.multiscalar import (
-    FU_COUNTS,
-    FU_LATENCIES,
-    MultiscalarConfig,
-    eight_stage,
-    four_stage,
-)
+from repro.multiscalar import FU_COUNTS, FU_LATENCIES, MultiscalarConfig
 
 
 def test_every_fu_class_has_latency_and_count():
@@ -44,14 +38,15 @@ def test_paper_fu_counts():
 
 
 def test_standard_configurations():
-    assert four_stage().stages == 4
-    assert eight_stage().stages == 8
-    assert four_stage().issue_width == 2
+    """The defaults are the paper's 4-stage, 2-wide configuration."""
+    assert MultiscalarConfig().stages == 4
+    assert MultiscalarConfig().issue_width == 2
+    assert MultiscalarConfig(stages=8).issue_width == 2
 
 
 def test_cache_config_banks_scale_with_stages():
-    assert four_stage().make_cache_config().banks == 8
-    assert eight_stage().make_cache_config().banks == 16
+    assert MultiscalarConfig(stages=4).make_cache_config().banks == 8
+    assert MultiscalarConfig(stages=8).make_cache_config().banks == 16
 
 
 def test_config_validation():

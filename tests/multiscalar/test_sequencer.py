@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.multiscalar import PathBasedTaskPredictor, ReturnAddressStack
+from repro.multiscalar import PathBasedTaskPredictor
 
 
 def test_predictor_learns_a_repeating_sequence():
@@ -66,28 +66,3 @@ def test_predictor_validation():
         PathBasedTaskPredictor(history=0)
     with pytest.raises(ValueError):
         PathBasedTaskPredictor(table_size=0)
-
-
-def test_ras_push_pop_lifo():
-    ras = ReturnAddressStack(depth=4)
-    ras.push(1)
-    ras.push(2)
-    assert ras.pop() == 2
-    assert ras.pop() == 1
-    assert ras.pop() is None
-
-
-def test_ras_overflow_drops_oldest():
-    ras = ReturnAddressStack(depth=2)
-    ras.push(1)
-    ras.push(2)
-    ras.push(3)
-    assert ras.overflows == 1
-    assert ras.pop() == 3
-    assert ras.pop() == 2
-    assert ras.pop() is None
-
-
-def test_ras_validation():
-    with pytest.raises(ValueError):
-        ReturnAddressStack(depth=0)

@@ -1,10 +1,10 @@
 """A finished simulator is freed by reference counting alone.
 
-The policy, the squash ledger, the sanitizer and the timeline recorder
-all point back at the simulator while it runs.  When ``run()`` returns
-they keep only a weak proxy, so dropping the last outside reference
-frees the simulator and its per-run lists at once, with the cyclic
-collector disabled.  What callers read after a run stays readable.
+The policy, the squash ledger and the sanitizer all point back at the
+simulator while it runs.  When ``run()`` returns they keep only a weak
+proxy, so dropping the last outside reference frees the simulator and
+its per-run lists at once, with the cyclic collector disabled.  What
+callers read after a run stays readable.
 """
 
 import gc
@@ -13,7 +13,6 @@ import weakref
 import pytest
 
 from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, make_policy
-from repro.multiscalar.debug import TimelineRecorder
 from repro.multiscalar.explain import SquashLedger
 from repro.multiscalar.policies import POLICY_ALIASES, available_policies
 from repro.multiscalar.sanitizer import TaintSanitizer
@@ -72,15 +71,14 @@ def test_finished_simulator_is_freed_without_the_collector(
         assert engine.mdpt is not None
 
 
-def test_recorder_and_telemetry_do_not_keep_the_simulator(trace, collector_off):
-    recorder = TimelineRecorder(make_policy("esync"))
-    telemetry = Telemetry(metrics=MetricRegistry(), trace=TraceEventSink())
+def test_telemetry_does_not_keep_the_simulator(trace, collector_off):
+    metrics = MetricRegistry()
+    telemetry = Telemetry(metrics=metrics, trace=TraceEventSink())
     sim = MultiscalarSimulator(
-        trace, MultiscalarConfig(stages=4), recorder, telemetry=telemetry
+        trace, MultiscalarConfig(stages=4), make_policy("esync"), telemetry=telemetry
     )
     sim.run()
-    assert recorder.render(sim)
     alive = weakref.ref(sim)
     del sim
     assert alive() is None
-    assert recorder.violation_summary() is not None
+    assert metrics.to_dict()["counters"]

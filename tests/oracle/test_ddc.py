@@ -12,7 +12,6 @@ def test_first_access_is_a_miss_then_hit():
     assert ddc.access((1, 2)) is False
     assert ddc.access((1, 2)) is True
     assert ddc.hits == 1 and ddc.misses == 1
-    assert ddc.miss_rate == 0.5
 
 
 def test_capacity_evicts_lru():
@@ -30,18 +29,6 @@ def test_capacity_evicts_lru():
 def test_zero_capacity_rejected():
     with pytest.raises(ValueError):
         DataDependenceCache(0)
-
-
-def test_miss_rate_of_empty_cache_is_zero():
-    assert DataDependenceCache(8).miss_rate == 0.0
-
-
-def test_reset_counters_keeps_entries():
-    ddc = DataDependenceCache(4)
-    ddc.access((1, 2))
-    ddc.reset_counters()
-    assert ddc.hits == 0 and ddc.misses == 0
-    assert ddc.access((1, 2)) is True
 
 
 def test_simulate_ddc_counts():

@@ -69,14 +69,6 @@ def test_empty_profile_for_streaming_kernel():
     assert profile.pairs_for_coverage() == 0
 
 
-def test_task_distance_histogram_matches_pairs():
-    trace = get_workload("sc").trace("tiny")
-    profile = profile_dependences(trace)
-    histogram = profile.task_distance_histogram()
-    assert sum(histogram.values()) == profile.dependent_loads
-    assert 1 in histogram  # sc's distance-1 recurrence
-
-
 def test_unstable_pairs_flagged_for_gcc():
     """gcc's aux-revisit pair conflicts at distances 1..4 — exactly the
     DIST-tag-hostile behaviour the profiler should flag."""

@@ -130,10 +130,3 @@ def test_computed_jr_targets_all_labels():
     targets = {cfg.blocks[s].start for s in jr_block.successors}
     assert {2, 4} <= targets
     assert cfg.unreachable_blocks() == []
-
-
-def test_to_dot_renders_every_block():
-    cfg = build_cfg(diamond_program())
-    dot = cfg.to_dot()
-    for block in cfg.blocks:
-        assert "B%d" % block.index in dot

@@ -180,20 +180,6 @@ def test_loop_carried_address_is_flagged(histogram_pdg):
     assert any(flagged)
 
 
-# -- forward slices ----------------------------------------------------------
-
-
-def test_forward_slice_follows_memory_edges(prefix_pdg):
-    reached = prefix_pdg.slice_forward(6)
-    assert 4 in reached  # MUST edge store -> load
-    assert 5 in reached  # then the add via the register edge
-    assert 3 not in reached  # the NO edge is not a dependence
-
-
-def test_forward_slice_can_include_no_edges(prefix_pdg):
-    assert 3 in prefix_pdg.slice_forward(6, include_no=True)
-
-
 # -- predictor slices --------------------------------------------------------
 
 

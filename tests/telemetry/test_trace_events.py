@@ -40,13 +40,9 @@ def test_counter_event_carries_values():
 
 def test_metadata_events():
     sink = TraceEventSink(pid=1)
-    sink.process_name("ESYNC")
     sink.thread_name(3, "stage 3")
     kinds = [(e["name"], e["ph"], e["tid"], e["args"]["name"]) for e in sink.events]
-    assert kinds == [
-        ("process_name", "M", 0, "ESYNC"),
-        ("thread_name", "M", 3, "stage 3"),
-    ]
+    assert kinds == [("thread_name", "M", 3, "stage 3")]
 
 
 def test_to_dict_is_valid_trace_json():
@@ -66,7 +62,6 @@ def test_null_sink_records_nothing():
     sink.complete("a", 0, 1)
     sink.instant("b", 1)
     sink.counter("c", 2, {"v": 1})
-    sink.process_name("p")
     sink.thread_name(0, "t")
     assert sink.events == []
     assert sink.to_dict()["traceEvents"] == []

@@ -474,6 +474,44 @@ def test_leakcheck_usage_errors(capsys):
     assert err.count("error:") == 4
 
 
+PREFIX_SUM = "examples/programs/prefix_sum.s"
+
+
+def test_slice_command(capsys):
+    assert main(["slice", PREFIX_SUM, "6"]) == 0
+    assert "slice of pc 6 (address)" in capsys.readouterr().out
+    assert main(["slice", PREFIX_SUM, "6", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == [
+        "cost", "criterion", "criterion_pc", "instructions",
+        "loop_carried", "pcs", "program",
+    ]
+    assert payload["criterion_pc"] == 6
+
+
+def test_slice_unreachable_pc_exits_two(capsys):
+    assert main(["slice", PREFIX_SUM, "9999"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_pdg_strict_flags_loop_carried_pairs(capsys):
+    assert main(["pdg", HISTOGRAM, "--strict"]) == 1
+    capsys.readouterr()
+
+
+def test_pdg_unknown_target_exits_two(capsys):
+    assert main(["pdg", "no-such-workload"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_pdg_dot_and_json_output(capsys):
+    assert main(["pdg", LEAK_DEMO, "--dot", "-"]) == 0
+    assert capsys.readouterr().out.startswith("digraph pdg")
+    assert main(["pdg", LEAK_DEMO, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {"summary", "slices"} <= set(payload)
+
+
 # --- the parallel executor through `repro experiment` / `repro sweep` ---
 
 
@@ -939,3 +977,23 @@ def test_ledger_records_every_cell_of_a_run(capsys, tmp_path, monkeypatch):
     assert len(set(figure7_record["fingerprints"]["cells"].values())) == 54
     # an inline run records every cell's phase times in the ledger
     assert figure7_record["phases"]["simulate"]["calls"] == 54
+
+
+def test_sweep_records_its_phase_times(capsys, tmp_path, monkeypatch):
+    """Like ``repro experiment``, an inline sweep writes its phase times
+    under ``profile`` in --metrics and under ``phases`` in the ledger."""
+    from repro.experiments import tables
+
+    monkeypatch.delenv("REPRO_EXECUTOR_JOBS", raising=False)
+    # an empty trace memo, so the sweep interprets (and times) its trace
+    monkeypatch.setattr(tables, "_trace_cache", {})
+    metrics_path = tmp_path / "m.json"
+    ledger = tmp_path / "runs.jsonl"
+    assert main(["sweep", "sc", "--override", "stages=4", "--policies", "always",
+                 "--scale", "tiny", "--metrics", str(metrics_path),
+                 "--ledger", str(ledger)]) == 0
+    capsys.readouterr()
+    profile = json.loads(metrics_path.read_text())["profile"]
+    assert {"simulate", "trace-gen"} <= set(profile)
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["phases"]

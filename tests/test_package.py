@@ -15,6 +15,8 @@ SUBPACKAGES = (
     "repro.multiscalar",
     "repro.core",
     "repro.experiments",
+    "repro.staticdep",
+    "repro.telemetry",
 )
 
 

@@ -89,7 +89,6 @@ def test_memory_layout_regions_disjoint_and_aligned():
         assert e1 <= s2, "regions overlap"
     assert a == 0x1000
     assert b > a and c > b
-    assert layout.end() >= c + 4
 
 
 def test_memory_layout_rejects_duplicates():
