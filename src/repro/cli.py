@@ -45,7 +45,8 @@ predictor slice under ``pdg --strict``, leak-relevant findings, a
 squash on a statically-proven non-aliasing pair, two runs that differ,
 an adaptive-sweep benchmark below its floor); **2** — usage
 error (unknown workload, unreadable file, unparsable target, unknown
-run id, missing snapshot).
+run id, missing snapshot).  Every command that names a workload exits 2
+with an ``error:`` line when the workload or its scale is unknown.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from repro.multiscalar import (
 )
 from repro.oracle import profile_dependences
 from repro.telemetry import make_telemetry, merged_trace
-from repro.workloads import all_workloads, get_workload
+from repro.workloads import WorkloadError, all_workloads, get_workload
 
 #: Derived from the policy registry so new policies surface here
 #: automatically (order is the registry's presentation order).
@@ -175,9 +176,9 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--workers", type=int, default=None, metavar="N",
-            help="queue-dir only: spawn N local 'repro worker' "
-            "processes (default: --jobs).  0 spawns none — the sweep "
-            "is served entirely by externally launched workers",
+            help="queue-dir only: fork N local workers (default: "
+            "--jobs).  0 forks none — the sweep is served entirely by "
+            "externally launched 'repro worker' processes",
         )
 
     p_exp = sub.add_parser(
@@ -1917,6 +1918,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
+    except WorkloadError as exc:
+        # an unknown workload or scale named on the command line
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # stdout was closed early (e.g. piped into head); not an error
         sys.stderr.close()

@@ -12,9 +12,10 @@ physically run* to an :class:`ExecutorBackend`:
   fresh pool per round (the default for ``--jobs N``).
 * :class:`QueueDirBackend` — work-stealing over a shared queue
   directory (:mod:`repro.experiments.queuedir`): the driver publishes
-  cell groups as task files, any number of ``repro worker`` processes
-  claim them with ``O_CREAT|O_EXCL`` lease files, and the driver tails
-  their JSONL result streams, reclaiming leases whose heartbeat stops.
+  cell groups as task files, its own forked workers and any number of
+  ``repro worker`` processes claim them with ``O_CREAT|O_EXCL`` lease
+  files, and the driver tails their JSONL result streams, reclaiming
+  leases whose heartbeat stops.
 
 A backend runs one round at a time: :meth:`ExecutorBackend.run` gets
 groups of cell indices, runs each cell once, and yields ``(index, raw
@@ -26,9 +27,8 @@ bit-identical payloads) holds by construction.
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 import os
-import subprocess
-import sys
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
@@ -50,6 +50,7 @@ from repro.experiments.queuedir import (
     run_cell_path,
     run_worker,
 )
+from repro.frontend.trace_cache import configure_trace_cache, global_trace_cache
 
 
 class ExecutorBackend:
@@ -142,8 +143,23 @@ class LocalPoolBackend(ExecutorBackend):
                 yield from zip(group, outcomes)
 
 
+def _spawned_worker(queue_root, trace_root, **options) -> None:
+    """A driver-spawned queue-dir worker process: :func:`run_worker` on
+    the queue, with the driver's trace cache.  A fork already holds that
+    cache; a fresh interpreter (where the platform cannot fork) is
+    pointed at its disk root here."""
+    configure_trace_cache(trace_root)
+    run_worker(queue_root, **options)
+
+
 class QueueDirBackend(ExecutorBackend):
     """Work-stealing execution over a shared queue directory.
+
+    Spawned workers are ``multiprocessing`` processes started from the
+    pool backend's context: forks of the driver wherever the platform
+    has fork, so they start without importing anything and inherit the
+    driver's trace cache and any prewarmed traces.  ``repro worker``
+    adds workers on other hosts (or more on this one).
 
     Args:
         queue_dir: the shared directory (created if missing).
@@ -155,9 +171,9 @@ class QueueDirBackend(ExecutorBackend):
         heartbeat_interval: how often workers touch their lease.
         poll_interval: driver/worker poll cadence.
         threads: run spawned workers as in-process threads instead of
-            subprocesses — for tests with closure evaluators that
-            cannot cross a process boundary.  Do not mix thread-mode
-            closures with external process workers.
+            processes — for tests with closure evaluators that cannot
+            be named in a task file.  Do not mix thread-mode closures
+            with external process workers.
         max_respawns: replacement budget for spawned workers that die;
             default twice the spawn count.
         stop_workers: write the stop sentinel when the run finishes so
@@ -186,7 +202,7 @@ class QueueDirBackend(ExecutorBackend):
         self.threads = bool(threads)
         self.max_respawns = max_respawns
         self.stop_workers = bool(stop_workers)
-        self._procs: List[subprocess.Popen] = []
+        self._procs: List[multiprocessing.process.BaseProcess] = []
         self._threads: List[threading.Thread] = []
         self._respawns = 0
         self._held = 0
@@ -220,59 +236,36 @@ class QueueDirBackend(ExecutorBackend):
     def _spawn_count(self, executor) -> int:
         return executor.jobs if self.workers is None else max(0, int(self.workers))
 
-    def _spawn_process(self, executor, queue: QueueDir) -> None:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        if "REPRO_TRACE_CACHE" not in env and executor.cache is not None:
-            # workers are fresh processes, not forks: point them at the
-            # same on-disk trace cache the driver co-located with results
-            env["REPRO_TRACE_CACHE"] = str(executor.cache.root / "traces")
-        self._procs.append(
-            subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "worker",
-                    str(queue.root),
-                    "--poll",
-                    "%g" % self.poll_interval,
-                    "--heartbeat",
-                    "%g" % self.heartbeat_interval,
-                ],
-                env=env,
-                stdout=subprocess.DEVNULL,
+    def _start_worker(self, executor, queue: QueueDir) -> None:
+        options = dict(poll_interval=self.poll_interval, heartbeat_interval=self.heartbeat_interval)
+        if self.threads:
+            thread = threading.Thread(
+                target=run_worker,
+                args=(queue,),
+                kwargs=dict(options, run_cell=executor.run_cell),
+                daemon=True,
             )
-        )
-
-    def _spawn_thread(self, executor, queue: QueueDir) -> None:
-        thread = threading.Thread(
-            target=run_worker,
-            kwargs=dict(
-                queue=queue,
-                run_cell=executor.run_cell,
-                poll_interval=self.poll_interval,
-                heartbeat_interval=self.heartbeat_interval,
-            ),
+            thread.start()
+            self._threads.append(thread)
+            return
+        # daemonic: if the driver exits without _shutdown, its exit hook
+        # ends them instead of waiting for them
+        proc = (_pool_context() or multiprocessing.get_context()).Process(
+            target=_spawned_worker,
+            args=(str(queue.root), global_trace_cache().root),
+            kwargs=options,
             daemon=True,
         )
-        thread.start()
-        self._threads.append(thread)
+        proc.start()
+        self._procs.append(proc)
 
     def _spawn(self, executor, queue: QueueDir, count: int) -> None:
         # top up to *count* live workers (a held-open session keeps the
         # fleet from a previous round alive; don't double it)
-        if self.threads:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            deficit = count - len(self._threads)
-        else:
-            self._procs = [p for p in self._procs if p.poll() is None]
-            deficit = count - len(self._procs)
-        for _ in range(max(0, deficit)):
-            if self.threads:
-                self._spawn_thread(executor, queue)
-            else:
-                self._spawn_process(executor, queue)
+        self._threads = [t for t in self._threads if t.is_alive()]
+        self._procs = [p for p in self._procs if p.is_alive()]
+        for _ in range(count - len(self._threads) - len(self._procs)):
+            self._start_worker(executor, queue)
 
     def _maintain_workers(self, executor, queue: QueueDir) -> None:
         """Replace spawned workers that died while work is outstanding."""
@@ -281,13 +274,8 @@ class QueueDirBackend(ExecutorBackend):
         budget = self.max_respawns
         if budget is None:
             budget = 2 * max(1, self._spawn_count(executor))
-        live = []
-        dead = 0
-        for proc in self._procs:
-            if proc.poll() is None:
-                live.append(proc)
-            else:
-                dead += 1
+        live = [proc for proc in self._procs if proc.is_alive()]
+        dead = len(self._procs) - len(live)
         self._procs = live
         for _ in range(dead):
             if self._respawns >= budget:
@@ -298,20 +286,18 @@ class QueueDirBackend(ExecutorBackend):
                     )
                 return
             self._respawns += 1
-            self._spawn_process(executor, queue)
+            self._start_worker(executor, queue)
 
     def _shutdown(self, queue: QueueDir) -> None:
         if self.stop_workers:
             queue.request_stop()
         for proc in self._procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
+            proc.join(timeout=10)
+            if proc.exitcode is None:
                 proc.terminate()
-                try:
-                    proc.wait(timeout=2)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+                proc.join(timeout=2)
+                proc.kill()  # a no-op if terminate ended it
+                proc.join()
         self._procs = []
         for thread in self._threads:
             thread.join(timeout=10)

@@ -1,8 +1,9 @@
 """Filesystem work-stealing queue for distributed cell execution.
 
 A *queue directory* is the shared medium between one sweep driver and
-any number of ``repro worker`` processes (same host, or different
-hosts over shared storage).  Everything is plain files with atomic
+any number of workers running :func:`run_worker`: the driver's own
+forks and ``repro worker`` processes (same host, or different hosts
+over shared storage).  Everything is plain files with atomic
 primitives only — ``O_CREAT|O_EXCL`` for claims, temp-file + rename
 for records, append for result streams — so the protocol needs no
 server, no sockets, and no locks beyond what POSIX rename gives us:

@@ -119,7 +119,6 @@ def run_batched(sim) -> SpeculationStats:
     sim._store_perform = store_perform = [0] * n
 
     dispatch_time: List[Optional[int]] = [None] * n_tasks
-    sim._dispatch_time = dispatch_time
     fetch_time: Dict[int, int] = {}
     sim._fetch_time = fetch_time
     sim._icaches = icaches = (

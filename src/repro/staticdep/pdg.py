@@ -384,9 +384,6 @@ class ProgramDependenceGraph:
     def memory_edges_for_store(self, store_pc: int) -> List[PDGEdge]:
         return list(self._memory_by_store.get(store_pc, ()))
 
-    def memory_edges_for_load(self, load_pc: int) -> List[PDGEdge]:
-        return list(self._memory_by_load.get(load_pc, ()))
-
     def reachable_pcs(self) -> List[int]:
         return list(self._reachable_pcs)
 

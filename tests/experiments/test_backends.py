@@ -7,7 +7,9 @@ queue-dir worker is killed mid-run and its lease is reclaimed.
 """
 
 import json
+import multiprocessing
 import os
+import sys
 import threading
 import time
 
@@ -21,7 +23,7 @@ from repro.experiments.backends import (
     QueueDirBackend,
     make_backend,
 )
-from repro.experiments.executor import Cell, CellError, Executor
+from repro.experiments.executor import Cell, CellError, Executor, default_run_cell
 from repro.experiments.queuedir import QueueDir, run_worker
 
 
@@ -39,6 +41,26 @@ def sleepy_cell(spec):
     params = dict(spec["params"])
     time.sleep(float(params.get("naptime", 0)))
     return {"name": spec["name"]}
+
+
+#: set in the driver by a test: a forked worker returns the new value, a
+#: fresh interpreter re-imports this module and returns this default
+FORK_MARKER = "fresh interpreter"
+
+
+def marker_cell(spec):
+    return {"name": spec["name"], "marker": FORK_MARKER}
+
+
+def trace_cache_cell(spec):
+    """The default cell, and where this worker's trace cache lives and
+    how it found the trace: [root, disk hits, misses]."""
+    from repro.frontend.trace_cache import global_trace_cache
+
+    payload = default_run_cell(spec)
+    cache = global_trace_cache()
+    payload["trace_cache"] = [str(cache.root), cache.disk_hits, cache.misses]
+    return payload
 
 
 def grid_cells(n=4, **extra):
@@ -269,6 +291,90 @@ def test_all_workers_dead_and_budget_exhausted_raises(tmp_path):
     with pytest.raises(RuntimeError, match="respawn budget"):
         executor.run(cells)
     thread.join(timeout=10)
+
+
+# -- spawned workers are forks of the driver ---------------------------------
+
+def test_spawned_workers_are_forks_of_the_driver(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "FORK_MARKER", "set in the driver")
+    backend = QueueDirBackend(tmp_path / "q", workers=2, poll_interval=0.01)
+    report = Executor(jobs=2, run_cell=marker_cell, backend=backend).run(grid_cells())
+    assert [r.payload["marker"] for r in report.results] == ["set in the driver"] * 4
+
+
+@pytest.mark.parametrize("start", ["default", "spawn"])
+def test_spawned_worker_keeps_its_traces_beside_the_results(tmp_path, monkeypatch, start):
+    """With no REPRO_TRACE_CACHE, a spawned worker interprets into, and
+    then reads from, the trace cache co-located with the result cache:
+    a fork inherits it, and a fresh interpreter (``spawn``, as where
+    the platform cannot fork) is handed its root."""
+    from repro.experiments import backends, tables
+    from repro.experiments.sweeps import sweep_cells
+    from repro.frontend import trace_cache
+
+    if start == "spawn":
+        monkeypatch.setattr(backends, "_pool_context", lambda: multiprocessing.get_context("spawn"))
+    monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+    # the driver holds no trace, so only the worker can have produced one
+    monkeypatch.setattr(tables, "_trace_cache", {})
+    monkeypatch.setattr(trace_cache, "_MEMORY", {})
+    monkeypatch.setattr(trace_cache, "_GLOBAL", None)
+    cache = tmp_path / "cache"
+    traces = str(cache / "traces")
+    first, second = sweep_cells(["sc"], policies=("always", "esync"), scale="tiny")
+    for run, (cell, found) in enumerate(((first, [traces, 0, 1]), (second, [traces, 1, 0]))):
+        backend = QueueDirBackend(tmp_path / ("q%d" % run), workers=1, poll_interval=0.01)
+        executor = Executor(jobs=1, run_cell=trace_cache_cell, cache=cache, backend=backend)
+        (result,) = executor.run([cell]).results
+        assert result.ok, result.error
+        assert result.payload["trace_cache"] == found
+    assert len(list((cache / "traces").glob("*/*.trace"))) == 1
+    assert tables._trace_cache == {} and trace_cache._MEMORY == {}
+
+
+def reaped(pid):
+    """True once the process *pid* has exited and been waited for."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def tracked_executor(tmp_path, fail):
+    """An executor on two spawned workers, and the set its progress
+    callback fills with their pids.  With *fail*, the callback raises on
+    the first finished cell, as a failing driver would."""
+    backend = QueueDirBackend(tmp_path / "q", workers=2, poll_interval=0.01)
+    pids = set()
+
+    def progress(event):
+        if event["event"] == "cell":
+            pids.update(proc.pid for proc in backend._procs)
+            if fail:
+                raise RuntimeError("the driver failed")
+
+    executor = Executor(jobs=2, run_cell=payload_cell, backend=backend, progress=progress)
+    return executor, pids
+
+
+def test_spawned_workers_exit_with_the_run(tmp_path):
+    executor, pids = tracked_executor(tmp_path, fail=False)
+    assert all(r.ok for r in executor.run(grid_cells()).results)
+    assert len(pids) == 2 and all(reaped(pid) for pid in pids)
+    assert executor.backend._procs == []
+
+
+def test_failing_driver_leaves_no_workers_behind(tmp_path):
+    """A driver that raises mid-run still stops and reaps its workers:
+    none outlives it, and none is left for the interpreter's exit hook
+    (which joins live children) to wait on."""
+    executor, pids = tracked_executor(tmp_path, fail=True)
+    with pytest.raises(RuntimeError, match="the driver failed"):
+        executor.run(grid_cells())
+    assert len(pids) == 2 and all(reaped(pid) for pid in pids)
+    assert executor.backend._procs == []
+    assert not pids & {child.pid for child in multiprocessing.active_children()}
 
 
 def test_hold_open_keeps_workers_across_executes(tmp_path):

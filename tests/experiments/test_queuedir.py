@@ -8,6 +8,7 @@ in ``test_backends.py``.
 
 import hashlib
 import json
+import math
 import os
 import time
 
@@ -134,6 +135,63 @@ def test_reclaim_skips_done_tasks(tmp_path):
     queue.complete(task["id"])
     (queue.leases / (task["id"] + ".lease")).touch()
     assert queue.reclaim_stale(lease_timeout=0, now=time.time() + 120) == []
+
+
+# -- coarse mtime granularity ------------------------------------------------
+
+def coarse_heartbeat(queue, task_id, now):
+    """Touch a lease as a file system with whole-second mtimes does
+    (FAT, ext3, HFS+): the mtime lands on floor(now)."""
+    mtime = math.floor(now)
+    os.utime(queue.leases / (task_id + ".lease"), (mtime, mtime))
+
+
+def reclaimed_at(queue, task_id, start, interval, timeout, beats):
+    """Simulated time from *start* in 10 ms steps: the worker holding
+    *task_id* heartbeats every *interval* seconds *beats* times and then
+    stops, while the driver calls ``reclaim_stale(timeout)`` at every
+    step.  Returns (time of the last heartbeat, time of the reclaim,
+    or None if the lease outlived 20 s of driver checks)."""
+    last = None
+    for step in range(2000):
+        now = start + step / 100.0
+        if beats and (last is None or now >= last + interval):
+            coarse_heartbeat(queue, task_id, now)
+            last, beats = now, beats - 1
+        if queue.reclaim_stale(timeout, now=now):
+            return last, now
+    return last, None
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.35, 0.99])
+def test_reclaim_tolerates_whole_second_mtimes(tmp_path, phase):
+    """With a lease timeout above the mtime granularity plus the
+    heartbeat interval, a live lease is never reclaimed; once its
+    heartbeat stops, it is reclaimed by the time it ages past the
+    timeout (up to one granule early, as its mtime was rounded down)."""
+    granularity, interval, timeout = 1.0, 0.3, 1.5
+    assert timeout > granularity + interval
+    queue = QueueDir(tmp_path).init()
+    queue.enqueue(make_task())
+    task_id = queue.claim("w1")["id"]
+    start = math.floor(time.time()) + 10 + phase
+    # 15 s of heartbeats, then silence
+    last, reclaimed = reclaimed_at(queue, task_id, start, interval, timeout, beats=51)
+    assert last >= start + 15
+    assert reclaimed is not None
+    assert last + timeout - granularity < reclaimed <= last + timeout + 0.01
+    assert queue.claim("w2")["id"] == task_id
+
+
+def test_reclaim_needs_the_granularity_margin(tmp_path):
+    """The margin is needed: a timeout of one granule reclaims a live
+    lease whose last heartbeat fell just before a whole second."""
+    queue = QueueDir(tmp_path).init()
+    queue.enqueue(make_task())
+    task_id = queue.claim("w1")["id"]
+    start = math.floor(time.time()) + 10.99
+    _, reclaimed = reclaimed_at(queue, task_id, start, 0.3, 1.0, beats=51)
+    assert reclaimed is not None and reclaimed < start + 15  # still beating
 
 
 # -- result streaming --------------------------------------------------------

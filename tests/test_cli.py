@@ -31,6 +31,17 @@ def test_trace_streaming_workload_has_no_pairs(capsys):
     assert "hottest" not in out
 
 
+@pytest.mark.parametrize("command", ["trace", "simulate", "compare", "profile"])
+@pytest.mark.parametrize(
+    "target", [["no-such-workload"], ["compress", "--scale", "no-such-scale"]]
+)
+def test_unknown_workload_or_scale_is_a_usage_error(capsys, command, target):
+    assert main([command] + target) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ")
+    assert "Traceback" not in err
+
+
 def test_simulate_command(capsys):
     assert main(["simulate", "sc", "--scale", "tiny", "--policy", "esync", "-n", "4"]) == 0
     out = capsys.readouterr().out
