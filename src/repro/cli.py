@@ -12,6 +12,8 @@ Usage (also available as ``python -m repro``)::
     repro experiment all --jobs 4 \\
         --cache-dir .repro-cache             # parallel + result cache
     repro sweep sc compress --override stages=4,8 --jobs 4  # design space
+    repro sweep sc --queue-dir /tmp/q --workers 2  # work stealing
+    repro worker /tmp/q                      # one more worker on that queue
     repro profile compress                   # where does wall time go?
     repro staticdep compress                 # static pairs vs the oracle
     repro staticdep compress --symbolic      # MUST/MAY/NO alias verdicts
@@ -36,6 +38,13 @@ registry dump), ``--trace-events FILE`` (Chrome trace-event JSON,
 viewable at https://ui.perfetto.dev), and ``--ledger FILE`` (append one
 run-ledger record, also enabled by ``$REPRO_LEDGER``).
 
+``experiment`` and ``sweep`` run their cells on one executor, whose
+backend follows from the flags: a queue directory (``--queue-dir`` or
+``$REPRO_QUEUE_DIR``) is served by ``--workers`` workers forked from
+the driver plus any ``repro worker`` processes; otherwise ``--jobs``
+above 1 fans cells out to a process pool, and the default runs them
+inline.  Every backend prints the same tables.
+
 The analysis commands (``staticdep``, ``lint``, ``pdg``, ``slice``,
 ``leakcheck``, ``explain``, ``runs diff``, ``bench-report``) share one
 exit-code contract: **0** — the command ran and found nothing wrong;
@@ -44,9 +53,10 @@ threshold, a soundness violation against the oracle, an unaffordable
 predictor slice under ``pdg --strict``, leak-relevant findings, a
 squash on a statically-proven non-aliasing pair, two runs that differ,
 an adaptive-sweep benchmark below its floor); **2** — usage
-error (unknown workload, unreadable file, unparsable target, unknown
-run id, missing snapshot).  Every command that names a workload exits 2
-with an ``error:`` line when the workload or its scale is unknown.
+error (unknown workload, unreadable file, unparsable target, a program
+that faults when interpreted, unknown run id, missing snapshot).
+Every command that names a workload exits 2 with an ``error:`` line
+when the workload or its scale is unknown.
 """
 
 from __future__ import annotations
@@ -60,7 +70,7 @@ from typing import Optional
 
 from repro.core.stats import speedup
 from repro.experiments import ALL_EXPERIMENTS
-from repro.frontend import analyze_trace, run_program
+from repro.frontend import InterpreterError, analyze_trace, run_program
 from repro.multiscalar import (
     MultiscalarConfig,
     MultiscalarSimulator,
@@ -129,8 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_executor_flags(p):
         p.add_argument(
             "--jobs", type=int, default=None, metavar="N",
-            help="fan cells out to N worker processes (default: "
-            "$REPRO_EXECUTOR_JOBS, else 1: inline in this process)",
+            help="N worker processes: a process pool, or with --queue-dir "
+            "the default --workers (default: $REPRO_EXECUTOR_JOBS, else 1: "
+            "inline in this process)",
         )
         p.add_argument(
             "--cache-dir", dest="cache_dir", metavar="DIR",
@@ -161,23 +172,17 @@ def _build_parser() -> argparse.ArgumentParser:
             "(the machine-readable sibling of --watch)",
         )
         p.add_argument(
-            "--backend", choices=("local", "inline", "queue-dir"), default=None,
-            help="where cells run: 'local' process pool, 'inline' in "
-            "this process, or 'queue-dir' work-stealing over a shared "
-            "directory (see 'repro worker').  Default: $REPRO_EXECUTOR_BACKEND, "
-            "else local pool for --jobs > 1 and inline otherwise.  All "
-            "backends produce bit-identical results",
-        )
-        p.add_argument(
             "--queue-dir", dest="queue_dir", metavar="DIR",
             default=os.environ.get("REPRO_QUEUE_DIR") or None,
-            help="shared queue directory for --backend queue-dir "
-            "(created if missing; default: $REPRO_QUEUE_DIR)",
+            help="run the cells work-stealing over this shared directory "
+            "(created if missing), which 'repro worker' processes on any "
+            "host that sees it can also serve; results are bit-identical "
+            "to an inline run (default: $REPRO_QUEUE_DIR)",
         )
         p.add_argument(
             "--workers", type=int, default=None, metavar="N",
-            help="queue-dir only: fork N local workers (default: "
-            "--jobs).  0 forks none — the sweep is served entirely by "
+            help="with --queue-dir: fork N local workers (default: "
+            "--jobs).  0 forks none — the run is served entirely by "
             "externally launched 'repro worker' processes",
         )
 
@@ -256,8 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "worker",
         help="work-stealing executor worker over a shared queue directory",
         description="Claim and execute cell shards from a queue "
-        "directory written by 'repro sweep/experiment --backend "
-        "queue-dir' (any number of workers, same host or shared "
+        "directory written by 'repro sweep/experiment --queue-dir' "
+        "(any number of workers, same host or shared "
         "storage).  Tasks are claimed with atomic lease files, a "
         "heartbeat thread keeps the lease fresh, and results stream "
         "back as JSONL the driver tails.  Exit codes: 0 drained/stopped, "
@@ -730,77 +735,11 @@ def _resolved_jobs(args):
 
 
 def _check_executor_usage(args) -> Optional[int]:
-    """Exit code 2 for inconsistent executor flags, else None."""
-    backend = _resolved_backend_name(args)
-    if backend not in (None, "local", "inline", "queue-dir"):
-        print("error: unknown backend %r" % backend, file=sys.stderr)
+    """Exit code 2 for --workers without a queue directory, else None."""
+    if args.workers is not None and not args.queue_dir:
+        print("error: --workers requires --queue-dir", file=sys.stderr)
         return 2
-    if backend == "queue-dir" and not getattr(args, "queue_dir", None):
-        print("error: --backend queue-dir requires --queue-dir", file=sys.stderr)
-        return 2
-    if backend != "queue-dir":
-        if getattr(args, "queue_dir", None):
-            print("error: --queue-dir requires --backend queue-dir", file=sys.stderr)
-            return 2
-        if getattr(args, "workers", None) is not None:
-            print("error: --workers requires --backend queue-dir", file=sys.stderr)
-            return 2
     return None
-
-
-def _resolved_backend_name(args) -> Optional[str]:
-    """--backend, else $REPRO_EXECUTOR_BACKEND, else None (legacy pick)."""
-    name = getattr(args, "backend", None)
-    if name:
-        return name
-    env = os.environ.get("REPRO_EXECUTOR_BACKEND", "").strip()
-    return env or None
-
-
-def _make_backend(args, jobs):
-    """Build the ExecutorBackend instance the flags describe (or None
-    for the legacy jobs-based inline/pool pick)."""
-    name = _resolved_backend_name(args)
-    if name is None:
-        return None
-    if name == "queue-dir":
-        from repro.experiments.backends import QueueDirBackend
-
-        return QueueDirBackend(
-            args.queue_dir,
-            workers=args.workers if args.workers is not None else (jobs or 1),
-        )
-    from repro.experiments.backends import make_backend
-
-    return make_backend(name)
-
-
-def _executor_telemetry(args):
-    """(metrics registry, trace sink) — real sinks only when requested."""
-    from repro.telemetry import MetricRegistry, TraceEventSink
-
-    metrics = MetricRegistry() if args.metrics else None
-    trace = TraceEventSink() if args.trace_events else None
-    return metrics, trace
-
-
-def _write_executor_telemetry(args, report, metrics, trace, profile=None):
-    if args.metrics:
-        payload = {"executor": report.counters(), "metrics": metrics.to_dict()}
-        if profile is not None:
-            payload["profile"] = profile
-        _write_json(args.metrics, payload)
-    if args.trace_events:
-        _write_json(args.trace_events, trace.to_dict())
-
-
-def _print_failed_cells(report) -> None:
-    for result in report.failed:
-        print(
-            "FAILED cell %s after %d attempt(s): %s"
-            % (result.cell.label, result.attempts, result.error),
-            file=sys.stderr,
-        )
 
 
 # -- observability plumbing: live progress + run ledger -------------------
@@ -876,6 +815,87 @@ def _cell_fingerprints(cells) -> dict:
     }
 
 
+class _GridRun:
+    """One ``experiment`` or ``sweep`` run on the one
+    :class:`~repro.experiments.executor.Executor` its flags describe.
+
+    The backend follows from the flags: a queue directory
+    (``--queue-dir``, default ``$REPRO_QUEUE_DIR``) gets a
+    :class:`~repro.experiments.backends.QueueDirBackend` forking
+    ``--workers`` workers (default ``--jobs``); otherwise the executor
+    picks the process pool for ``--jobs`` > 1 and inline for 1.  Enter
+    it around the run (leaving closes the ``--progress-json`` file),
+    then :meth:`finish` it.
+    """
+
+    def __init__(self, args):
+        from repro.experiments.backends import QueueDirBackend
+        from repro.experiments.executor import Executor
+        from repro.telemetry import PROFILER, MetricRegistry, TraceEventSink
+
+        self.args = args
+        self.start, self.mark = time.time(), PROFILER.mark()
+        progress, self._progress_writer = _progress_sinks(args)
+        self.executor = Executor(
+            jobs=_resolved_jobs(args),
+            cache=args.cache_dir,
+            timeout=args.timeout,
+            retries=args.retries,
+            metrics=MetricRegistry() if args.metrics else None,
+            trace=TraceEventSink() if args.trace_events else None,
+            progress=progress,
+            backend=(
+                QueueDirBackend(args.queue_dir, workers=args.workers)
+                if args.queue_dir
+                else None
+            ),
+        )
+
+    def __enter__(self):
+        return self.executor
+
+    def __exit__(self, *exc_info) -> None:
+        if self._progress_writer is not None:
+            self._progress_writer.close()
+
+    def finish(self, kind, config, cells, report, rungs=None) -> int:
+        """Write the run's ``--metrics`` and ``--trace-events`` files and
+        its ledger record (*cells* give the fingerprints), report its
+        FAILED cells, and return the exit code: 2 if any failed."""
+        from repro.telemetry import PROFILER
+
+        args = self.args
+        # the phase times this process recorded: every cell's on an inline run
+        phases = PROFILER.summary(since=self.mark)
+        metrics = self.executor.metrics.to_dict() if args.metrics else None
+        if args.metrics:
+            _write_json(
+                args.metrics,
+                {"executor": report.counters(), "metrics": metrics, "profile": phases},
+            )
+        if args.trace_events:
+            _write_json(args.trace_events, self.executor.trace.to_dict())
+        if _ledger_enabled(args):
+            _record_run(
+                args,
+                kind,
+                config=config,
+                fingerprints=_cell_fingerprints(cells),
+                phases=phases,
+                executor=report.counters(),
+                metrics=metrics,
+                wall_seconds=round(time.time() - self.start, 6),
+                rungs=rungs,
+            )
+        for result in report.failed:
+            print(
+                "FAILED cell %s after %d attempt(s): %s"
+                % (result.cell.label, result.attempts, result.error),
+                file=sys.stderr,
+            )
+        return 2 if report.failed else 0
+
+
 def cmd_experiment(args) -> int:
     keys = sorted(ALL_EXPERIMENTS) if args.which == "all" else [args.which]
     for key in keys:
@@ -891,55 +911,16 @@ def cmd_experiment(args) -> int:
         return usage_error
     from repro.experiments import run_all
     from repro.experiments.executor import experiment_cells
-    from repro.telemetry import PROFILER
 
-    jobs = _resolved_jobs(args)
-    start = time.time()
-    mark = PROFILER.mark()
-    metrics, trace = _executor_telemetry(args)
-    progress, progress_writer = _progress_sinks(args)
-    try:
-        tables, report = run_all(
-            parallel=jobs or 1,
-            scale=args.scale,
-            experiments=keys,
-            cache_dir=args.cache_dir,
-            timeout=args.timeout,
-            retries=args.retries,
-            metrics=metrics,
-            trace=trace,
-            progress=progress,
-            backend=_make_backend(args, jobs),
-        )
-    finally:
-        if progress_writer is not None:
-            progress_writer.close()
-    # the phase times this process recorded: every cell's on an inline run
-    phases = PROFILER.summary(since=mark)
+    run = _GridRun(args)
+    with run as executor:
+        tables, report = run_all(scale=args.scale, experiments=keys, executor=executor)
     for key in keys:
         _print_table(args, tables[key])
-    _write_executor_telemetry(args, report, metrics, trace, profile=phases)
     if args.as_json:
         print(json.dumps([tables[key].to_json() for key in keys], indent=2))
-    if _ledger_enabled(args):
-        _record_run(
-            args,
-            "experiment",
-            config={
-                "which": args.which,
-                "scale": args.scale,
-                "experiments": keys,
-            },
-            fingerprints=_cell_fingerprints(experiment_cells(keys, args.scale)),
-            phases=phases,
-            executor=report.counters(),
-            metrics=metrics.to_dict() if metrics is not None else None,
-            wall_seconds=round(time.time() - start, 6),
-        )
-    if report.failed:
-        _print_failed_cells(report)
-        return 2
-    return 0
+    config = {"which": args.which, "scale": args.scale, "experiments": keys}
+    return run.finish("experiment", config, experiment_cells(keys, args.scale), report)
 
 
 def _print_table(args, table) -> None:
@@ -981,8 +962,7 @@ def _parse_override(text):
 
 
 def cmd_sweep(args) -> int:
-    from repro.experiments.sweeps import sweep
-    from repro.telemetry import PROFILER
+    from repro.experiments.sweeps import sweep, sweep_cells
 
     usage_error = _check_executor_usage(args)
     if usage_error is not None:
@@ -998,110 +978,68 @@ def cmd_sweep(args) -> int:
     except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    start = time.time()
-    mark = PROFILER.mark()
-    metrics, trace = _executor_telemetry(args)
-    jobs = _resolved_jobs(args)
-    backend = _make_backend(args, jobs)
-    progress, progress_writer = _progress_sinks(args)
+    run = _GridRun(args)
     adaptive = None
     try:
-        if args.adaptive:
-            from repro.experiments.adaptive import adaptive_sweep
+        with run as executor:
+            if args.adaptive:
+                from repro.experiments.adaptive import adaptive_sweep
 
-            adaptive = adaptive_sweep(
-                args.workloads,
-                policies=policies,
-                overrides=overrides,
-                policy_overrides=policy_overrides,
-                scale=args.scale,
-                metric=args.metric,
-                eta=args.eta,
-                rungs=args.rungs,
-                jobs=jobs or 1,
-                cache_dir=args.cache_dir,
-                timeout=args.timeout,
-                retries=args.retries,
-                metrics=metrics,
-                trace=trace,
-                progress=progress,
-                backend=backend,
-            )
-            result = adaptive.result
-        else:
-            result = sweep(
-                args.workloads,
-                policies=policies,
-                overrides=overrides,
-                policy_overrides=policy_overrides,
-                scale=args.scale,
-                jobs=jobs or 1,
-                cache_dir=args.cache_dir,
-                timeout=args.timeout,
-                retries=args.retries,
-                metrics=metrics,
-                trace=trace,
-                progress=progress,
-                backend=backend,
-            )
+                adaptive = adaptive_sweep(
+                    args.workloads,
+                    policies=policies,
+                    overrides=overrides,
+                    policy_overrides=policy_overrides,
+                    scale=args.scale,
+                    metric=args.metric,
+                    eta=args.eta,
+                    rungs=args.rungs,
+                    executor=executor,
+                )
+                result = adaptive.result
+            else:
+                result = sweep(
+                    args.workloads,
+                    policies=policies,
+                    overrides=overrides,
+                    policy_overrides=policy_overrides,
+                    scale=args.scale,
+                    executor=executor,
+                )
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    finally:
-        if progress_writer is not None:
-            progress_writer.close()
-    report = result.report
-    # the phase times this process recorded: every cell's on an inline run
-    phases = PROFILER.summary(since=mark)
-    if report is not None:
-        _write_executor_telemetry(args, report, metrics, trace, profile=phases)
-    if _ledger_enabled(args):
-        from repro.experiments.sweeps import sweep_cells
-
-        config = {
-            "workloads": list(args.workloads),
-            "policies": policies,
-            "overrides": {k: list(v) for k, v in overrides.items()},
-            "scale": args.scale,
-        }
-        if policy_overrides:
-            config["policy_overrides"] = {
-                k: list(v) for k, v in policy_overrides.items()
-            }
-        if adaptive is not None:
-            config["adaptive"] = {
-                "eta": adaptive.eta,
-                "metric": adaptive.metric,
-                "exhaustive_units": adaptive.exhaustive_units,
-                "adaptive_units": adaptive.adaptive_units,
-                "savings": round(adaptive.savings, 6),
-            }
-        _record_run(
-            args,
-            "sweep",
-            config=config,
-            fingerprints=_cell_fingerprints(
-                sweep_cells(
-                    args.workloads, policies, overrides, args.scale,
-                    policy_overrides=policy_overrides,
-                )
-            ),
-            phases=phases,
-            executor=report.counters() if report is not None else None,
-            metrics=metrics.to_dict() if metrics is not None else None,
-            wall_seconds=round(time.time() - start, 6),
-            rungs=adaptive.rungs if adaptive is not None else None,
-        )
     table = adaptive.to_table() if adaptive is not None else result.to_table()
     if args.as_json:
         print(json.dumps(table.to_json(), indent=2))
     else:
         print(table.to_text())
-    if result.failed:
-        for label, error in result.failed:
-            print("FAILED cell %s: %s" % (label, error), file=sys.stderr)
-        return 2
-    return 0
+    config = {
+        "workloads": list(args.workloads),
+        "policies": policies,
+        "overrides": {k: list(v) for k, v in overrides.items()},
+        "scale": args.scale,
+    }
+    if policy_overrides:
+        config["policy_overrides"] = {k: list(v) for k, v in policy_overrides.items()}
+    if adaptive is not None:
+        config["adaptive"] = {
+            "eta": adaptive.eta,
+            "metric": adaptive.metric,
+            "exhaustive_units": adaptive.exhaustive_units,
+            "adaptive_units": adaptive.adaptive_units,
+            "savings": round(adaptive.savings, 6),
+        }
+    cells = sweep_cells(
+        args.workloads, policies, overrides, args.scale, policy_overrides=policy_overrides
+    )
+    return run.finish(
+        "sweep",
+        config,
+        cells,
+        result.report,
+        rungs=adaptive.rungs if adaptive is not None else None,
+    )
 
 
 def cmd_worker(args) -> int:
@@ -1918,8 +1856,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except WorkloadError as exc:
-        # an unknown workload or scale named on the command line
+    except (WorkloadError, InterpreterError) as exc:
+        # an unknown workload or scale named on the command line, or a
+        # program that faults when interpreted (bad address, division
+        # by zero, trace limit)
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -66,18 +66,7 @@ GRID_EXPERIMENTS = {
 }
 
 
-def run_all(
-    parallel=None,
-    scale="test",
-    experiments=None,
-    cache_dir=None,
-    timeout=None,
-    retries=1,
-    metrics=None,
-    trace=None,
-    progress=None,
-    backend=None,
-):
+def run_all(scale="test", experiments=None, executor=None):
     """Run experiments through the executor, each distinct cell once.
 
     The cells are the declared sweep cells of every requested grid
@@ -87,22 +76,13 @@ def run_all(
     then every table is assembled.
 
     Args:
-        parallel: worker processes (None/1 = inline in this process).
         scale: workload scale for every cell.
         experiments: iterable of experiment ids (default: all of them).
-        cache_dir: content-addressed result cache directory; finished
-            cells are written immediately and reloaded on re-invocation,
-            so rerunning an interrupted run resumes it.
-        timeout: per-cell wall-clock budget in seconds.
-        retries: re-attempts per FAILED cell.
-        metrics/trace: optional telemetry sinks for executor counters
-            and the per-worker Chrome trace.
-        progress: optional live-progress callback (see
-            :mod:`repro.experiments.progress`).
-        backend: where cells run — an
-            :class:`~repro.experiments.backends.ExecutorBackend` or a
-            backend name; None picks inline or the local process pool
-            from *parallel*.
+        executor: the :class:`~repro.experiments.executor.Executor` to
+            run on (default: an inline ``Executor()``); it says where
+            cells run, where results are cached (a rerun of an
+            interrupted run resumes from the cache), the per-cell
+            timeout and retries, and the telemetry and progress sinks.
 
     Returns:
         ``(tables, report)`` — a dict of experiment id ->
@@ -130,18 +110,7 @@ def run_all(
         for name in sorted(workloads):
             workload_trace(name, scale)
 
-    executor = Executor(
-        jobs=parallel or 1,
-        cache=cache_dir,
-        timeout=timeout,
-        retries=retries,
-        metrics=metrics,
-        trace=trace,
-        prewarm=prewarm if workloads else None,
-        progress=progress,
-        backend=backend,
-    )
-    report = executor.run(cells)
+    report = (executor or Executor()).run(cells, prewarm=prewarm if workloads else None)
     return assemble_experiments(keys, report, scale), report
 
 

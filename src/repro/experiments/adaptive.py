@@ -35,7 +35,6 @@ measured, not asserted.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,6 +43,7 @@ from repro.experiments.executor import Executor, source_fingerprint
 from repro.experiments.results import ExperimentTable
 from repro.experiments.sweeps import (
     SweepResult,
+    config_grid,
     make_sweep_cell,
     point_from_payload,
 )
@@ -120,32 +120,6 @@ def _config_label(overrides, policy_overrides) -> str:
     return " ".join("%s=%s" % (k, v) for k, v in pairs)
 
 
-def _config_grid(policies, overrides, policy_overrides) -> List[dict]:
-    """The configuration axis of the grid (everything but workload),
-    in the same iteration order as :func:`~repro.experiments.sweeps
-    .sweep_cells`."""
-    import itertools
-
-    okeys = sorted(overrides or {})
-    ocombos = list(itertools.product(*((overrides or {})[k] for k in okeys))) or [()]
-    pkeys = sorted(policy_overrides or {})
-    pcombos = list(
-        itertools.product(*((policy_overrides or {})[k] for k in pkeys))
-    ) or [()]
-    configs = []
-    for ocombo in ocombos:
-        for pcombo in pcombos:
-            for policy in policies:
-                configs.append(
-                    {
-                        "policy": policy,
-                        "overrides": list(zip(okeys, ocombo)),
-                        "policy_overrides": list(zip(pkeys, pcombo)),
-                    }
-                )
-    return configs
-
-
 def default_rungs(n_configs: int, eta: int) -> int:
     """Enough rungs that the final one holds at most *eta* survivors."""
     if n_configs <= 1 or eta <= 1:
@@ -162,25 +136,19 @@ def adaptive_sweep(
     metric: str = "cycles",
     eta: int = 3,
     rungs: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache_dir=None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    run_cell=None,
-    metrics=None,
-    trace=None,
-    progress=None,
-    backend=None,
+    executor: Optional[Executor] = None,
 ) -> AdaptiveResult:
     """Successive halving over the (config × workload) grid.
 
-    Accepts the same grid and executor arguments as
-    :func:`~repro.experiments.sweeps.sweep` plus the halving knobs;
-    always routes cells through the executor (any backend), so caching,
-    trace-sharing chunks, retries, fault tolerance, and the determinism
-    contract apply per rung.  A queue-dir backend keeps its workers
-    across rungs.  See the module docstring for the algorithm and its
-    determinism guarantees.
+    Accepts the same grid and *executor* as
+    :func:`~repro.experiments.sweeps.sweep` plus the halving knobs.
+    Each rung is one run on that executor (default: an inline
+    ``Executor()``), so caching, trace-sharing chunks, retries, fault
+    tolerance, and the determinism contract apply per rung; its
+    backend is held open across the rungs, so a queue-dir fleet is
+    started once.  Rung counters go to the executor's metrics and rung
+    events to its progress callback.  See the module docstring for the
+    algorithm and its determinism guarantees.
     """
     if metric not in METRICS:
         raise ValueError(
@@ -190,7 +158,7 @@ def adaptive_sweep(
     if eta < 2:
         raise ValueError("eta must be >= 2, got %r" % (eta,))
     workloads = list(workloads)
-    configs = _config_grid(policies, overrides, policy_overrides)
+    configs = config_grid(policies, overrides, policy_overrides)
     if not workloads or not configs:
         raise ValueError("adaptive sweep needs at least one workload and one config")
     total_rungs = default_rungs(len(configs), eta) if rungs is None else int(rungs)
@@ -202,14 +170,7 @@ def adaptive_sweep(
     final_multiplier = resolve_scale(scale)
 
     def config_cell(workload: str, index: int, cell_scale):
-        config = configs[index]
-        return make_sweep_cell(
-            workload,
-            config["policy"],
-            cell_scale,
-            overrides=config["overrides"],
-            policy_overrides=config["policy_overrides"],
-        )
+        return make_sweep_cell(workload, scale=cell_scale, **configs[index])
 
     # the scale-independent identity used for tie-breaking: the key the
     # configuration has at the *final* scale, so exact ties resolve the
@@ -220,6 +181,8 @@ def adaptive_sweep(
         for i in range(len(configs))
     }
 
+    executor = executor or Executor()
+    metrics, progress = executor.metrics, executor.progress
     survivors: Dict[str, List[int]] = {w: list(range(len(configs))) for w in workloads}
     rung_records: List[dict] = []
     adaptive_units = 0.0
@@ -228,12 +191,7 @@ def adaptive_sweep(
 
     # keep backend workers (spawned and external) alive across rungs;
     # the stop sentinel is written once, after the final rung
-    session = (
-        backend.hold_open()
-        if hasattr(backend, "hold_open")
-        else contextlib.nullcontext()
-    )
-    with session:
+    with executor.backend.hold_open():
         for rung_index in range(total_rungs):
             shrink = eta ** (total_rungs - 1 - rung_index)
             final_rung = shrink == 1
@@ -246,17 +204,6 @@ def adaptive_sweep(
                 for index in survivors[workload]:
                     cells.append(config_cell(workload, index, rung_scale))
                     cellmeta.append((workload, index))
-            executor = Executor(
-                jobs=jobs or 1,
-                cache=cache_dir,
-                timeout=timeout,
-                retries=retries,
-                run_cell=run_cell,
-                metrics=metrics,
-                trace=trace,
-                progress=progress,
-                backend=backend,
-            )
             report = executor.run(cells)
             units = len(cells) / shrink
             adaptive_units += units
@@ -296,10 +243,9 @@ def adaptive_sweep(
                 "units": round(units, 6),
             }
             rung_records.append(record)
-            if metrics is not None:
-                metrics.counter("adaptive.rungs").inc()
-                metrics.counter("adaptive.cells").inc(len(cells))
-                metrics.counter("adaptive.rung%d.cells" % (rung_index + 1)).inc(len(cells))
+            metrics.counter("adaptive.rungs").inc()
+            metrics.counter("adaptive.cells").inc(len(cells))
+            metrics.counter("adaptive.rung%d.cells" % (rung_index + 1)).inc(len(cells))
             if progress is not None:
                 best = []
                 for workload in workloads:
@@ -310,8 +256,8 @@ def adaptive_sweep(
 
     # final table: the last rung's points, in its deterministic ranked
     # cell order; failures there degrade to result.failed as usual
-    result = SweepResult()
     assert report is not None
+    result = SweepResult(report=report)
     points_by_meta: Dict[Tuple[str, int], object] = {}
     for meta, cell_result in zip(cellmeta, report.results):
         if cell_result.ok:
@@ -330,9 +276,8 @@ def adaptive_sweep(
             winners[workload] = point
 
     exhaustive_units = float(len(configs) * len(workloads))
-    if metrics is not None:
-        metrics.gauge("adaptive.full_scale_units").set(round(adaptive_units, 6))
-        metrics.gauge("adaptive.exhaustive_units").set(exhaustive_units)
+    metrics.gauge("adaptive.full_scale_units").set(round(adaptive_units, 6))
+    metrics.gauge("adaptive.exhaustive_units").set(exhaustive_units)
     adaptive = AdaptiveResult(
         result=result,
         winners=winners,
@@ -342,6 +287,5 @@ def adaptive_sweep(
         exhaustive_units=exhaustive_units,
         adaptive_units=round(adaptive_units, 6),
     )
-    if metrics is not None:
-        metrics.gauge("adaptive.unit_savings").set(round(adaptive.savings, 6))
+    metrics.gauge("adaptive.unit_savings").set(round(adaptive.savings, 6))
     return adaptive

@@ -1,21 +1,22 @@
-"""Pluggable execution backends for the experiment executor.
+"""Execution backends for the experiment executor.
 
 The :class:`~repro.experiments.executor.Executor` owns everything that
 must not vary across backends — cache scan, content-addressed keys,
 the plan of cell groups, the retry loop, result validation, progress
 events, telemetry — and delegates only the question of *where cells
-physically run* to an :class:`ExecutorBackend`:
+physically run* to the :class:`ExecutorBackend` instance it holds:
 
-* :class:`InlineBackend` — in this process, one cell at a time.  The
-  test backend, and what ``--jobs 1`` uses.
+* :class:`InlineBackend` — in this process, one cell at a time; the
+  executor's default for ``jobs=1``.
 * :class:`LocalPoolBackend` — a ``ProcessPoolExecutor`` fan-out, one
-  fresh pool per round (the default for ``--jobs N``).
+  fresh pool per round; the executor's default for ``jobs > 1``.
 * :class:`QueueDirBackend` — work-stealing over a shared queue
   directory (:mod:`repro.experiments.queuedir`): the driver publishes
   cell groups as task files, its own forked workers and any number of
   ``repro worker`` processes claim them with ``O_CREAT|O_EXCL`` lease
   files, and the driver tails their JSONL result streams, reclaiming
-  leases whose heartbeat stops.
+  leases whose heartbeat stops.  The CLI builds one whenever a queue
+  directory is given (``--queue-dir`` or ``$REPRO_QUEUE_DIR``).
 
 A backend runs one round at a time: :meth:`ExecutorBackend.run` gets
 groups of cell indices, runs each cell once, and yields ``(index, raw
@@ -29,21 +30,12 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.experiments.executor import (
-    FAILED,
-    OK,
-    CellError,
-    _pool_context,
-    _run_group,
-    _worker,
-    default_run_cell,
-)
+from repro.experiments.executor import FAILED, OK, _pool_context, _run_group, _worker
 from repro.experiments.queuedir import (
     STOP_SENTINEL,
     QueueDir,
@@ -56,8 +48,6 @@ from repro.frontend.trace_cache import configure_trace_cache, global_trace_cache
 class ExecutorBackend:
     """Strategy for physically executing planned cell groups."""
 
-    #: short name used by ``--backend`` and reports
-    name = "base"
     #: whether the backend runs cells outside this process (the
     #: executor prewarms shared caches in the parent first if so)
     forks = True
@@ -85,7 +75,6 @@ class ExecutorBackend:
 class InlineBackend(ExecutorBackend):
     """Run every cell in this process, in plan order."""
 
-    name = "inline"
     forks = False
 
     def worker_count(self, executor) -> Optional[int]:
@@ -118,7 +107,6 @@ class LocalPoolBackend(ExecutorBackend):
     took down really run again when the executor retries them.
     """
 
-    name = "local"
     forks = True
 
     def run(self, executor, groups, attempt):
@@ -170,17 +158,15 @@ class QueueDirBackend(ExecutorBackend):
             considered dead and its task reclaimed.
         heartbeat_interval: how often workers touch their lease.
         poll_interval: driver/worker poll cadence.
-        threads: run spawned workers as in-process threads instead of
-            processes — for tests with closure evaluators that cannot
-            be named in a task file.  Do not mix thread-mode closures
-            with external process workers.
         max_respawns: replacement budget for spawned workers that die;
             default twice the spawn count.
-        stop_workers: write the stop sentinel when the run finishes so
-            idle workers (spawned and external) drain out.
+
+    When the outermost :meth:`hold_open` exits, the backend writes the
+    stop sentinel, so idle workers (spawned and external) drain out,
+    and reaps its spawned workers.  The cell evaluator must be a
+    module-level function: workers resolve it from its import path.
     """
 
-    name = "queue-dir"
     forks = True
 
     def __init__(
@@ -190,20 +176,15 @@ class QueueDirBackend(ExecutorBackend):
         lease_timeout: float = 10.0,
         heartbeat_interval: float = 1.0,
         poll_interval: float = 0.05,
-        threads: bool = False,
         max_respawns: Optional[int] = None,
-        stop_workers: bool = True,
     ):
         self.queue_dir = queue_dir
         self.workers = workers
         self.lease_timeout = float(lease_timeout)
         self.heartbeat_interval = float(heartbeat_interval)
         self.poll_interval = float(poll_interval)
-        self.threads = bool(threads)
         self.max_respawns = max_respawns
-        self.stop_workers = bool(stop_workers)
         self._procs: List[multiprocessing.process.BaseProcess] = []
-        self._threads: List[threading.Thread] = []
         self._respawns = 0
         self._held = 0
         self._queue: Optional[QueueDir] = None
@@ -213,8 +194,8 @@ class QueueDirBackend(ExecutorBackend):
         """Keep the queue and its workers alive across several rounds.
 
         The executor holds it around the rounds of one run, and
-        multi-phase drivers (the adaptive sweep runs one executor per
-        rung) around their phases, so the worker fleet — spawned *and*
+        multi-phase drivers (the adaptive sweep, one run per rung)
+        around their phases, so the worker fleet — spawned *and*
         external — is started once; the stop sentinel is written once,
         when the outermost hold exits.
         """
@@ -236,18 +217,8 @@ class QueueDirBackend(ExecutorBackend):
     def _spawn_count(self, executor) -> int:
         return executor.jobs if self.workers is None else max(0, int(self.workers))
 
-    def _start_worker(self, executor, queue: QueueDir) -> None:
+    def _start_worker(self, queue: QueueDir) -> None:
         options = dict(poll_interval=self.poll_interval, heartbeat_interval=self.heartbeat_interval)
-        if self.threads:
-            thread = threading.Thread(
-                target=run_worker,
-                args=(queue,),
-                kwargs=dict(options, run_cell=executor.run_cell),
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-            return
         # daemonic: if the driver exits without _shutdown, its exit hook
         # ends them instead of waiting for them
         proc = (_pool_context() or multiprocessing.get_context()).Process(
@@ -259,17 +230,16 @@ class QueueDirBackend(ExecutorBackend):
         proc.start()
         self._procs.append(proc)
 
-    def _spawn(self, executor, queue: QueueDir, count: int) -> None:
+    def _spawn(self, queue: QueueDir, count: int) -> None:
         # top up to *count* live workers (a held-open session keeps the
         # fleet from a previous round alive; don't double it)
-        self._threads = [t for t in self._threads if t.is_alive()]
         self._procs = [p for p in self._procs if p.is_alive()]
-        for _ in range(count - len(self._threads) - len(self._procs)):
-            self._start_worker(executor, queue)
+        for _ in range(count - len(self._procs)):
+            self._start_worker(queue)
 
     def _maintain_workers(self, executor, queue: QueueDir) -> None:
         """Replace spawned workers that died while work is outstanding."""
-        if self.threads or not self._procs:
+        if not self._procs:
             return
         budget = self.max_respawns
         if budget is None:
@@ -286,11 +256,10 @@ class QueueDirBackend(ExecutorBackend):
                     )
                 return
             self._respawns += 1
-            self._start_worker(executor, queue)
+            self._start_worker(queue)
 
     def _shutdown(self, queue: QueueDir) -> None:
-        if self.stop_workers:
-            queue.request_stop()
+        queue.request_stop()
         for proc in self._procs:
             proc.join(timeout=10)
             if proc.exitcode is None:
@@ -299,9 +268,6 @@ class QueueDirBackend(ExecutorBackend):
                 proc.kill()  # a no-op if terminate ended it
                 proc.join()
         self._procs = []
-        for thread in self._threads:
-            thread.join(timeout=10)
-        self._threads = []
 
     # -- driver ------------------------------------------------------------
 
@@ -319,15 +285,7 @@ class QueueDirBackend(ExecutorBackend):
     def run(self, executor, groups, attempt):
         queue = self._open()
         nonce = os.urandom(4).hex()
-        if executor.run_cell is default_run_cell:
-            cell_path: Optional[str] = None
-        else:
-            try:
-                cell_path = run_cell_path(executor.run_cell)
-            except CellError:
-                if not self.threads:
-                    raise
-                cell_path = None  # thread workers get the callable directly
+        cell_path = run_cell_path(executor.run_cell)
 
         # key -> index: what this round still owes.  The executor sends
         # each key once, so keys are unique here; duplicate results (a
@@ -348,7 +306,7 @@ class QueueDirBackend(ExecutorBackend):
                     "run_cell": cell_path,
                 }
             )
-        self._spawn(executor, queue, self._spawn_count(executor))
+        self._spawn(queue, self._spawn_count(executor))
         offsets: Dict[str, int] = {}
         last_reclaim = time.monotonic()
         while outstanding:
@@ -377,25 +335,3 @@ class QueueDirBackend(ExecutorBackend):
                 self._maintain_workers(executor, queue)
                 time.sleep(self.poll_interval)
 
-
-#: backend registry for ``--backend`` (queue-dir needs a directory, so
-#: the CLI constructs it explicitly)
-BACKENDS = {
-    "inline": InlineBackend,
-    "local": LocalPoolBackend,
-    "queue-dir": QueueDirBackend,
-}
-
-
-def make_backend(spec, **kwargs) -> ExecutorBackend:
-    """Build a backend from a name or pass an instance through."""
-    if isinstance(spec, ExecutorBackend):
-        return spec
-    factory = BACKENDS.get(spec)
-    if factory is None:
-        raise ValueError(
-            "unknown backend %r (expected one of %s)" % (spec, sorted(BACKENDS))
-        )
-    if factory is QueueDirBackend and "queue_dir" not in kwargs:
-        raise ValueError("queue-dir backend needs queue_dir=")
-    return factory(**kwargs)

@@ -481,20 +481,17 @@ class Executor:
             default dispatches on cell kind.  Injectable for tests.
         metrics: a telemetry :class:`MetricRegistry` (default: null sink).
         trace: a telemetry :class:`TraceEventSink` (default: null sink).
-        prewarm: optional callable run once in the parent before the
-            pool forks — e.g. trace-cache warming that every worker
-            then inherits copy-on-write.
         progress: optional callback receiving live progress events
             (``start`` / ``cell`` / ``done`` dicts, see
             :mod:`repro.experiments.progress`) as cells complete; the
             default None skips all progress accounting.
         backend: where cells physically run — an
             :class:`~repro.experiments.backends.ExecutorBackend`
-            instance or a name (``"inline"``/``"local"``).  The default
-            (None) picks inline for ``jobs=1`` and the local process
-            pool otherwise.  Backends only run the planned groups;
-            planning, caching, retries, validation, and payloads are
-            backend-independent, so every backend is bit-identical.
+            instance, or None for inline when ``jobs`` is 1 and the
+            local process pool otherwise.  Backends only run the
+            planned groups; planning, caching, retries, validation, and
+            payloads are backend-independent, so every backend is
+            bit-identical.
     """
 
     def __init__(
@@ -506,7 +503,6 @@ class Executor:
         run_cell: Optional[Callable[[dict], dict]] = None,
         metrics=None,
         trace=None,
-        prewarm: Optional[Callable[[], None]] = None,
         progress: Optional[Callable[[dict], None]] = None,
         backend=None,
     ):
@@ -519,8 +515,11 @@ class Executor:
         self.run_cell = run_cell or default_run_cell
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.trace = trace if trace is not None else NULL_TRACE
-        self.prewarm = prewarm
         self.progress = progress
+        if backend is None:
+            from repro.experiments.backends import InlineBackend, LocalPoolBackend
+
+            backend = InlineBackend() if self.jobs == 1 else LocalPoolBackend()
         self.backend = backend
         self._tracker = None
         self._warm_workloads: set = set()
@@ -528,22 +527,16 @@ class Executor:
         self._keys: List[str] = []
         self._results: List[Optional[CellResult]] = []
 
-    def _resolve_backend(self):
-        from repro.experiments.backends import (
-            ExecutorBackend,
-            InlineBackend,
-            LocalPoolBackend,
-            make_backend,
-        )
+    def run(
+        self, cells: Iterable[Cell], prewarm: Optional[Callable[[], None]] = None
+    ) -> RunReport:
+        """Execute *cells*, returning results in input order.
 
-        if self.backend is None:
-            return InlineBackend() if self.jobs == 1 else LocalPoolBackend()
-        if isinstance(self.backend, ExecutorBackend):
-            return self.backend
-        return make_backend(self.backend)
-
-    def run(self, cells: Iterable[Cell]) -> RunReport:
-        """Execute *cells*, returning results in input order."""
+        *prewarm*, if given, runs once in this process before a backend
+        that runs cells elsewhere starts — e.g. trace-cache warming that
+        forked workers then inherit copy-on-write.  It is skipped when
+        every cell is cached or the cells run inline.
+        """
         start = time.time()
         cells = list(cells)
         if self.cache is not None and "REPRO_TRACE_CACHE" not in os.environ:
@@ -595,14 +588,11 @@ class Executor:
 
         retried = 0
         if pending:
-            backend = self._resolve_backend()
-            if self.prewarm is not None and backend.forks:
-                # warm shared state (trace caches) in the parent so
-                # forked workers inherit it copy-on-write
-                self.prewarm()
+            if prewarm is not None and self.backend.forks:
+                prewarm()
             self._cells, self._keys, self._results = cells, keys, results
             try:
-                retried = self._execute(backend, pending)
+                retried = self._execute(pending)
             finally:
                 self._cells, self._keys, self._results = [], [], []
 
@@ -620,8 +610,8 @@ class Executor:
 
     # -- planning and the retry loop ----------------------------------------
 
-    def _execute(self, backend, pending: List[int]) -> int:
-        """Run *pending* on *backend*; returns the retries performed.
+    def _execute(self, pending: List[int]) -> int:
+        """Run *pending* on the backend; returns the retries performed.
 
         Each distinct cache key is dispatched once and its outcome fills
         every index holding it.  Round 1 runs the plan; each later round
@@ -632,6 +622,7 @@ class Executor:
         for index in pending:
             holders.setdefault(self._keys[index], []).append(index)
         distinct = [indices[0] for indices in holders.values()]
+        backend = self.backend
         groups = self._plan(distinct, self._cells, self._keys, backend.worker_count(self))
         retried = 0
         attempt = 1

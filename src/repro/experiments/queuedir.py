@@ -85,8 +85,7 @@ def run_cell_path(run_cell: Callable[[dict], dict]) -> Optional[str]:
 
     Returns ``None`` for the default evaluator (workers fall back to
     it on their own).  Raises :class:`CellError` for evaluators that
-    cannot cross a process boundary (lambdas, closures, locals) —
-    those need thread-mode workers, which share the driver's process.
+    cannot cross a process boundary (lambdas, closures, locals).
     """
     if run_cell is default_run_cell:
         return None
@@ -95,7 +94,7 @@ def run_cell_path(run_cell: Callable[[dict], dict]) -> Optional[str]:
     if not module or not qualname or "<" in qualname:
         raise CellError(
             "run_cell %r is not importable by workers (module=%r, qualname=%r); "
-            "use a module-level function or thread-mode workers" % (run_cell, module, qualname)
+            "use a module-level function" % (run_cell, module, qualname)
         )
     return "%s:%s" % (module, qualname)
 
@@ -311,7 +310,6 @@ class _Heartbeat(threading.Thread):
 
 def run_worker(
     queue,
-    run_cell: Optional[Callable[[dict], dict]] = None,
     worker_id: Optional[str] = None,
     max_tasks: Optional[int] = None,
     idle_timeout: Optional[float] = None,
@@ -322,10 +320,10 @@ def run_worker(
 
     Runs until the stop sentinel appears, *max_tasks* tasks have been
     executed, or no task was claimable for *idle_timeout* seconds
-    (None = wait forever for the sentinel).  *run_cell* overrides the
-    evaluator for every task (thread-mode workers); otherwise each
-    task's ``run_cell`` import path is resolved, falling back to
-    :func:`default_run_cell`.
+    (None = wait forever for the sentinel).  Each task's ``run_cell``
+    import path is resolved to its evaluator, falling back to
+    :func:`default_run_cell`.  The same loop serves the driver's own
+    forked workers and ``repro worker`` processes.
 
     Returns ``{"worker", "tasks", "cells", "failed"}`` stats.
     """
@@ -353,7 +351,7 @@ def run_worker(
         heartbeat.start()
         try:
             try:
-                evaluator = run_cell or resolve_run_cell(task.get("run_cell"))
+                evaluator = resolve_run_cell(task.get("run_cell"))
             except CellError as exc:
                 evaluator = None
                 resolve_error = str(exc)

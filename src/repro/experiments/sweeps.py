@@ -17,7 +17,7 @@ from repro.core.stats import SpeculationStats
 from repro.experiments.results import ExperimentTable
 
 if TYPE_CHECKING:
-    from repro.experiments.executor import RunReport
+    from repro.experiments.executor import Executor, RunReport
 
 
 @dataclass
@@ -46,7 +46,8 @@ class SweepResult:
     ``failed`` records (cell label, error) pairs for grid cells that
     did not complete — the surviving points are still usable, and
     :meth:`to_table` notes the gap.  ``report`` is the executor's
-    :class:`~repro.experiments.executor.RunReport` for the grid.
+    :class:`~repro.experiments.executor.RunReport` for the grid (for
+    an adaptive sweep, for its final rung).
     """
 
     points: List[SweepPoint] = field(default_factory=list)
@@ -131,6 +132,33 @@ def point_from_payload(payload: dict) -> SweepPoint:
     )
 
 
+def config_grid(
+    policies: Sequence[str],
+    overrides: Optional[Dict[str, Sequence[object]]] = None,
+    policy_overrides: Optional[Dict[str, Sequence[object]]] = None,
+) -> List[dict]:
+    """The configuration axis of a sweep grid (everything but the
+    workload): config overrides, then policy overrides, then policy.
+    Each configuration holds the ``policy``, ``overrides`` and
+    ``policy_overrides`` arguments of :func:`make_sweep_cell`."""
+    overrides = overrides or {}
+    policy_overrides = policy_overrides or {}
+    keys = sorted(overrides)
+    pkeys = sorted(policy_overrides)
+    combos = list(itertools.product(*(overrides[k] for k in keys))) or [()]
+    pcombos = list(itertools.product(*(policy_overrides[k] for k in pkeys))) or [()]
+    return [
+        {
+            "policy": policy,
+            "overrides": list(zip(keys, combo)),
+            "policy_overrides": list(zip(pkeys, pcombo)),
+        }
+        for combo in combos
+        for pcombo in pcombos
+        for policy in policies
+    ]
+
+
 def sweep_cells(
     workloads: Sequence[str],
     policies: Sequence[str] = ("always", "esync", "psync"),
@@ -139,29 +167,11 @@ def sweep_cells(
     policy_overrides: Optional[Dict[str, Sequence[object]]] = None,
 ):
     """The sweep grid as executor cells, workload-major: workload, then
-    config overrides, then policy overrides, then policy."""
-    overrides = overrides or {}
-    keys = sorted(overrides)
-    combos = list(itertools.product(*(overrides[k] for k in keys))) or [()]
-    pkeys = sorted(policy_overrides or {})
-    pcombos = list(
-        itertools.product(*((policy_overrides or {})[k] for k in pkeys))
-    ) or [()]
-    cells = []
-    for name in workloads:
-        for combo in combos:
-            for pcombo in pcombos:
-                for policy_name in policies:
-                    cells.append(
-                        make_sweep_cell(
-                            name,
-                            policy_name,
-                            scale,
-                            overrides=list(zip(keys, combo)),
-                            policy_overrides=list(zip(pkeys, pcombo)),
-                        )
-                    )
-    return cells
+    the :func:`config_grid` order."""
+    configs = config_grid(policies, overrides, policy_overrides)
+    return [
+        make_sweep_cell(name, scale=scale, **config) for name in workloads for config in configs
+    ]
 
 
 def sweep(
@@ -169,15 +179,8 @@ def sweep(
     policies: Sequence[str] = ("always", "esync", "psync"),
     overrides: Optional[Dict[str, Sequence[object]]] = None,
     scale="tiny",
-    jobs: Optional[int] = None,
-    cache_dir=None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    metrics=None,
-    trace=None,
-    progress=None,
-    backend=None,
     policy_overrides: Optional[Dict[str, Sequence[object]]] = None,
+    executor: Optional[Executor] = None,
 ) -> SweepResult:
     """Run the full cross product and return a :class:`SweepResult`.
 
@@ -187,31 +190,21 @@ def sweep(
     keyword arguments to value lists (e.g. ``{"capacity": (16, 64)}``
     for the MDPT size), crossed into the grid the same way.
 
-    The grid runs through the executor (:mod:`repro.experiments.executor`),
-    inline unless ``jobs`` or ``backend`` say otherwise: one cell per
-    (workload, config, policy) point, content-addressed caching under
-    ``cache_dir``, per-cell retry/timeout, and FAILED cells recorded on
-    ``result.failed`` instead of aborting.  The executor groups cells
-    that share one decoded trace into chunks sized from the grid and the
-    worker count — a pure scheduling choice, so results and cache keys
-    are the same on every backend.
+    The grid runs as one :meth:`~repro.experiments.executor.Executor.run`
+    on *executor* (default: an inline ``Executor()``), which says where
+    cells run, where results are cached, and the per-cell
+    retry/timeout: one cell per (workload, config, policy) point, and
+    FAILED cells recorded on ``result.failed`` instead of aborting.
+    The executor groups cells that share one decoded trace into chunks
+    sized from the grid and the worker count — a pure scheduling
+    choice, so results and cache keys are the same on every backend.
     """
     from repro.experiments.executor import Executor
 
     cells = sweep_cells(
         workloads, policies, overrides, scale, policy_overrides=policy_overrides
     )
-    executor = Executor(
-        jobs=jobs or 1,
-        cache=cache_dir,
-        timeout=timeout,
-        retries=retries,
-        metrics=metrics,
-        trace=trace,
-        progress=progress,
-        backend=backend,
-    )
-    report = executor.run(cells)
+    report = (executor or Executor()).run(cells)
     result = SweepResult(report=report)
     for cell_result in report.results:
         if not cell_result.ok:

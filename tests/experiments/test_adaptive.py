@@ -20,7 +20,7 @@ from repro.experiments.adaptive import (
     default_rungs,
 )
 from repro.experiments.backends import QueueDirBackend
-from repro.experiments.executor import ResultCache, source_fingerprint
+from repro.experiments.executor import Executor, ResultCache, source_fingerprint
 from repro.experiments.sweeps import SweepResult, make_sweep_cell
 
 
@@ -50,6 +50,11 @@ def fake_sweep_cell(spec):
     }
 
 
+def fake_executor(**options):
+    """An executor running :func:`fake_sweep_cell`."""
+    return Executor(run_cell=fake_sweep_cell, **options)
+
+
 def failing_for_policy(spec):
     params = dict(spec["params"])
     if params.get("policy") == "bad":
@@ -74,13 +79,13 @@ def test_default_rungs_covers_the_grid():
 
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError, match="metric"):
-        adaptive_sweep(["sc"], metric="bogus", run_cell=fake_sweep_cell)
+        adaptive_sweep(["sc"], metric="bogus", executor=fake_executor())
     with pytest.raises(ValueError, match="eta"):
-        adaptive_sweep(["sc"], eta=1, run_cell=fake_sweep_cell)
+        adaptive_sweep(["sc"], eta=1, executor=fake_executor())
     with pytest.raises(ValueError, match="workload"):
-        adaptive_sweep([], run_cell=fake_sweep_cell)
+        adaptive_sweep([], executor=fake_executor())
     with pytest.raises(ValueError, match="rungs"):
-        adaptive_sweep(["sc"], rungs=0, run_cell=fake_sweep_cell)
+        adaptive_sweep(["sc"], rungs=0, executor=fake_executor())
 
 
 def test_rung_schedule_and_unit_accounting():
@@ -92,9 +97,10 @@ def test_rung_schedule_and_unit_accounting():
         overrides={"stages": [1, 2, 3]},
         scale="tiny",
         eta=3,
-        run_cell=fake_sweep_cell,
+        executor=fake_executor(),
     )
     assert [r["cells"] for r in adaptive.rungs] == [9, 3]
+    assert adaptive.result.report.counters()["cells_total"] == 3  # the final rung's run
     assert [r["multiplier"] for r in adaptive.rungs] == [pytest.approx(1 / 3), 1.0]
     assert adaptive.rungs[-1]["scale"] == "tiny"  # the requested scale, verbatim
     assert adaptive.adaptive_units == pytest.approx(6.0)
@@ -108,7 +114,7 @@ def test_winner_matches_exhaustive_best():
         overrides={"stages": [1, 2]},
         scale="tiny",
     )
-    adaptive = adaptive_sweep(["w1", "w2"], eta=2, run_cell=fake_sweep_cell, **grid)
+    adaptive = adaptive_sweep(["w1", "w2"], eta=2, executor=fake_executor(), **grid)
     # the evaluator is scale-independent, so halving can never eliminate
     # the true winner: top-1 must equal the exhaustive argmin
     for workload in ("w1", "w2"):
@@ -134,8 +140,7 @@ def test_failed_configs_rank_last_and_surface_in_failed():
         policies=("good", "bad"),
         scale="tiny",
         eta=2,
-        run_cell=failing_for_policy,
-        retries=0,
+        executor=Executor(run_cell=failing_for_policy, retries=0),
     )
     assert adaptive.winners["w"].policy == "good"
     assert any("bad" in label for label, _ in adaptive.result.failed)
@@ -150,8 +155,7 @@ def test_final_rung_is_cache_compatible_with_exhaustive(tmp_path):
         policies=("a", "b", "c", "d"),
         scale="tiny",
         eta=2,
-        run_cell=fake_sweep_cell,
-        cache_dir=cache,
+        executor=fake_executor(cache=cache),
     )
     winner = adaptive.winners["w"]
     cell = make_sweep_cell("w", winner.policy, "tiny")
@@ -165,8 +169,7 @@ def test_rung_progress_events():
         policies=("a", "b", "c", "d"),
         scale="tiny",
         eta=2,
-        run_cell=fake_sweep_cell,
-        progress=events.append,
+        executor=fake_executor(progress=events.append),
     )
     rungs = [e for e in events if e.get("event") == "rung"]
     assert [r["rung"] for r in rungs] == [1, 2]
@@ -177,7 +180,7 @@ def test_rung_progress_events():
 
 def test_ledger_rung_record_shape():
     adaptive = adaptive_sweep(
-        ["w"], policies=("a", "b"), scale="tiny", eta=2, run_cell=fake_sweep_cell
+        ["w"], policies=("a", "b"), scale="tiny", eta=2, executor=fake_executor()
     )
     for record in adaptive.rungs:
         assert set(record) == {
@@ -190,6 +193,29 @@ def test_ledger_rung_record_shape():
 def test_savings_property_handles_empty():
     empty = AdaptiveResult(result=SweepResult(), winners={})
     assert empty.savings == 0.0
+
+
+def test_queue_dir_workers_outlive_the_rungs(tmp_path):
+    """The rungs share one executor whose backend stays open between
+    them: the queue-dir workers are forked once, not once per rung."""
+    backend = QueueDirBackend(tmp_path / "q", workers=2, poll_interval=0.005)
+    started = []
+    start_worker = backend._start_worker
+
+    def counted_start(queue):
+        started.append(queue)
+        start_worker(queue)
+
+    backend._start_worker = counted_start
+    adaptive = adaptive_sweep(
+        ["w"],
+        policies=("a", "b", "c", "d"),
+        scale="tiny",
+        eta=2,
+        executor=fake_executor(jobs=2, backend=backend),
+    )
+    assert len(adaptive.rungs) == 2
+    assert len(started) == 2
 
 
 # -- determinism across backends and worker counts ---------------------------
@@ -233,16 +259,15 @@ def test_adaptive_is_backend_invariant(
         scale="tiny",
         eta=eta,
         metric=metric,
-        run_cell=fake_sweep_cell,
     )
-    serial = adaptive_sweep(list(workloads), **grid)
-    again = adaptive_sweep(list(workloads), **grid)
+    serial = adaptive_sweep(list(workloads), executor=fake_executor(), **grid)
+    again = adaptive_sweep(list(workloads), executor=fake_executor(), **grid)
     queue_root = tmp_path_factory.mktemp("queue")
     stolen = adaptive_sweep(
         list(workloads),
-        jobs=queue_workers,
-        backend=QueueDirBackend(
-            queue_root, workers=queue_workers, threads=True, poll_interval=0.005
+        executor=fake_executor(
+            jobs=queue_workers,
+            backend=QueueDirBackend(queue_root, workers=queue_workers, poll_interval=0.005),
         ),
         **grid,
     )

@@ -16,12 +16,10 @@ import time
 import pytest
 
 from repro.experiments.backends import (
-    BACKENDS,
     ExecutorBackend,
     InlineBackend,
     LocalPoolBackend,
     QueueDirBackend,
-    make_backend,
 )
 from repro.experiments.executor import Cell, CellError, Executor, default_run_cell
 from repro.experiments.queuedir import QueueDir, run_worker
@@ -83,37 +81,14 @@ def payloads(report):
     return [json.dumps(r.payload, sort_keys=True) for r in report.results]
 
 
-# -- registry and selection --------------------------------------------------
-
-def test_backend_registry_names():
-    assert set(BACKENDS) == {"inline", "local", "queue-dir"}
-    assert make_backend("inline").name == "inline"
-    assert make_backend("local").name == "local"
-
-
-def test_make_backend_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown backend"):
-        make_backend("slurm")
-
-
-def test_make_backend_requires_queue_dir():
-    with pytest.raises(ValueError, match="queue_dir"):
-        make_backend("queue-dir")
-
-
-def test_make_backend_passes_instances_through():
-    backend = InlineBackend()
-    assert make_backend(backend) is backend
-
+# -- selection ---------------------------------------------------------------
 
 def test_executor_default_backend_follows_jobs():
-    assert isinstance(Executor(jobs=1)._resolve_backend(), InlineBackend)
-    assert isinstance(Executor(jobs=2)._resolve_backend(), LocalPoolBackend)
-
-
-def test_executor_accepts_backend_by_name():
-    backend = Executor(jobs=4, backend="inline")._resolve_backend()
-    assert isinstance(backend, InlineBackend)
+    assert isinstance(Executor(jobs=1).backend, InlineBackend)
+    assert isinstance(Executor(jobs=2).backend, LocalPoolBackend)
+    # an instance it is given is used as is, whatever the job count
+    backend = InlineBackend()
+    assert Executor(jobs=4, backend=backend).backend is backend
 
 
 def test_custom_backend_must_implement_run():
@@ -128,8 +103,8 @@ def assert_backends_agree(tmp_path, cells):
     identical payloads, in input order."""
     backend = QueueDirBackend(tmp_path / "q", workers=2, poll_interval=0.01, lease_timeout=5)
     reports = [
-        Executor(jobs=1, run_cell=payload_cell, backend="inline").run(cells),
-        Executor(jobs=2, run_cell=payload_cell, backend="local").run(cells),
+        Executor(jobs=1, run_cell=payload_cell).run(cells),
+        Executor(jobs=2, run_cell=payload_cell).run(cells),
         Executor(jobs=2, run_cell=payload_cell, backend=backend).run(cells),
     ]
     for report in reports:
@@ -163,22 +138,6 @@ def test_duplicated_cell_gets_one_result_per_input_cell(tmp_path):
     assert_backends_agree(tmp_path, cells)
 
 
-def test_queue_dir_thread_mode_runs_closures(tmp_path):
-    seen = []
-
-    def closure_cell(spec):  # not importable: thread-mode only
-        seen.append(spec["name"])
-        return {"name": spec["name"]}
-
-    cells = grid_cells()
-    backend = QueueDirBackend(
-        tmp_path / "q", workers=2, threads=True, poll_interval=0.01
-    )
-    report = Executor(jobs=2, run_cell=closure_cell, backend=backend).run(cells)
-    assert sorted(seen) == sorted(c.name for c in cells)
-    assert all(r.ok for r in report.results)
-
-
 def test_queue_dir_process_mode_rejects_closures(tmp_path):
     backend = QueueDirBackend(tmp_path / "q", workers=1)
     with pytest.raises(CellError, match="not importable"):
@@ -193,9 +152,7 @@ def test_queue_dir_writes_results_through_executor_cache(tmp_path):
     ).run(cells)
     assert cold.counters()["cells_cached"] == 0
     # a warm rerun needs no backend at all: everything is cached
-    warm = Executor(
-        jobs=1, run_cell=payload_cell, cache=tmp_path / "cache", backend="inline"
-    ).run(cells)
+    warm = Executor(jobs=1, run_cell=payload_cell, cache=tmp_path / "cache").run(cells)
     assert warm.counters()["cells_cached"] == len(cells)
     assert payloads(warm) == payloads(cold)
 
@@ -207,8 +164,7 @@ def test_queue_dir_external_workers_only(tmp_path):
     backend = QueueDirBackend(queue_root, workers=0, poll_interval=0.01)
     external = threading.Thread(
         target=run_worker,
-        kwargs=dict(queue=QueueDir(queue_root).init(), run_cell=payload_cell,
-                    poll_interval=0.01),
+        kwargs=dict(queue=QueueDir(queue_root).init(), poll_interval=0.01),
         daemon=True,
     )
     external.start()
@@ -261,7 +217,7 @@ def test_killed_worker_lease_is_reclaimed_and_sweep_completes(tmp_path):
     # exactly one result per cell, in input order
     assert [r.cell.name for r in report.results] == [c.name for c in cells]
     # and the payloads match an undisturbed inline run bit for bit
-    reference = Executor(jobs=1, run_cell=sleepy_cell, backend="inline").run(cells)
+    reference = Executor(jobs=1, run_cell=sleepy_cell).run(cells)
     assert payloads(report) == payloads(reference)
 
 
@@ -378,19 +334,15 @@ def test_failing_driver_leaves_no_workers_behind(tmp_path):
 
 
 def test_hold_open_keeps_workers_across_executes(tmp_path):
-    backend = QueueDirBackend(
-        tmp_path / "q", workers=2, threads=True, poll_interval=0.01
-    )
+    backend = QueueDirBackend(tmp_path / "q", workers=2, poll_interval=0.01)
+    executor = Executor(jobs=2, run_cell=payload_cell, backend=backend)
     with backend.hold_open():
-        first = Executor(jobs=2, run_cell=payload_cell, backend=backend).run(
-            grid_cells(3)
-        )
-        alive = [t for t in backend._threads if t.is_alive()]
-        assert len(alive) == 2  # no stop sentinel between runs
-        second = Executor(jobs=2, run_cell=payload_cell, backend=backend).run(
-            grid_cells(5)
-        )
+        first = executor.run(grid_cells(3))
+        pids = [proc.pid for proc in backend._procs if proc.is_alive()]
+        assert len(pids) == 2  # no stop sentinel between runs
+        assert not os.path.exists(tmp_path / "q" / "STOP")
+        second = executor.run(grid_cells(5))
+        assert [proc.pid for proc in backend._procs] == pids  # the same fleet
     assert all(r.ok for r in first.results + second.results)
-    time.sleep(0.2)
-    assert not any(t.is_alive() for t in backend._threads or [])
     assert os.path.exists(tmp_path / "q" / "STOP")
+    assert backend._procs == [] and all(reaped(pid) for pid in pids)

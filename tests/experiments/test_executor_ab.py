@@ -12,7 +12,7 @@ import hashlib
 from pathlib import Path
 
 from repro.experiments import run_all
-from repro.experiments.executor import ResultCache, experiment_cells
+from repro.experiments.executor import Executor, ResultCache, experiment_cells
 from repro.experiments.sweeps import sweep
 from tests.experiments.test_golden import (
     GOLDEN_EXPERIMENTS,
@@ -31,7 +31,7 @@ def assert_golden(tables):
 
 
 def test_parallel_four_jobs_is_bit_identical_to_serial():
-    tables, report = run_all(parallel=4, scale=SCALE)
+    tables, report = run_all(scale=SCALE, executor=Executor(jobs=4))
     assert not report.failed
     assert report.jobs == 4
     assert_golden(tables)
@@ -39,17 +39,17 @@ def test_parallel_four_jobs_is_bit_identical_to_serial():
 
 def test_executor_inline_is_bit_identical_to_serial():
     keys = ("figure5", "table1", "table3", "table6", "table9")
-    tables, report = run_all(parallel=1, scale=SCALE, experiments=keys)
+    tables, report = run_all(scale=SCALE, experiments=keys, executor=Executor(jobs=1))
     assert not report.failed
     assert {k: canonical(tables[k]) for k in keys} == {k: golden_table(k) for k in keys}
 
 
 def test_warm_cache_is_bit_identical_to_serial(tmp_path):
     cache = tmp_path / "cache"
-    cold_tables, cold = run_all(parallel=2, scale=SCALE, cache_dir=cache)
+    cold_tables, cold = run_all(scale=SCALE, executor=Executor(jobs=2, cache=cache))
     assert not cold.failed
     assert cold.counters()["cells_cached"] == 0
-    warm_tables, warm = run_all(parallel=2, scale=SCALE, cache_dir=cache)
+    warm_tables, warm = run_all(scale=SCALE, executor=Executor(jobs=2, cache=cache))
     assert not warm.failed
     assert warm.counters()["cells_run"] == 0
     assert warm.counters()["cells_cached"] == cold.counters()["cells_run"]
@@ -99,7 +99,7 @@ def test_parent_format_cache_is_served_as_misses(tmp_path):
         }
         cache.put(cell.key(old), cell, payload)
     assert len(cache) == len(cells)
-    tables, report = run_all(scale=SCALE, experiments=["table6"], cache_dir=cache.root)
+    tables, report = run_all(scale=SCALE, experiments=["table6"], executor=Executor(cache=cache))
     assert report.counters()["cells_cached"] == 0
     assert report.counters()["cells_run"] == len(cells)
     assert canonical(tables["table6"]) == golden_table("table6")
@@ -107,7 +107,7 @@ def test_parent_format_cache_is_served_as_misses(tmp_path):
 
 def test_sweep_parallel_is_bit_identical_to_serial():
     grid = dict(policies=("always", "esync"), overrides={"stages": (2, 4)}, scale=SCALE)
-    for jobs in (None, 4):
-        result = sweep(["sc", "xlisp"], jobs=jobs, **grid)
+    for jobs in (1, 4):
+        result = sweep(["sc", "xlisp"], executor=Executor(jobs=jobs), **grid)
         assert not result.failed
         assert rendered_points(result) == golden_points("sweep-sc-xlisp")

@@ -257,7 +257,7 @@ def test_sweep_batch_is_bit_identical_to_serial():
     # 16 cells on two workers: chunks of 2 cells sharing a trace
     grid = dict(policies=("always", "esync", "psync", "sync"),
                 overrides={"stages": (4, 8)}, scale="tiny")
-    grouped = sweep(["sc", "xlisp"], jobs=2, **grid)
+    grouped = sweep(["sc", "xlisp"], executor=Executor(jobs=2), **grid)
     assert not grouped.failed
     assert rendered_points(grouped) == golden_points("sweep-sc-xlisp-four-policies")
 

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import POLICIES, main
 
@@ -523,6 +527,66 @@ def test_pdg_dot_and_json_output(capsys):
     assert {"summary", "slices"} <= set(payload)
 
 
+#: programs that assemble but fault when interpreted
+FAULTING_PROGRAMS = {
+    "unaligned": "li s1, 0x2001\nlw t0, 0(s1)\nhalt\n",
+    "negative": "li s1, -4\nlw t0, 0(s1)\nhalt\n",
+    "divzero": "li s1, 7\nli s2, 0\ndiv t0, s1, s2\nhalt\n",
+}
+
+
+@pytest.mark.parametrize("command", ["staticdep", "explain", "leakcheck"])
+@pytest.mark.parametrize("program", sorted(FAULTING_PROGRAMS))
+def test_interpreter_fault_is_a_usage_error(capsys, tmp_path, command, program):
+    path = tmp_path / (program + ".s")
+    path.write_text(FAULTING_PROGRAMS[program])
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+EXAMPLE_SOURCES = {
+    path.name: re.sub(r"#[^\n]*", "", path.read_text())
+    for path in sorted(Path("examples/programs").glob("*.s"))
+}
+#: whitespace runs, punctuation, and everything between them
+ASM_TOKEN = re.compile(r"\s+|[,()]|[^\s,()]+")
+#: tokens the mutations may splice in besides the program's own
+ASM_SPLICES = ["0x2001", "-4", "0", "99999999999999999999", "zero", "t9", "lw", "div",
+               "halt", ".task", ".word", ".secret", "loop:", ":", "(", ")", ",", "x"]
+
+
+@st.composite
+def mutated_example(draw):
+    """An example program with 1-3 of its tokens deleted, doubled or
+    replaced by another of its tokens or a splice token."""
+    tokens = ASM_TOKEN.findall(EXAMPLE_SOURCES[draw(st.sampled_from(sorted(EXAMPLE_SOURCES)))])
+    positions = [i for i, token in enumerate(tokens) if not token.isspace()]
+    pool = sorted({token for token in tokens if not token.isspace()} | set(ASM_SPLICES))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.sampled_from(positions))
+        doubled = tokens[i] + " " + tokens[i]
+        tokens[i] = draw(st.one_of(st.just(""), st.just(doubled), st.sampled_from(pool)))
+    return "".join(tokens)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=mutated_example())
+def test_malformed_assembly_never_escapes_the_exit_contract(capsys, tmp_path, source):
+    """Malformed ``.s`` input gets exit 0, 1 or 2, a 2 with an
+    ``error:`` diagnostic, and never a traceback."""
+    path = tmp_path / "mutated.s"
+    path.write_text(source)
+    for argv in (["lint", str(path)], ["pdg", str(path)], ["slice", str(path), "0"]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert code != 2 or "error:" in err, argv
+        assert "Traceback" not in err, argv
+
+
 # --- the parallel executor through `repro experiment` / `repro sweep` ---
 
 
@@ -580,14 +644,13 @@ def test_experiment_executor_trace_export(capsys, tmp_path):
 
 
 def test_experiment_queue_dir_backend_runs_on_the_queue(capsys, tmp_path):
-    """--backend queue-dir reaches the executor: the cells run on the
+    """--queue-dir alone reaches the executor: the cells run on the
     queue directory and print what the inline backend prints."""
     argv = ["experiment", "table1", "--scale", "tiny", "--json"]
-    assert main(argv + ["--backend", "inline"]) == 0
+    assert main(argv) == 0
     inline = json.loads(capsys.readouterr().out)
     queue = tmp_path / "q"
-    assert main(argv + ["--backend", "queue-dir", "--queue-dir", str(queue),
-                        "--workers", "1"]) == 0
+    assert main(argv + ["--queue-dir", str(queue)]) == 0
     stolen = json.loads(capsys.readouterr().out)
     assert list(queue.glob("results/*.jsonl"))
     assert stolen == inline
@@ -655,9 +718,7 @@ def test_sweep_adaptive_queue_dir_matches_local_pool(capsys, tmp_path):
             "--adaptive", "--eta", "2", "--jobs", "2", "--json"]
     assert main(argv) == 0
     pooled = capsys.readouterr().out
-    assert main(argv + ["--backend", "queue-dir",
-                        "--queue-dir", str(tmp_path / "q"),
-                        "--workers", "2"]) == 0
+    assert main(argv + ["--queue-dir", str(tmp_path / "q"), "--workers", "2"]) == 0
     stolen = capsys.readouterr().out
     assert stolen == pooled
 
@@ -668,13 +729,25 @@ def test_sweep_adaptive_bad_metric_exits_two(capsys):
     assert "eta" in capsys.readouterr().err
 
 
-def test_sweep_queue_dir_flags_validated(capsys):
-    assert main(["sweep", "sc", "--backend", "queue-dir"]) == 2
-    assert "--queue-dir" in capsys.readouterr().err
-    assert main(["sweep", "sc", "--queue-dir", "/tmp/q"]) == 2
-    assert "--backend queue-dir" in capsys.readouterr().err
+def test_sweep_queue_dir_flags_validated(capsys, monkeypatch):
+    monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
     assert main(["sweep", "sc", "--workers", "2"]) == 2
-    assert "--workers" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--workers" in err
+
+
+def test_queue_dir_from_the_environment_selects_the_queue(capsys, tmp_path, monkeypatch):
+    """$REPRO_QUEUE_DIR alone, with no executor flag, runs the sweep on
+    that queue directory and prints the inline output."""
+    argv = ["sweep", "sc", "--policies", "always,esync",
+            "--override", "stages=2,4", "--scale", "tiny", "--json"]
+    monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)
+    assert main(argv) == 0
+    inline = capsys.readouterr().out
+    monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == inline
+    assert list(tmp_path.glob("results/*.jsonl"))
 
 
 def test_worker_command_drains_queue(capsys, tmp_path):
