@@ -86,7 +86,11 @@ def payloads(report):
 def test_executor_default_backend_follows_jobs():
     assert isinstance(Executor(jobs=1).backend, InlineBackend)
     assert isinstance(Executor(jobs=2).backend, LocalPoolBackend)
-    # an instance it is given is used as is, whatever the job count
+
+
+def test_make_backend_passes_instances_through():
+    # a backend instance the Executor is given is used as is, whatever
+    # the job count: no name lookup or rebuild sits in between
     backend = InlineBackend()
     assert Executor(jobs=4, backend=backend).backend is backend
 
