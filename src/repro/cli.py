@@ -69,7 +69,7 @@ import time
 from typing import Optional
 
 from repro.core.stats import speedup
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import EXPERIMENT_IDS
 from repro.frontend import InterpreterError, analyze_trace, run_program
 from repro.multiscalar import (
     MultiscalarConfig,
@@ -77,13 +77,17 @@ from repro.multiscalar import (
     available_policies,
     make_policy,
 )
-from repro.oracle import profile_dependences
 from repro.telemetry import make_telemetry, merged_trace
 from repro.workloads import WorkloadError, all_workloads, get_workload
 
 #: Derived from the policy registry so new policies surface here
 #: automatically (order is the registry's presentation order).
 POLICIES = available_policies()
+
+#: ``lint --fail-on`` spellings: a copy of
+#: :data:`repro.staticdep.lint.FAIL_ON_CHOICES` (a test pins them equal),
+#: so building the parser loads no analysis
+FAIL_ON_CHOICES = ("error", "warning", "warn", "info", "note")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "parallel through the cell executor. Exit codes: 0 all cells "
         "completed, 2 unknown experiment / usage error / any FAILED cell.",
     )
-    p_exp.add_argument("which", help="'all' or one of: %s" % ", ".join(sorted(ALL_EXPERIMENTS)))
+    p_exp.add_argument("which", help="'all' or one of: %s" % ", ".join(sorted(EXPERIMENT_IDS)))
     p_exp.add_argument("--scale", default="test")
     p_exp.add_argument(
         "--bars",
@@ -337,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint", help="run the speculation linter over a program",
         description="Speculation linter. Exit codes: 0 no errors "
         "(warnings/infos allowed), 1 at least one error-severity "
-        "finding, 2 usage error.",
+        "finding, 2 usage error (unknown workload, unreadable file, a "
+        "file that does not assemble).",
     )
     p_lint.add_argument("target", help="workload name or assembly (.s) file")
     p_lint.add_argument("--scale", default="test")
@@ -354,8 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="lint against the symbolic classifier's refined pair set and "
         "enable the must-alias-pair / dist-over-mdst rules",
     )
-    from repro.staticdep.lint import FAIL_ON_CHOICES
-
     p_lint.add_argument(
         "--fail-on", default="error", choices=FAIL_ON_CHOICES, dest="fail_on",
         help="lowest severity that makes the exit code 1 (default: error; "
@@ -545,6 +548,8 @@ def cmd_workloads(_args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from repro.oracle import profile_dependences
+
     trace = get_workload(args.workload).trace(args.scale)
     print("summary:", trace.summary())
     analysis = analyze_trace(trace)
@@ -897,12 +902,12 @@ class _GridRun:
 
 
 def cmd_experiment(args) -> int:
-    keys = sorted(ALL_EXPERIMENTS) if args.which == "all" else [args.which]
+    keys = sorted(EXPERIMENT_IDS) if args.which == "all" else [args.which]
     for key in keys:
-        if key not in ALL_EXPERIMENTS:
+        if key not in EXPERIMENT_IDS:
             print(
                 "unknown experiment %r (expected 'all' or one of: %s)"
-                % (key, ", ".join(sorted(ALL_EXPERIMENTS))),
+                % (key, ", ".join(sorted(EXPERIMENT_IDS))),
                 file=sys.stderr,
             )
             return 2
@@ -1075,6 +1080,7 @@ def cmd_profile(args) -> int:
     ``frontend.decode`` on a trace-cache hit) and ``frontend.index``,
     and the static analyses a policy runs while binding are scoped on
     the shared profiler, so they show up nested under ``simulate``."""
+    from repro.oracle import profile_dependences
     from repro.telemetry import PROFILER
 
     mark = PROFILER.mark()
@@ -1265,6 +1271,12 @@ def cmd_lint(args) -> int:
     except Exception as exc:
         # unknown workload, unreadable file, bad scale, ... -> usage error
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    unparsable = [d for d in diagnostics if d.rule_id == "parse-error"]
+    if unparsable:
+        # a file that does not assemble (for a reason no label rule
+        # names) is an unparsable target, as for pdg and slice
+        print("error: %s" % unparsable[0].message, file=sys.stderr)
         return 2
     if args.as_json:
         print(

@@ -1,69 +1,123 @@
-"""Experiment runners: one per table and figure of the paper."""
+"""Experiment runners: one per table and figure of the paper.
 
-from repro.experiments import figures, tables
-from repro.experiments.figures import (
-    extension_window_scaling,
-    figure5_policy_speedups,
-    figure6_mechanism_speedups,
-    figure7_spec95_speedups,
-)
-from repro.experiments.results import ExperimentTable
-from repro.experiments.slicewarm import slice_warming
-from repro.experiments.spectaint import spectaint_leakage
-from repro.experiments.staticdep import staticdep_coverage, staticdep_symbolic
-from repro.experiments.sweeps import SweepPoint, SweepResult, sweep, sweep_cells
-from repro.experiments.tables import (
-    RecordingAlwaysPolicy,
-    load_traces,
-    table1_instruction_counts,
-    table2_fu_latencies,
-    table3_window_missspec,
-    table4_static_coverage,
-    table5_ddc_missrate,
-    table6_multiscalar_missspec,
-    table7_multiscalar_ddc,
-    table8_prediction_breakdown,
-    table9_missspec_rates,
-    workload_trace,
-)
+The package-level names load their module on first access (a PEP 562
+module ``__getattr__``), so importing the executor, the sweeps or a
+backend to run sweep cells loads no table or figure runner, nor the
+static analysis, oracle and sanitizer code those runners call.
+"""
 
-#: experiment id -> runner, for programmatic access to the whole set
-#: (the CLI, report generator, and benchmarks all go through this table)
-ALL_EXPERIMENTS = {
-    "table1": table1_instruction_counts,
-    "table2": table2_fu_latencies,
-    "table3": table3_window_missspec,
-    "table4": table4_static_coverage,
-    "table5": table5_ddc_missrate,
-    "table6": table6_multiscalar_missspec,
-    "table7": table7_multiscalar_ddc,
-    "table8": table8_prediction_breakdown,
-    "table9": table9_missspec_rates,
-    "figure5": figure5_policy_speedups,
-    "figure6": figure6_mechanism_speedups,
-    "figure7": figure7_spec95_speedups,
-    "window-scaling": extension_window_scaling,
-    "staticdep": staticdep_coverage,
-    "staticdep-symbolic": staticdep_symbolic,
-    "spectaint": spectaint_leakage,
-    "slice-warming": slice_warming,
+from importlib import import_module
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from typing import Callable, Dict, List, Tuple
+
+    from repro.experiments.executor import Cell, workload_trace
+    from repro.experiments.figures import (
+        extension_window_scaling,
+        figure5_policy_speedups,
+        figure6_mechanism_speedups,
+        figure7_spec95_speedups,
+    )
+    from repro.experiments.results import ExperimentTable
+    from repro.experiments.slicewarm import slice_warming
+    from repro.experiments.spectaint import spectaint_leakage
+    from repro.experiments.staticdep import staticdep_coverage, staticdep_symbolic
+    from repro.experiments.sweeps import SweepPoint, SweepResult, sweep, sweep_cells
+    from repro.experiments.tables import (
+        RecordingAlwaysPolicy,
+        load_traces,
+        table1_instruction_counts,
+        table2_fu_latencies,
+        table3_window_missspec,
+        table4_static_coverage,
+        table5_ddc_missrate,
+        table6_multiscalar_missspec,
+        table7_multiscalar_ddc,
+        table8_prediction_breakdown,
+        table9_missspec_rates,
+    )
+
+    ALL_EXPERIMENTS: Dict[str, Callable[..., ExperimentTable]]
+    GRID_EXPERIMENTS: Dict[
+        str, Tuple[Callable[..., List[Cell]], Callable[..., ExperimentTable]]
+    ]
+
+#: experiment id -> (module, runner), in the order of ALL_EXPERIMENTS
+_RUNNERS = {
+    "table1": ("tables", "table1_instruction_counts"),
+    "table2": ("tables", "table2_fu_latencies"),
+    "table3": ("tables", "table3_window_missspec"),
+    "table4": ("tables", "table4_static_coverage"),
+    "table5": ("tables", "table5_ddc_missrate"),
+    "table6": ("tables", "table6_multiscalar_missspec"),
+    "table7": ("tables", "table7_multiscalar_ddc"),
+    "table8": ("tables", "table8_prediction_breakdown"),
+    "table9": ("tables", "table9_missspec_rates"),
+    "figure5": ("figures", "figure5_policy_speedups"),
+    "figure6": ("figures", "figure6_mechanism_speedups"),
+    "figure7": ("figures", "figure7_spec95_speedups"),
+    "window-scaling": ("figures", "extension_window_scaling"),
+    "staticdep": ("staticdep", "staticdep_coverage"),
+    "staticdep-symbolic": ("staticdep", "staticdep_symbolic"),
+    "spectaint": ("spectaint", "spectaint_leakage"),
+    "slice-warming": ("slicewarm", "slice_warming"),
 }
 
-#: experiment id -> (cells, table) for the experiments that are views of
-#: the shared simulation grid: ``cells(scale)`` declares the sweep cells
-#: the experiment reads and ``table(stats)`` builds its table from their
-#: stats.  Every other experiment runs as one whole ``experiment`` cell:
-#: it reads no Multiscalar statistics, or it reads policy internals,
-#: violation streams, or programs outside the workload registry.
-GRID_EXPERIMENTS = {
-    "figure5": (figures.figure5_cells, figures.figure5_table),
-    "figure6": (figures.figure6_cells, figures.figure6_table),
-    "figure7": (figures.figure7_cells, figures.figure7_table),
-    "window-scaling": (figures.window_scaling_cells, figures.window_scaling_table),
-    "table6": (tables.table6_cells, tables.table6_table),
-    "table8": (tables.table8_cells, tables.table8_table),
-    "table9": (tables.table9_cells, tables.table9_table),
+#: every experiment id, known without importing a runner
+EXPERIMENT_IDS = tuple(_RUNNERS)
+
+#: experiment id -> (module, cells, table) for the experiments that are
+#: views of the shared simulation grid: ``cells(scale)`` declares the
+#: sweep cells the experiment reads and ``table(stats)`` builds its
+#: table from their stats.  Every other experiment runs as one whole
+#: ``experiment`` cell: it reads no Multiscalar statistics, or it reads
+#: policy internals, violation streams, or programs outside the
+#: workload registry.
+_GRID = {
+    "figure5": ("figures", "figure5_cells", "figure5_table"),
+    "figure6": ("figures", "figure6_cells", "figure6_table"),
+    "figure7": ("figures", "figure7_cells", "figure7_table"),
+    "window-scaling": ("figures", "window_scaling_cells", "window_scaling_table"),
+    "table6": ("tables", "table6_cells", "table6_table"),
+    "table8": ("tables", "table8_cells", "table8_table"),
+    "table9": ("tables", "table9_cells", "table9_table"),
 }
+
+#: every other package-level name -> the module that defines it
+_NAMES = {runner: module for module, runner in _RUNNERS.values()}
+_NAMES.update(
+    ExperimentTable="results",
+    RecordingAlwaysPolicy="tables",
+    SweepPoint="sweeps",
+    SweepResult="sweeps",
+    load_traces="tables",
+    sweep="sweeps",
+    sweep_cells="sweeps",
+    workload_trace="executor",
+)
+
+
+def _load(module, name):
+    return getattr(import_module("repro.experiments." + module), name)
+
+
+def __getattr__(name):
+    if name == "ALL_EXPERIMENTS":
+        # experiment id -> runner, for programmatic access to the whole
+        # set (the CLI, report generator, and benchmarks all go through it)
+        value = {key: _load(*runner) for key, runner in _RUNNERS.items()}
+    elif name == "GRID_EXPERIMENTS":
+        value = {
+            key: (_load(module, cells), _load(module, table))
+            for key, (module, cells, table) in _GRID.items()
+        }
+    elif name in _NAMES:
+        value = _load(_NAMES[name], name)
+    else:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    globals()[name] = value
+    return value
 
 
 def run_all(scale="test", experiments=None, executor=None):
@@ -94,10 +148,11 @@ def run_all(scale="test", experiments=None, executor=None):
         Executor,
         assemble_experiments,
         experiment_cells,
+        workload_trace,
     )
 
-    keys = sorted(ALL_EXPERIMENTS) if experiments is None else list(experiments)
-    unknown = [key for key in keys if key not in ALL_EXPERIMENTS]
+    keys = sorted(EXPERIMENT_IDS) if experiments is None else list(experiments)
+    unknown = [key for key in keys if key not in _RUNNERS]
     if unknown:
         raise KeyError("unknown experiment(s): %s" % ", ".join(sorted(unknown)))
     cells = experiment_cells(keys, scale)
@@ -116,6 +171,7 @@ def run_all(scale="test", experiments=None, executor=None):
 
 __all__ = [
     "ALL_EXPERIMENTS",
+    "EXPERIMENT_IDS",
     "GRID_EXPERIMENTS",
     "ExperimentTable",
     "RecordingAlwaysPolicy",
@@ -142,4 +198,5 @@ __all__ = [
     "table7_multiscalar_ddc",
     "table8_prediction_breakdown",
     "table9_missspec_rates",
+    "workload_trace",
 ]

@@ -61,7 +61,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.results import ExperimentTable
-from repro.telemetry import NULL_METRICS, NULL_TRACE
+from repro.telemetry import NULL_METRICS, NULL_TRACE, PROFILER
 
 #: cell statuses
 OK = "ok"
@@ -295,12 +295,28 @@ class RunReport:
 # -- cell execution (runs inside workers) ---------------------------------
 
 
+#: the process's one (workload, scale) -> trace memo, shared by the
+#: sweep cells and the table runners; the parallel executor warms it in
+#: the parent before forking, so workers inherit the traces copy-on-write
+_trace_cache: Dict[Tuple[str, object], object] = {}
+
+
+def workload_trace(name, scale="test"):
+    """One workload's trace, interpreted once per (name, scale)."""
+    key = (name, scale)
+    trace = _trace_cache.get(key)
+    if trace is None:
+        from repro.workloads import get_workload
+
+        with PROFILER.scope("trace-gen"):
+            trace = _trace_cache[key] = get_workload(name).trace(scale)
+    return trace
+
+
 def _run_sweep_cell(params: dict) -> dict:
     from dataclasses import replace
 
-    from repro.experiments.tables import workload_trace
     from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, make_policy
-    from repro.telemetry import PROFILER
 
     workload = params["workload"]
     # workers are long-lived, so a workload interpreted once serves

@@ -140,13 +140,19 @@ def config_grid(
     """The configuration axis of a sweep grid (everything but the
     workload): config overrides, then policy overrides, then policy.
     Each configuration holds the ``policy``, ``overrides`` and
-    ``policy_overrides`` arguments of :func:`make_sweep_cell`."""
+    ``policy_overrides`` arguments of :func:`make_sweep_cell`.  With no
+    axes, each policy gets one base configuration; an axis with no
+    values raises ``ValueError``, as the grid it spans is empty."""
     overrides = overrides or {}
     policy_overrides = policy_overrides or {}
+    for kind, axes in (("override", overrides), ("policy override", policy_overrides)):
+        for name in sorted(axes):
+            if not axes[name]:
+                raise ValueError("%s axis %r has no values" % (kind, name))
     keys = sorted(overrides)
     pkeys = sorted(policy_overrides)
-    combos = list(itertools.product(*(overrides[k] for k in keys))) or [()]
-    pcombos = list(itertools.product(*(policy_overrides[k] for k in pkeys))) or [()]
+    combos = list(itertools.product(*(overrides[k] for k in keys)))
+    pcombos = list(itertools.product(*(policy_overrides[k] for k in pkeys)))
     return [
         {
             "policy": policy,

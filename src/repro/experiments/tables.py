@@ -13,8 +13,7 @@ their stats (see :func:`repro.experiments.sweeps.run_grid`).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
+from repro.experiments.executor import workload_trace
 from repro.experiments.results import ExperimentTable
 from repro.experiments.sweeps import run_grid, sweep_cells
 from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator
@@ -27,26 +26,10 @@ from repro.oracle import (
     simulate_ddc_sizes,
 )
 from repro.telemetry import PROFILER
-from repro.workloads import get_workload, suite
+from repro.workloads import suite
 
 #: The benchmark suite of the paper's Tables 3-9 experiments.
 SPECINT92 = "specint92"
-
-#: the process's one (workload, scale) -> trace memo, shared by the
-#: runners and the executor's sweep cells; the parallel executor warms
-#: it in the parent before forking, so workers inherit the traces
-#: copy-on-write
-_trace_cache: Dict[Tuple[str, object], object] = {}
-
-
-def workload_trace(name, scale="test"):
-    """One workload's trace, interpreted once per (name, scale)."""
-    key = (name, scale)
-    trace = _trace_cache.get(key)
-    if trace is None:
-        with PROFILER.scope("trace-gen"):
-            trace = _trace_cache[key] = get_workload(name).trace(scale)
-    return trace
 
 
 def load_traces(suite_name=SPECINT92, scale="test"):

@@ -32,6 +32,7 @@ from functools import cached_property
 from itertools import chain, compress
 from typing import Dict, List, Optional, Tuple
 
+from repro.frontend.columns import TraceColumns
 from repro.isa.opcodes import OPCODE_CLASS, FUClass, Opcode, is_conditional_branch
 from repro.isa.registers import NUM_REGS
 
@@ -324,7 +325,5 @@ class TraceIndex:
         memoized on this index (see
         :class:`~repro.frontend.columns.TraceColumns`)."""
         if self._columns is None:
-            from repro.frontend.columns import TraceColumns
-
             self._columns = TraceColumns(self)
         return self._columns

@@ -64,6 +64,12 @@ class _LazyMinSet:
         return heap[0] if heap else None
 
 
+# the issue loop, imported here, after the helpers it imports from this
+# module, so every process that can simulate has compiled it (and the
+# workers a driver forks inherit it)
+from repro.multiscalar.batched import run_batched  # noqa: E402
+
+
 class MultiscalarSimulator:
     """Simulates one trace under one configuration and policy."""
 
@@ -204,8 +210,6 @@ class MultiscalarSimulator:
         simulator is freed as soon as its last outside reference goes,
         without waiting for the cyclic garbage collector.
         """
-        from repro.multiscalar.batched import run_batched
-
         try:
             return run_batched(self)
         finally:

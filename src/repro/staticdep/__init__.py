@@ -13,91 +13,141 @@ into MUST / MAY / NO alias verdicts with static dependence distances
 classifier (:mod:`repro.staticdep.spectaint`), and a whole-program
 dependence graph with executable backward slices and Prophet-style
 predictor-slice extraction (:mod:`repro.staticdep.pdg`).
+
+The package-level names load their module on first access (a PEP 562
+module ``__getattr__``): a simulation that binds a slice-warming policy
+loads the symbolic classifier and the dependence graph, not the linter,
+the taint classifier or the oracle cross-checker.
 """
 
-from repro.staticdep.analysis import (
-    StaticDependenceAnalysis,
-    SymbolicDependenceAnalysis,
-    SymbolicPair,
-    analyze_program,
-    analyze_program_symbolic,
-)
-from repro.staticdep.cfg import BasicBlock, ControlFlowGraph, build_cfg
-from repro.staticdep.checker import (
-    CrossCheckResult,
-    cross_check,
-    cross_check_workload,
-)
-from repro.staticdep.lint import (
-    ALL_RULE_IDS,
-    ERROR,
-    FAIL_ON_CHOICES,
-    INFO,
-    RULE_REGISTRY,
-    WARNING,
-    Diagnostic,
-    fails_threshold,
-    has_errors,
-    lint_config,
-    lint_labels,
-    lint_path,
-    lint_program,
-    lint_source,
-    normalize_severity,
-    sort_diagnostics,
-)
-from repro.staticdep.pdg import (
-    CTRL_EDGE,
-    DEFAULT_SLICE_BUDGET,
-    LOOP_CARRIED_CUTOFF,
-    MEM_EDGE,
-    REG_EDGE,
-    TOO_EXPENSIVE,
-    WARMABLE,
-    BackwardSlice,
-    PDGEdge,
-    PredictorSlice,
-    ProgramDependenceGraph,
-    SliceBudget,
-    SliceCost,
-    build_pdg,
-    extract_predictor_slices,
-    pdg_report,
-    slice_report,
-)
-from repro.staticdep.reaching import (
-    AccessExpr,
-    ReachingStores,
-    StaticPair,
-    StoreFact,
-    access_expr,
-    may_alias,
-)
-from repro.staticdep.spectaint import (
-    GATED,
-    LEAK,
-    NO_LEAK,
-    PUBLIC,
-    SECRET,
-    TAINT_TOP,
-    LeakVerdict,
-    SpecTaintAnalysis,
-    TaintReplay,
-    TaintSolution,
-    Transmitter,
-    analyze_spec_leaks,
-    region_taint,
-    taint_replay,
-    valid_ranges,
-)
-from repro.staticdep.symbolic import (
-    MAY,
-    MUST,
-    NO,
-    SymbolicSolution,
-    SymValue,
-    classify_addresses,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.staticdep.analysis import (
+        StaticDependenceAnalysis,
+        SymbolicDependenceAnalysis,
+        SymbolicPair,
+        analyze_program,
+        analyze_program_symbolic,
+    )
+    from repro.staticdep.cfg import BasicBlock, ControlFlowGraph, build_cfg
+    from repro.staticdep.checker import (
+        CrossCheckResult,
+        cross_check,
+        cross_check_workload,
+    )
+    from repro.staticdep.lint import (
+        ALL_RULE_IDS,
+        ERROR,
+        FAIL_ON_CHOICES,
+        INFO,
+        RULE_REGISTRY,
+        WARNING,
+        Diagnostic,
+        fails_threshold,
+        has_errors,
+        lint_config,
+        lint_labels,
+        lint_path,
+        lint_program,
+        lint_source,
+        normalize_severity,
+        sort_diagnostics,
+    )
+    from repro.staticdep.pdg import (
+        CTRL_EDGE,
+        DEFAULT_SLICE_BUDGET,
+        LOOP_CARRIED_CUTOFF,
+        MEM_EDGE,
+        REG_EDGE,
+        TOO_EXPENSIVE,
+        WARMABLE,
+        BackwardSlice,
+        PDGEdge,
+        PredictorSlice,
+        ProgramDependenceGraph,
+        SliceBudget,
+        SliceCost,
+        build_pdg,
+        extract_predictor_slices,
+        pdg_report,
+        slice_report,
+    )
+    from repro.staticdep.reaching import (
+        AccessExpr,
+        ReachingStores,
+        StaticPair,
+        StoreFact,
+        access_expr,
+        may_alias,
+    )
+    from repro.staticdep.spectaint import (
+        GATED,
+        LEAK,
+        NO_LEAK,
+        PUBLIC,
+        SECRET,
+        TAINT_TOP,
+        LeakVerdict,
+        SpecTaintAnalysis,
+        TaintReplay,
+        TaintSolution,
+        Transmitter,
+        analyze_spec_leaks,
+        region_taint,
+        taint_replay,
+        valid_ranges,
+    )
+    from repro.staticdep.symbolic import (
+        MAY,
+        MUST,
+        NO,
+        SymbolicSolution,
+        SymValue,
+        classify_addresses,
+    )
+
+#: module -> the package-level names it defines, imported on first
+#: access, so a process loads only the analyses it runs
+_MODULES = {
+    "analysis": (
+        "StaticDependenceAnalysis", "SymbolicDependenceAnalysis", "SymbolicPair",
+        "analyze_program", "analyze_program_symbolic",
+    ),
+    "cfg": ("BasicBlock", "ControlFlowGraph", "build_cfg"),
+    "checker": ("CrossCheckResult", "cross_check", "cross_check_workload"),
+    "lint": (
+        "ALL_RULE_IDS", "ERROR", "FAIL_ON_CHOICES", "INFO", "RULE_REGISTRY", "WARNING",
+        "Diagnostic", "fails_threshold", "has_errors", "lint_config", "lint_labels",
+        "lint_path", "lint_program", "lint_source", "normalize_severity", "sort_diagnostics",
+    ),
+    "pdg": (
+        "CTRL_EDGE", "DEFAULT_SLICE_BUDGET", "LOOP_CARRIED_CUTOFF", "MEM_EDGE", "REG_EDGE",
+        "TOO_EXPENSIVE", "WARMABLE", "BackwardSlice", "PDGEdge", "PredictorSlice",
+        "ProgramDependenceGraph", "SliceBudget", "SliceCost", "build_pdg",
+        "extract_predictor_slices", "pdg_report", "slice_report",
+    ),
+    "reaching": (
+        "AccessExpr", "ReachingStores", "StaticPair", "StoreFact", "access_expr", "may_alias",
+    ),
+    "spectaint": (
+        "GATED", "LEAK", "NO_LEAK", "PUBLIC", "SECRET", "TAINT_TOP", "LeakVerdict",
+        "SpecTaintAnalysis", "TaintReplay", "TaintSolution", "Transmitter",
+        "analyze_spec_leaks", "region_taint", "taint_replay", "valid_ranges",
+    ),
+    "symbolic": ("MAY", "MUST", "NO", "SymbolicSolution", "SymValue", "classify_addresses"),
+}
+_LAZY = {name: module for module, names in _MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("repro.staticdep." + _LAZY[name]), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ALL_RULE_IDS",

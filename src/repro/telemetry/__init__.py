@@ -15,21 +15,18 @@ instrumented code pays (almost) nothing when telemetry is off:
 one via its ``telemetry=`` parameter and defaults to
 :data:`NULL_TELEMETRY`.  The contract — telemetry on or off, simulated
 results are bit-identical — is asserted by ``tests/telemetry/test_ab.py``.
+
+The run ledger and the Prometheus exporter load on first access of
+their names (a PEP 562 module ``__getattr__``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from repro.telemetry.ledger import (
-    DEFAULT_LEDGER,
-    RunLedger,
-    diff_records,
-    make_record,
-    resolve_ledger_path,
-)
 from repro.telemetry.profiler import PROFILER, Profiler, ProfileRecord, ProfileScope
-from repro.telemetry.prometheus import MetricsServer, serve_registry, to_prometheus
 from repro.telemetry.registry import (
     NULL_METRICS,
     Counter,
@@ -45,6 +42,38 @@ from repro.telemetry.trace_events import (
     TraceEventSink,
     merged_trace,
 )
+
+if TYPE_CHECKING:
+    from repro.telemetry.ledger import (
+        DEFAULT_LEDGER,
+        RunLedger,
+        diff_records,
+        make_record,
+        resolve_ledger_path,
+    )
+    from repro.telemetry.prometheus import MetricsServer, serve_registry, to_prometheus
+
+#: the names of the run ledger and the Prometheus exporter (which loads
+#: ``http.server``) -> their module, imported on first access: every
+#: simulation runs the three legs above, few record or serve runs
+_LAZY = {
+    "DEFAULT_LEDGER": "ledger",
+    "RunLedger": "ledger",
+    "diff_records": "ledger",
+    "make_record": "ledger",
+    "resolve_ledger_path": "ledger",
+    "MetricsServer": "prometheus",
+    "serve_registry": "prometheus",
+    "to_prometheus": "prometheus",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("repro.telemetry." + _LAZY[name]), name)
+    globals()[name] = value
+    return value
 
 
 @dataclass

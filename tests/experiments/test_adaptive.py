@@ -86,6 +86,11 @@ def test_rejects_bad_arguments():
         adaptive_sweep([], executor=fake_executor())
     with pytest.raises(ValueError, match="rungs"):
         adaptive_sweep(["sc"], rungs=0, executor=fake_executor())
+    with pytest.raises(ValueError, match="override axis 'window' has no values"):
+        adaptive_sweep(["sc"], overrides={"stages": [4, 8], "window": []},
+                       executor=fake_executor())
+    with pytest.raises(ValueError, match="policy override axis 'capacity' has no values"):
+        adaptive_sweep(["sc"], policy_overrides={"capacity": []}, executor=fake_executor())
 
 
 def test_rung_schedule_and_unit_accounting():

@@ -268,7 +268,8 @@ def test_spawned_worker_keeps_its_traces_beside_the_results(tmp_path, monkeypatc
     then reads from, the trace cache co-located with the result cache:
     a fork inherits it, and a fresh interpreter (``spawn``, as where
     the platform cannot fork) is handed its root."""
-    from repro.experiments import backends, tables
+    from repro.experiments import backends
+    from repro.experiments import executor as executor_module
     from repro.experiments.sweeps import sweep_cells
     from repro.frontend import trace_cache
 
@@ -276,7 +277,7 @@ def test_spawned_worker_keeps_its_traces_beside_the_results(tmp_path, monkeypatc
         monkeypatch.setattr(backends, "_pool_context", lambda: multiprocessing.get_context("spawn"))
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
     # the driver holds no trace, so only the worker can have produced one
-    monkeypatch.setattr(tables, "_trace_cache", {})
+    monkeypatch.setattr(executor_module, "_trace_cache", {})
     monkeypatch.setattr(trace_cache, "_MEMORY", {})
     monkeypatch.setattr(trace_cache, "_GLOBAL", None)
     cache = tmp_path / "cache"
@@ -289,7 +290,7 @@ def test_spawned_worker_keeps_its_traces_beside_the_results(tmp_path, monkeypatc
         assert result.ok, result.error
         assert result.payload["trace_cache"] == found
     assert len(list((cache / "traces").glob("*/*.trace"))) == 1
-    assert tables._trace_cache == {} and trace_cache._MEMORY == {}
+    assert executor_module._trace_cache == {} and trace_cache._MEMORY == {}
 
 
 def reaped(pid):

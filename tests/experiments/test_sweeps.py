@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import sweep
+from repro.experiments.sweeps import sweep_cells
 from tests.experiments.test_golden import golden_points, rendered_points
 
 
@@ -53,3 +54,25 @@ def test_to_table_renders(small_sweep):
     text = table.to_text()
     assert "stages" in text
     assert "squash_penalty" in text
+
+
+def test_grid_without_axes_has_one_base_config_per_policy():
+    cells = sweep_cells(["sc", "compress"], ("always", "esync"))
+    assert [c.label for c in cells] == [
+        "sweep:sc/always", "sweep:sc/esync", "sweep:compress/always", "sweep:compress/esync",
+    ]
+    assert all(c.param("overrides") == [] for c in cells)
+    assert all(c.param("policy_overrides") is None for c in cells)
+
+
+@pytest.mark.parametrize(
+    "overrides, policy_overrides, message",
+    [
+        ({"stages": [4, 8], "window": []}, None, "override axis 'window' has no values"),
+        ({"stages": ()}, None, "override axis 'stages' has no values"),
+        ({"stages": [4, 8]}, {"capacity": []}, "policy override axis 'capacity' has no values"),
+    ],
+)
+def test_empty_axis_raises_instead_of_collapsing_the_grid(overrides, policy_overrides, message):
+    with pytest.raises(ValueError, match=message):
+        sweep_cells(["sc"], ("esync",), overrides, policy_overrides=policy_overrides)

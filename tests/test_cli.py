@@ -341,6 +341,21 @@ def test_lint_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_lint_unparsable_file_is_a_usage_error(capsys, tmp_path):
+    """A file that does not assemble exits 2 with the same ``error:``
+    line as ``pdg``, in both output modes, and no traceback."""
+    path = tmp_path / "bad.s"
+    path.write_text("main:\n  addi r1, r0,\n  halt\n")
+    assert main(["pdg", str(path)]) == 2
+    expected = capsys.readouterr().err
+    assert expected.startswith("error: line 2: ")
+    for argv in (["lint", str(path)], ["lint", str(path), "--json"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == expected
+        assert captured.out == ""
+
+
 def test_lint_mdpt_capacity_flag(capsys):
     assert main(["lint", HISTOGRAM, "--mdpt", "1"]) == 0
     assert "mdpt-undersized" in capsys.readouterr().out
@@ -1066,11 +1081,11 @@ def test_ledger_records_every_cell_of_a_run(capsys, tmp_path, monkeypatch):
 def test_sweep_records_its_phase_times(capsys, tmp_path, monkeypatch):
     """Like ``repro experiment``, an inline sweep writes its phase times
     under ``profile`` in --metrics and under ``phases`` in the ledger."""
-    from repro.experiments import tables
+    from repro.experiments import executor
 
     monkeypatch.delenv("REPRO_EXECUTOR_JOBS", raising=False)
     # an empty trace memo, so the sweep interprets (and times) its trace
-    monkeypatch.setattr(tables, "_trace_cache", {})
+    monkeypatch.setattr(executor, "_trace_cache", {})
     metrics_path = tmp_path / "m.json"
     ledger = tmp_path / "runs.jsonl"
     assert main(["sweep", "sc", "--override", "stages=4", "--policies", "always",
