@@ -45,18 +45,20 @@ the driver plus any ``repro worker`` processes; otherwise ``--jobs``
 above 1 fans cells out to a process pool, and the default runs them
 inline.  Every backend prints the same tables.
 
-The analysis commands (``staticdep``, ``lint``, ``pdg``, ``slice``,
-``leakcheck``, ``explain``, ``runs diff``, ``bench-report``) share one
-exit-code contract: **0** — the command ran and found nothing wrong;
-**1** — it found problems (lint errors past the ``--fail-on``
-threshold, a soundness violation against the oracle, an unaffordable
-predictor slice under ``pdg --strict``, leak-relevant findings, a
-squash on a statically-proven non-aliasing pair, two runs that differ,
-an adaptive-sweep benchmark below its floor); **2** — usage
-error (unknown workload, unreadable file, unparsable target, a program
-that faults when interpreted, unknown run id, missing snapshot).
-Every command that names a workload exits 2 with an ``error:`` line
-when the workload or its scale is unknown.
+Every subcommand shares one exit-code contract: **0** — the command
+ran and found nothing wrong; **1** — it found problems (lint errors
+past the ``--fail-on`` threshold, a soundness violation against the
+oracle, an unaffordable predictor slice under ``pdg --strict``,
+leak-relevant findings, a squash on a statically-proven non-aliasing
+pair, two runs that differ, an adaptive-sweep benchmark below its
+floor); **2** — a usage error, reported as one ``error: <message>``
+line on stderr, or a FAILED cell of ``experiment`` or ``sweep``.
+Usage errors are an unknown workload, scale, experiment, policy or run
+id; an unreadable or unwritable file; a target that does not assemble
+or that faults when interpreted; and an invalid flag value such as
+``-n 0``.  Handlers raise the error they meet (``ValueError`` for the
+CLI's own checks) and :func:`main` alone turns it into exit 2; any
+other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from typing import Optional
 from repro.core.stats import speedup
 from repro.experiments import EXPERIMENT_IDS
 from repro.frontend import InterpreterError, analyze_trace, run_program
+from repro.isa import ProgramError
 from repro.multiscalar import (
     MultiscalarConfig,
     MultiscalarSimulator,
@@ -286,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--heartbeat", type=float, default=1.0, metavar="SECONDS",
         help="lease heartbeat interval (default 1.0); drivers reclaim "
-        "leases quiet for longer than their --lease-timeout",
+        "leases quiet for longer than 10 s",
     )
     p_worker.add_argument(
         "--poll", type=float, default=0.05, metavar="SECONDS",
@@ -739,14 +742,6 @@ def _resolved_jobs(args):
     return None
 
 
-def _check_executor_usage(args) -> Optional[int]:
-    """Exit code 2 for --workers without a queue directory, else None."""
-    if args.workers is not None and not args.queue_dir:
-        print("error: --workers requires --queue-dir", file=sys.stderr)
-        return 2
-    return None
-
-
 # -- observability plumbing: live progress + run ledger -------------------
 
 
@@ -834,6 +829,8 @@ class _GridRun:
     """
 
     def __init__(self, args):
+        if args.workers is not None and not args.queue_dir:
+            raise ValueError("--workers requires --queue-dir")
         from repro.experiments.backends import QueueDirBackend
         from repro.experiments.executor import Executor
         from repro.telemetry import PROFILER, MetricRegistry, TraceEventSink
@@ -902,18 +899,12 @@ class _GridRun:
 
 
 def cmd_experiment(args) -> int:
+    if args.which != "all" and args.which not in EXPERIMENT_IDS:
+        raise ValueError(
+            "unknown experiment %r (expected 'all' or one of: %s)"
+            % (args.which, ", ".join(sorted(EXPERIMENT_IDS)))
+        )
     keys = sorted(EXPERIMENT_IDS) if args.which == "all" else [args.which]
-    for key in keys:
-        if key not in EXPERIMENT_IDS:
-            print(
-                "unknown experiment %r (expected 'all' or one of: %s)"
-                % (key, ", ".join(sorted(EXPERIMENT_IDS))),
-                file=sys.stderr,
-            )
-            return 2
-    usage_error = _check_executor_usage(args)
-    if usage_error is not None:
-        return usage_error
     from repro.experiments import run_all
     from repro.experiments.executor import experiment_cells
 
@@ -966,54 +957,67 @@ def _parse_override(text):
     return name.strip(), out
 
 
+def _check_grid(workload, scale, grid) -> None:
+    """Build each distinct config and policy of a sweep *grid* (see
+    :func:`~repro.experiments.sweeps.config_grid`) once, so a field or
+    policy no cell could build fails, naming its first cell, before any
+    cell runs."""
+    from dataclasses import replace
+
+    from repro.experiments.sweeps import make_sweep_cell
+
+    configs, policies = set(), set()
+    for config in grid:
+        fields = tuple(config["overrides"])
+        policy = (config["policy"], tuple(config["policy_overrides"]))
+        try:
+            if fields not in configs:
+                replace(MultiscalarConfig(), **dict(fields))
+                configs.add(fields)
+            if policy not in policies:
+                make_policy(config["policy"], **dict(config["policy_overrides"]))
+                policies.add(policy)
+        except (TypeError, ValueError) as exc:
+            cell = make_sweep_cell(workload, scale=scale, **config)
+            raise ValueError("cell %s: %s" % (cell.label, exc)) from exc
+
+
 def cmd_sweep(args) -> int:
-    from repro.experiments.sweeps import sweep, sweep_cells
+    from repro.experiments.sweeps import config_grid, sweep, sweep_cells
 
-    usage_error = _check_executor_usage(args)
-    if usage_error is not None:
-        return usage_error
+    run = _GridRun(args)  # first, so its --workers check precedes the others
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    try:
-        overrides = dict(_parse_override(text) for text in args.override)
-        policy_overrides = dict(
-            _parse_override(text) for text in args.policy_override
-        )
-        for name in args.workloads:
-            get_workload(name)  # fail fast on unknown workloads
-    except Exception as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    run = _GridRun(args)
+    overrides = dict(_parse_override(text) for text in args.override)
+    policy_overrides = dict(_parse_override(text) for text in args.policy_override)
+    for name in args.workloads:
+        get_workload(name)  # fail fast on unknown workloads
+    _check_grid(args.workloads[0], args.scale, config_grid(policies, overrides, policy_overrides))
     adaptive = None
-    try:
-        with run as executor:
-            if args.adaptive:
-                from repro.experiments.adaptive import adaptive_sweep
+    with run as executor:
+        if args.adaptive:
+            from repro.experiments.adaptive import adaptive_sweep
 
-                adaptive = adaptive_sweep(
-                    args.workloads,
-                    policies=policies,
-                    overrides=overrides,
-                    policy_overrides=policy_overrides,
-                    scale=args.scale,
-                    metric=args.metric,
-                    eta=args.eta,
-                    rungs=args.rungs,
-                    executor=executor,
-                )
-                result = adaptive.result
-            else:
-                result = sweep(
-                    args.workloads,
-                    policies=policies,
-                    overrides=overrides,
-                    policy_overrides=policy_overrides,
-                    scale=args.scale,
-                    executor=executor,
-                )
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+            adaptive = adaptive_sweep(
+                args.workloads,
+                policies=policies,
+                overrides=overrides,
+                policy_overrides=policy_overrides,
+                scale=args.scale,
+                metric=args.metric,
+                eta=args.eta,
+                rungs=args.rungs,
+                executor=executor,
+            )
+            result = adaptive.result
+        else:
+            result = sweep(
+                args.workloads,
+                policies=policies,
+                overrides=overrides,
+                policy_overrides=policy_overrides,
+                scale=args.scale,
+                executor=executor,
+            )
     table = adaptive.to_table() if adaptive is not None else result.to_table()
     if args.as_json:
         print(json.dumps(table.to_json(), indent=2))
@@ -1051,20 +1055,15 @@ def cmd_worker(args) -> int:
     from repro.experiments.queuedir import run_worker
 
     if args.max_tasks is not None and args.max_tasks < 0:
-        print("error: --max-tasks must be >= 0", file=sys.stderr)
-        return 2
-    try:
-        stats = run_worker(
-            args.queue_dir,
-            worker_id=args.worker_id,
-            max_tasks=args.max_tasks,
-            idle_timeout=args.idle_timeout,
-            poll_interval=max(0.001, args.poll),
-            heartbeat_interval=max(0.01, args.heartbeat),
-        )
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        raise ValueError("--max-tasks must be >= 0")
+    stats = run_worker(
+        args.queue_dir,
+        worker_id=args.worker_id,
+        max_tasks=args.max_tasks,
+        idle_timeout=args.idle_timeout,
+        poll_interval=max(0.001, args.poll),
+        heartbeat_interval=max(0.01, args.heartbeat),
+    )
     print(
         "worker %s: %d task(s), %d cell(s), %d failed"
         % (stats["worker"], stats["tasks"], stats["cells"], stats["failed"]),
@@ -1137,11 +1136,7 @@ def cmd_staticdep(args) -> int:
         cross_check,
     )
 
-    try:
-        program = _load_program(args.target, args.scale)
-    except Exception as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    program = _load_program(args.target, args.scale)
     if args.symbolic:
         analysis = analyze_program_symbolic(program)
     else:
@@ -1250,34 +1245,28 @@ def cmd_staticdep(args) -> int:
 def cmd_lint(args) -> int:
     from repro.staticdep import fails_threshold, lint_path, lint_program
 
-    try:
-        if _is_assembly_path(args.target):
-            diagnostics = lint_path(
-                args.target,
-                mdpt_capacity=args.mdpt,
-                mdst_capacity=args.mdst,
-                symbolic=args.symbolic,
-            )
-            name = args.target
-        else:
-            program = get_workload(args.target).program(args.scale)
-            diagnostics = lint_program(
-                program,
-                mdpt_capacity=args.mdpt,
-                mdst_capacity=args.mdst,
-                symbolic=args.symbolic,
-            )
-            name = program.name
-    except Exception as exc:
-        # unknown workload, unreadable file, bad scale, ... -> usage error
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    if _is_assembly_path(args.target):
+        diagnostics = lint_path(
+            args.target,
+            mdpt_capacity=args.mdpt,
+            mdst_capacity=args.mdst,
+            symbolic=args.symbolic,
+        )
+        name = args.target
+    else:
+        program = get_workload(args.target).program(args.scale)
+        diagnostics = lint_program(
+            program,
+            mdpt_capacity=args.mdpt,
+            mdst_capacity=args.mdst,
+            symbolic=args.symbolic,
+        )
+        name = program.name
     unparsable = [d for d in diagnostics if d.rule_id == "parse-error"]
     if unparsable:
         # a file that does not assemble (for a reason no label rule
         # names) is an unparsable target, as for pdg and slice
-        print("error: %s" % unparsable[0].message, file=sys.stderr)
-        return 2
+        raise ProgramError(unparsable[0].message)
     if args.as_json:
         print(
             json.dumps(
@@ -1316,7 +1305,7 @@ def _parse_secret_ranges(specs):
 
 
 def cmd_pdg(args) -> int:
-    from repro.staticdep.pdg import SliceBudget, pdg_report
+    from repro.staticdep.pdg import SliceBudget, build_pdg, pdg_report
 
     budget = SliceBudget()
     if args.budget_length is not None or args.budget_loads is not None:
@@ -1328,18 +1317,10 @@ def cmd_pdg(args) -> int:
             if args.budget_loads is not None
             else budget.max_loads,
         )
-    try:
-        program = _load_program(args.target, args.scale)
-        report = pdg_report(program, budget=budget)
-        dot = None
-        if args.dot is not None:
-            from repro.staticdep.pdg import build_pdg
-
-            dot = build_pdg(program).to_dot()
-    except Exception as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    pdg = build_pdg(_load_program(args.target, args.scale))
+    report = pdg_report(pdg, budget=budget)
     if args.dot is not None:
+        dot = pdg.to_dot()
         if args.dot == "-":
             sys.stdout.write(dot)
         else:
@@ -1385,12 +1366,7 @@ def cmd_pdg(args) -> int:
 def cmd_slice(args) -> int:
     from repro.staticdep.pdg import slice_report
 
-    try:
-        program = _load_program(args.target, args.scale)
-        report = slice_report(program, args.pc, args.criterion)
-    except Exception as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    report = slice_report(_load_program(args.target, args.scale), args.pc, args.criterion)
     if args.as_json:
         print(json.dumps(report, indent=2))
     else:
@@ -1415,19 +1391,13 @@ def cmd_slice(args) -> int:
 def cmd_leakcheck(args) -> int:
     from repro.multiscalar.sanitizer import check_program_leaks
 
-    try:
-        secret_ranges = (
-            None
-            if args.secret_ranges is None
-            else _parse_secret_ranges(args.secret_ranges)
-        )
-        program = _load_program(args.target, args.scale)
-        result = check_program_leaks(
-            program, secret_ranges=secret_ranges, policy=args.policy
-        )
-    except Exception as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    secret_ranges = (
+        None
+        if args.secret_ranges is None
+        else _parse_secret_ranges(args.secret_ranges)
+    )
+    program = _load_program(args.target, args.scale)
+    result = check_program_leaks(program, secret_ranges=secret_ranges, policy=args.policy)
     name = program.name or args.target
     if args.as_json:
         print(json.dumps({"target": name, **result.summary()}, indent=2))
@@ -1483,10 +1453,15 @@ def cmd_runs(args) -> int:
     path = resolve_ledger_path(args.ledger) or DEFAULT_LEDGER
     ledger = RunLedger(path)
 
+    def lookup(run_id) -> dict:
+        record = ledger.get(run_id)
+        if record is None:
+            raise ValueError("no run matching %r in %s" % (run_id, path))
+        return record
+
     if args.action == "list":
         if args.ids:
-            print("error: 'runs list' takes no run ids", file=sys.stderr)
-            return 2
+            raise ValueError("'runs list' takes no run ids")
         records = ledger.records()
         shown = records if args.last <= 0 else records[-args.last:]
         if args.as_json:
@@ -1521,32 +1496,14 @@ def cmd_runs(args) -> int:
 
     if args.action == "show":
         if len(args.ids) != 1:
-            print("error: 'runs show' takes exactly one run id", file=sys.stderr)
-            return 2
-        record = ledger.get(args.ids[0])
-        if record is None:
-            print(
-                "error: no run matching %r in %s" % (args.ids[0], path),
-                file=sys.stderr,
-            )
-            return 2
-        print(json.dumps(record, indent=2, sort_keys=True))
+            raise ValueError("'runs show' takes exactly one run id")
+        print(json.dumps(lookup(args.ids[0]), indent=2, sort_keys=True))
         return 0
 
     # diff
     if len(args.ids) != 2:
-        print("error: 'runs diff' takes exactly two run ids", file=sys.stderr)
-        return 2
-    pair = []
-    for run_id in args.ids:
-        record = ledger.get(run_id)
-        if record is None:
-            print(
-                "error: no run matching %r in %s" % (run_id, path), file=sys.stderr
-            )
-            return 2
-        pair.append(record)
-    diff = diff_records(pair[0], pair[1])
+        raise ValueError("'runs diff' takes exactly two run ids")
+    diff = diff_records(*(lookup(run_id) for run_id in args.ids))
     if args.as_json:
         print(json.dumps(diff, indent=2))
     else:
@@ -1586,11 +1543,7 @@ def cmd_explain(args) -> int:
     """Why did we squash? Per-pair causes vs the symbolic verdicts."""
     from repro.multiscalar.explain import explain_program
 
-    try:
-        program = _load_program(args.target, args.scale)
-    except Exception as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    program = _load_program(args.target, args.scale)
     report = explain_program(program, policy=args.policy, stages=args.stages)
     if args.as_json:
         print(json.dumps(report.to_json(), indent=2))
@@ -1663,11 +1616,8 @@ def cmd_metrics_serve(args) -> int:
 
     try:
         text = render()
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(
-            "error: cannot render %s: %s" % (args.snapshot, exc), file=sys.stderr
-        )
-        return 2
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("cannot render %s: %s" % (args.snapshot, exc)) from exc
     if args.once:
         sys.stdout.write(text)
         return 0
@@ -1734,13 +1684,10 @@ def cmd_bench_report(args) -> int:
     if latest_results is None and history:
         latest_results = history[-1].get("results")
     if latest_results is None and not history:
-        print(
-            "error: no benchmark data (looked for %s and %s); run "
-            "'pytest benchmarks/ --benchmark-only' first"
-            % (args.history, args.results),
-            file=sys.stderr,
+        raise ValueError(
+            "no benchmark data (looked for %s and %s); run "
+            "'pytest benchmarks/ --benchmark-only' first" % (args.history, args.results)
         )
-        return 2
 
     regressions = []
     adaptive = _adaptive_of(latest_results)
@@ -1868,16 +1815,15 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (WorkloadError, InterpreterError) as exc:
-        # an unknown workload or scale named on the command line, or a
-        # program that faults when interpreted (bad address, division
-        # by zero, trace limit)
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except BrokenPipeError:
-        # stdout was closed early (e.g. piped into head); not an error
+        # stdout was closed early (e.g. piped into head); not an error.
+        # It is an OSError, so this clause must come first.
         sys.stderr.close()
         return 0
+    except (ValueError, OSError, ProgramError, WorkloadError, InterpreterError) as exc:
+        # a usage error: see the module docstring
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -616,13 +616,12 @@ def _cost_payload(cost: SliceCost) -> Dict[str, object]:
 
 
 def pdg_report(
-    program: Program,
-    analysis: Optional[SymbolicDependenceAnalysis] = None,
+    pdg: ProgramDependenceGraph,
     budget: Optional[SliceBudget] = None,
 ) -> Dict[str, object]:
-    """The JSON payload of ``repro pdg``: graph statistics plus the
-    per-pair predictor-slice listing."""
-    pdg = build_pdg(program, analysis=analysis)
+    """The JSON payload of ``repro pdg`` for a graph from
+    :func:`build_pdg`: graph statistics plus the per-pair
+    predictor-slice listing."""
     slices = extract_predictor_slices(pdg, budget=budget)
     statuses: Dict[str, int] = {}
     for s in slices:
@@ -631,7 +630,7 @@ def pdg_report(
     summary["predictor_slices"] = len(slices)
     summary["slices_by_status"] = dict(sorted(statuses.items()))
     return {
-        "program": program.name,
+        "program": pdg.program.name,
         "summary": summary,
         "slices": [
             {

@@ -231,7 +231,7 @@ def test_dot_export_renders_all_edge_kinds(prefix_pdg):
 
 
 def test_pdg_report_payload_shape():
-    report = pdg_report(parse_file(PREFIX_SUM))
+    report = pdg_report(build_pdg(parse_file(PREFIX_SUM)))
     assert report["program"] == "prefix-sum"
     assert report["summary"]["predictor_slices"] == len(report["slices"])
     assert report["summary"]["slices_by_status"] == {"warmable": 1}

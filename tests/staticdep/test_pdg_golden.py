@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.isa.parser import parse_file
-from repro.staticdep import analyze_program_symbolic, pdg_report, slice_report
+from repro.staticdep import analyze_program_symbolic, build_pdg, pdg_report, slice_report
 from repro.workloads import all_workloads
 
 EXAMPLES = sorted(Path("examples/programs").glob("*.s"))
@@ -34,7 +34,7 @@ WORKLOAD_SCALES = ("tiny", "test")
 def rendered(program_path) -> str:
     program = parse_file(str(program_path))
     payload = {
-        "pdg": pdg_report(program),
+        "pdg": pdg_report(build_pdg(program)),
         "slices": [
             slice_report(program, inst.pc, "address")
             for inst in program
@@ -71,7 +71,7 @@ def workload_digest(program) -> str:
     """SHA-256 over the canonical JSON of everything the analyses report."""
     analysis = analyze_program_symbolic(program)
     payload = {
-        "pdg": pdg_report(program, analysis=analysis),
+        "pdg": pdg_report(build_pdg(program, analysis=analysis)),
         "summary": analysis.summary(),
         "classified": [
             {

@@ -542,6 +542,18 @@ def test_pdg_dot_and_json_output(capsys):
     assert {"summary", "slices"} <= set(payload)
 
 
+def test_pdg_dot_builds_the_graph_once(capsys, tmp_path):
+    from repro.telemetry import PROFILER
+
+    mark = PROFILER.mark()
+    assert main(["pdg", LEAK_DEMO, "--dot", str(tmp_path / "pdg.dot")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "pdg.dot").read_text().startswith("digraph pdg")
+    scopes = PROFILER.summary(since=mark)
+    assert scopes["staticdep.symbolic"]["calls"] == 1
+    assert scopes["staticdep.pdg"]["calls"] == 1
+
+
 #: programs that assemble but fault when interpreted
 FAULTING_PROGRAMS = {
     "unaligned": "li s1, 0x2001\nlw t0, 0(s1)\nhalt\n",
@@ -559,6 +571,59 @@ def test_interpreter_fault_is_a_usage_error(capsys, tmp_path, command, program):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, "sc", "--scale", "tiny", "-n", "0"]
+     for command in ("simulate", "compare", "profile", "explain")]
+    + [["simulate", "sc", "--scale", "tiny", "--metrics", "{missing}/m.json"],
+       ["compare", "sc", "--scale", "tiny", "--trace-events", "{missing}/t.json"],
+       ["pdg", LEAK_DEMO, "--dot", "{missing}/g.dot"]],
+)
+def test_bad_flag_value_or_output_path_is_a_usage_error(capsys, tmp_path, argv):
+    """An invalid flag value, or an output file in a directory that does
+    not exist, exits 2 with one ``error:`` line and nothing on stdout."""
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_broken_pipe_still_exits_zero(monkeypatch):
+    """A closed stdout raises BrokenPipeError, an OSError that must not
+    be reported as a usage error."""
+    import io
+    import sys
+
+    from repro import cli
+
+    def closed_stdout(_args):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "cmd_workloads", closed_stdout)
+    monkeypatch.setattr(sys, "stderr", io.StringIO())  # main closes it
+    assert main(["workloads"]) == 0
+
+
+def test_every_flag_named_in_help_is_registered():
+    import argparse
+
+    from repro.cli import _build_parser
+
+    (subparsers,) = [action for action in _build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    registered, texts = set(), []
+    for parser in subparsers.choices.values():
+        texts.append(parser.description or "")
+        for action in parser._actions:
+            registered.update(action.option_strings)
+            texts.append(action.help or "")
+    texts += [action.help for action in subparsers._choices_actions]
+    named = set(re.findall(r"--[a-z][a-z-]*", " ".join(texts)))
+    assert named and named <= registered, named - registered
 
 
 EXAMPLE_SOURCES = {
@@ -594,7 +659,8 @@ def test_malformed_assembly_never_escapes_the_exit_contract(capsys, tmp_path, so
     ``error:`` diagnostic, and never a traceback."""
     path = tmp_path / "mutated.s"
     path.write_text(source)
-    for argv in (["lint", str(path)], ["pdg", str(path)], ["slice", str(path), "0"]):
+    for argv in (["lint", str(path)], ["pdg", str(path)], ["slice", str(path), "0"],
+                 ["staticdep", str(path)], ["explain", str(path)], ["leakcheck", str(path)]):
         code = main(argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
@@ -693,6 +759,23 @@ def test_sweep_command_parallel_matches_serial(capsys):
 def test_sweep_unknown_workload_exits_two(capsys):
     assert main(["sweep", "no-such-workload"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "axis, label",
+    [(["--policies", "esync,bogus"], "sweep:sc/bogus"),
+     (["--override", "nosuchfield=1,2"], "sweep:sc/always[nosuchfield=1]")],
+)
+def test_sweep_unbuildable_cell_stops_before_any_cell_runs(capsys, tmp_path, axis, label):
+    """An unknown policy or config field is a usage error naming its
+    first cell: nothing is printed, run or cached."""
+    cache = tmp_path / "cache"
+    assert main(["sweep", "sc", "--scale", "tiny", "--cache-dir", str(cache)] + axis) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cell %s: " % label)
+    assert captured.err.count("\n") == 1
+    assert not cache.exists()
 
 
 def test_sweep_policy_override_axis(capsys):
@@ -914,6 +997,14 @@ def test_metrics_serve_once_prints_parseable_text(capsys, tmp_path):
 def test_metrics_serve_missing_snapshot_exits_two(capsys, tmp_path):
     assert main(["metrics-serve", str(tmp_path / "absent.json"), "--once"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"counters": [1]}'])
+def test_metrics_serve_unrenderable_snapshot_exits_two(capsys, tmp_path, text):
+    snapshot = tmp_path / "metrics.json"
+    snapshot.write_text(text)
+    assert main(["metrics-serve", str(snapshot), "--once"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot render ")
 
 
 CLEAN_ADAPTIVE = {"savings": 0.64, "top1_match": True,
