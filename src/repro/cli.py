@@ -56,9 +56,10 @@ line on stderr, or a FAILED cell of ``experiment`` or ``sweep``.
 Usage errors are an unknown workload, scale, experiment, policy or run
 id; an unreadable or unwritable file; a target that does not assemble
 or that faults when interpreted; and an invalid flag value such as
-``-n 0``.  Handlers raise the error they meet (``ValueError`` for the
-CLI's own checks) and :func:`main` alone turns it into exit 2; any
-other exception is a bug and keeps its traceback.
+``-n 0``, ``--top 0``, ``--mdpt 0`` or ``--budget-length -1``.
+Handlers raise the error they meet (``ValueError`` for the CLI's own
+checks) and :func:`main` alone turns it into exit 2; any other
+exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -1789,6 +1790,21 @@ def cmd_bench_report(args) -> int:
     return 0
 
 
+#: Integer flags (by dest) and the least value any command can use:
+#: ``--top`` counts rows to show, ``--mdpt``/``--mdst`` table entries,
+#: ``--budget-length``/``--budget-loads`` a slice's instructions and loads.
+_FLAG_MINIMUMS = {"top": 1, "mdpt": 1, "mdst": 1, "budget_length": 0, "budget_loads": 0}
+
+
+def _check_flag_minimums(args) -> None:
+    for dest, minimum in _FLAG_MINIMUMS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < minimum:
+            raise ValueError(
+                "--%s must be at least %d, got %d" % (dest.replace("_", "-"), minimum, value)
+            )
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # the raw argv rides along for the run ledger (tests pass argv
@@ -1814,6 +1830,7 @@ def main(argv=None) -> int:
         "bench-report": cmd_bench_report,
     }[args.command]
     try:
+        _check_flag_minimums(args)
         return handler(args)
     except BrokenPipeError:
         # stdout was closed early (e.g. piped into head); not an error.

@@ -239,6 +239,10 @@ class MechanismPolicy(SpeculationPolicy):
             raise ValueError("unknown structure %r" % (structure,))
         if tagging not in ("distance", "address"):
             raise ValueError("unknown tagging %r" % (tagging,))
+        # build the tables bind builds, so a value they reject fails here
+        MDPT(capacity, make_predictor(predictor, **predictor_kwargs))
+        if structure == "split" and mdst_capacity:
+            MDST(mdst_capacity)
         self.predictor_name = predictor
         self.capacity = capacity
         self.structure = structure
@@ -736,7 +740,10 @@ class ValueSyncPolicy(MechanismPolicy):
     """
 
     def __init__(self, predictor="esync", value_predictor="stride", **kwargs):
+        from repro.core.value_prediction import make_value_predictor
+
         super().__init__(predictor=predictor, **kwargs)
+        make_value_predictor(value_predictor)  # an unknown name fails here
         self.value_predictor_name = value_predictor
 
     @property
@@ -829,6 +836,9 @@ class StoreSetPolicy(SpeculationPolicy):
     name = "STORESET"
 
     def __init__(self, ssit_size=1024, lfst_size=256):
+        from repro.core.store_sets import StoreSetPredictor
+
+        StoreSetPredictor(ssit_size, lfst_size)  # sizes bind would reject fail here
         self.ssit_size = ssit_size
         self.lfst_size = lfst_size
 

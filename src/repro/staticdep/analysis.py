@@ -61,8 +61,16 @@ class StaticDependenceAnalysis:
         return [p for p in self.pairs if p.load_pc == load_pc]
 
     def dead_stores(self) -> List[int]:
-        """Reachable stores provably observed by no load."""
-        return self.reaching.dead_stores()
+        """Reachable stores that no candidate pair names, so provably
+        observed by no load: the pairs over-approximate, and the symbolic
+        analysis drops only pairs it proves never alias."""
+        reachable = set(self.cfg.reachable_blocks())
+        observed = {p.store_pc for p in self.pairs}
+        return [
+            pc
+            for pc in self.program.static_stores()
+            if pc not in observed and self.cfg.block_at(pc).index in reachable
+        ]
 
     def multi_producer_loads(self) -> List[int]:
         """Loads with more than one candidate producer (Section 4.4.4's
@@ -176,17 +184,6 @@ class SymbolicDependenceAnalysis(StaticDependenceAnalysis):
                 continue
             triples.append((pair.store_pc, pair.load_pc, pair.static_distance))
         return sorted(triples)
-
-    def dead_stores(self) -> List[int]:
-        """Reachable stores observed by no load — with NO-alias proofs,
-        a superset of what the one-bit lattice can show dead."""
-        reachable = set(self.cfg.reachable_blocks())
-        observed = {p.store_pc for p in self.pairs}
-        return [
-            pc
-            for pc in self.program.static_stores()
-            if pc not in observed and self.cfg.block_at(pc).index in reachable
-        ]
 
     def summary(self) -> Dict[str, object]:
         info = super().summary()

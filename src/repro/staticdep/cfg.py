@@ -5,8 +5,11 @@ A :class:`ControlFlowGraph` partitions a
 them with successor/predecessor edges derived from the ISA's
 control-flow predicates (:mod:`repro.isa.opcodes`).  The graph is the
 substrate for every static analysis in :mod:`repro.staticdep`: the
-reaching-stores dataflow walks its edges, the linter reports blocks it
-cannot reach, and static dependence distances are path lengths over it.
+linter reports blocks it cannot reach, static dependence distances are
+path lengths over it, and every dataflow analysis runs on the three
+helpers at the end of this module — :func:`solve_forward` for block
+entry states, :func:`state_at` for the state just before one
+instruction, and :func:`dominator_sets` for (post-)dominators.
 
 Edge policy per opcode class:
 
@@ -30,8 +33,9 @@ edges between unrelated call sites.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple, TypeVar
 
+from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode, is_conditional_branch, is_control
 from repro.isa.program import Program
 from repro.isa.registers import ZERO, parse_register
@@ -281,3 +285,107 @@ def build_cfg(program: Program) -> ControlFlowGraph:
                 blocks[succ].predecessors.append(block.index)
 
     return ControlFlowGraph(program, blocks)
+
+
+#: A dataflow state: each analysis picks its own.
+S = TypeVar("S")
+
+
+def solve_forward(
+    cfg: ControlFlowGraph,
+    seeds: Mapping[int, S],
+    transfer: Callable[[Instruction, S], S],
+    join: Callable[[S, S], S],
+    widen: Optional[Callable[[S, S, int], S]] = None,
+) -> Dict[int, S]:
+    """Block id -> entry state of a forward dataflow problem on *cfg*.
+
+    Blocks are visited first in, first out from *seeds* (block id ->
+    entry state).  A block's exit state is its entry state put through
+    ``transfer(inst, state)``, which returns a new state rather than
+    change the one it is given.  A successor reached for the first time
+    takes the exit state as it is; otherwise ``join(current, incoming)``
+    merges it in, or ``widen(current, incoming, head)`` does on a back
+    edge (into a block of equal or lower index) when *widen* is given.
+    A block whose entry state changes is queued again; a block no seed
+    reaches has no entry.  Only widening makes the result depend on
+    this order: with a monotone transfer and a lattice join it is the
+    least fixpoint.
+    """
+    program, blocks = cfg.program, cfg.blocks
+    block_in: Dict[int, S] = dict(seeds)
+    block_out: Dict[int, S] = {}
+    worklist: Deque[int] = deque(block_in)
+    queued = set(block_in)
+    while worklist:
+        index = worklist.popleft()
+        queued.discard(index)
+        block = blocks[index]
+        state = block_in[index]
+        for pc in block.pcs():
+            state = transfer(program[pc], state)
+        if index in block_out and block_out[index] == state:
+            continue
+        block_out[index] = state
+        for succ in block.successors:
+            new = state
+            if succ in block_in:
+                current = block_in[succ]
+                if widen is not None and succ <= index:
+                    new = widen(current, state, succ)
+                else:
+                    new = join(current, state)
+                if new == current:
+                    continue
+            block_in[succ] = new
+            if succ not in queued:
+                worklist.append(succ)
+                queued.add(succ)
+    return block_in
+
+
+def state_at(
+    cfg: ControlFlowGraph,
+    block_in: Mapping[int, S],
+    pc: int,
+    transfer: Callable[[Instruction, S], S],
+    default: S,
+) -> S:
+    """The state just before instruction *pc*: its block's entry state
+    from *block_in* (*default* for a block missing there) run through
+    the block's instructions before *pc*."""
+    block = cfg.block_at(pc)
+    state = block_in.get(block.index, default)
+    program = cfg.program
+    for earlier in range(block.start, pc):
+        state = transfer(program[earlier], state)
+    return state
+
+
+def dominator_sets(
+    nodes: List[int], preds: Mapping[int, List[int]], root: int
+) -> Dict[int, Set[int]]:
+    """Node -> the nodes dominating it, itself included.
+
+    Iterative set dataflow in the order of *nodes*: *root* dominates
+    itself only; every other node starts from all *nodes* and shrinks to
+    itself plus the intersection over its predecessors (those of
+    ``preds[node]`` among *nodes*) until nothing changes.  Post-dominators
+    are the dominators of the reversed graph: pass each node's
+    successors as *preds* and the exit as *root*.
+    """
+    universe = set(nodes)
+    dom: Dict[int, Set[int]] = {n: {n} if n == root else set(universe) for n in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for node in nodes:
+            if node == root:
+                continue
+            inputs = [dom[p] for p in preds[node] if p in universe]
+            new: Set[int] = set.intersection(*inputs) if inputs else set()
+            new.add(node)
+            if new != dom[node]:
+                dom[node] = new
+                changed = True
+    return dom

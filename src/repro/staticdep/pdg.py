@@ -41,6 +41,7 @@ from repro.isa.opcodes import Opcode, is_control
 from repro.isa.program import Program
 from repro.isa.registers import ZERO, register_name
 from repro.staticdep.analysis import SymbolicDependenceAnalysis, analyze_program_symbolic
+from repro.staticdep.cfg import dominator_sets, solve_forward
 from repro.staticdep.symbolic import NO
 from repro.telemetry import PROFILER
 
@@ -189,6 +190,28 @@ def _defined_register(inst: Instruction) -> Optional[int]:
     return inst.rd
 
 
+#: Reaching definitions at one point: register -> defining PCs.
+Defs = Dict[int, FrozenSet[int]]
+
+
+def _define(inst: Instruction, state: Defs) -> Defs:
+    """Reaching-definitions transfer: the register *inst* writes, if
+    any, now has *inst* as its one definition (in a new state)."""
+    reg = _defined_register(inst)
+    if reg is None:
+        return state
+    out = dict(state)
+    out[reg] = frozenset((inst.pc,))
+    return out
+
+
+def _join_defs(a: Defs, b: Defs) -> Defs:
+    merged = dict(a)
+    for reg, defs in b.items():
+        merged[reg] = merged.get(reg, frozenset()) | defs
+    return merged
+
+
 class ProgramDependenceGraph:
     """The program dependence graph of one program.
 
@@ -238,52 +261,16 @@ class ProgramDependenceGraph:
         Registers are implicitly zero at entry, so a use with no
         reaching definition simply has no incoming register edge."""
         program, cfg = self.program, self.cfg
-        reachable = set(self._reachable_blocks)
-        Defs = Dict[int, FrozenSet[int]]
-        block_in: Dict[int, Defs] = {index: {} for index in reachable}
-        block_out: Dict[int, Defs] = {}
-
-        def transfer(index: int, state: Defs) -> Defs:
-            out = dict(state)
-            for pc in cfg.blocks[index].pcs():
-                reg = _defined_register(program[pc])
-                if reg is not None:
-                    out[reg] = frozenset((pc,))
-            return out
-
-        worklist = deque(self._reachable_blocks)
-        while worklist:
-            index = worklist.popleft()
-            out = transfer(index, block_in[index])
-            if block_out.get(index) == out:
-                continue
-            block_out[index] = out
-            for succ in cfg.blocks[index].successors:
-                if succ not in reachable:
-                    continue
-                merged = dict(block_in[succ])
-                changed = False
-                for reg, defs in out.items():
-                    joined = merged.get(reg, frozenset()) | defs
-                    if joined != merged.get(reg):
-                        merged[reg] = joined
-                        changed = True
-                if changed or succ not in block_out:
-                    block_in[succ] = merged
-                    if succ not in worklist:
-                        worklist.append(succ)
-
+        block_in = solve_forward(cfg, {cfg.entry_block.index: {}}, _define, _join_defs)
         use_defs: Dict[int, Dict[int, FrozenSet[int]]] = {}
         for index in self._reachable_blocks:
-            state: Defs = dict(block_in[index])
+            state = block_in[index]
             for pc in cfg.blocks[index].pcs():
                 inst = program[pc]
                 use_defs[pc] = {
                     reg: state.get(reg, frozenset()) for reg in inst.sources()
                 }
-                reg = _defined_register(inst)
-                if reg is not None:
-                    state[reg] = frozenset((pc,))
+                state = _define(inst, state)
         return use_defs
 
     def _build_register_edges(self) -> List[PDGEdge]:
@@ -297,27 +284,16 @@ class ProgramDependenceGraph:
         return edges
 
     def _post_dominators(self) -> Dict[int, Set[int]]:
-        """Block-level post-dominator sets over a virtual exit node."""
-        cfg = self.cfg
-        reachable = set(self._reachable_blocks)
+        """Block-level post-dominator sets: the dominators of the reversed
+        graph, rooted at a virtual exit that every block without a
+        successor flows to."""
+        blocks = self.cfg.blocks
         succs = {
-            index: [s for s in cfg.blocks[index].successors if s in reachable]
-            or [_VIRTUAL_EXIT]
-            for index in reachable
+            index: blocks[index].successors or [_VIRTUAL_EXIT]
+            for index in self._reachable_blocks
         }
-        universe = reachable | {_VIRTUAL_EXIT}
-        pdom: Dict[int, Set[int]] = {index: set(universe) for index in reachable}
-        pdom[_VIRTUAL_EXIT] = {_VIRTUAL_EXIT}
-        changed = True
-        while changed:
-            changed = False
-            for index in sorted(reachable, reverse=True):
-                meet: Set[int] = set.intersection(*(pdom[s] for s in succs[index]))
-                new = meet | {index}
-                if new != pdom[index]:
-                    pdom[index] = new
-                    changed = True
-        return pdom
+        nodes = [_VIRTUAL_EXIT] + sorted(self._reachable_blocks, reverse=True)
+        return dominator_sets(nodes, succs, _VIRTUAL_EXIT)
 
     def _build_control_edges(self) -> List[PDGEdge]:
         """Ferrante/Ottenstein/Warren: for each CFG edge A->B where B

@@ -23,7 +23,8 @@ Machinery:
 * Transfer: a store *kills* a reaching fact only when it must-alias it
   (same base register, same offset, base intact — provably the same
   address); a register write demotes ``base_intact`` of facts based on
-  that register.  Merge is set union with AND on ``base_intact``.
+  that register.  Merge is set union with AND on ``base_intact``; the
+  fixpoint is :func:`~repro.staticdep.cfg.solve_forward` from the entry.
 * A load records a pair with every reaching fact it *may* alias.  The
   only non-alias proof the lattice supports: same base register, base
   intact, different offsets — the same base value displaced by unequal
@@ -39,7 +40,7 @@ from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.isa.registers import ZERO
-from repro.staticdep.cfg import ControlFlowGraph, TaskDistances, build_cfg
+from repro.staticdep.cfg import ControlFlowGraph, TaskDistances, build_cfg, solve_forward, state_at
 
 
 @dataclass(frozen=True)
@@ -113,33 +114,32 @@ def _written_register(inst: Instruction) -> Optional[int]:
 State = Dict[int, StoreFact]
 
 
-def _transfer(inst: Instruction, state: State) -> None:
-    """Apply one instruction's effect to *state* in place."""
+def _transfer(inst: Instruction, state: State) -> State:
+    """One instruction's effect: a new state when it changes *state*,
+    *state* itself otherwise."""
     written = _written_register(inst)
-    if written is not None:
-        for pc, fact in list(state.items()):
-            if fact.base_intact and fact.expr.base == written:
-                state[pc] = fact.demoted()
+    if written is not None and any(
+        f.base_intact and f.expr.base == written for f in state.values()
+    ):
+        state = {
+            pc: fact.demoted() if fact.base_intact and fact.expr.base == written else fact
+            for pc, fact in state.items()
+        }
     if inst.is_store:
         expr = access_expr(inst)
-        for pc, fact in list(state.items()):
-            if _must_alias(fact, expr):
-                del state[pc]
+        state = {pc: fact for pc, fact in state.items() if not _must_alias(fact, expr)}
         state[inst.pc] = StoreFact(inst.pc, expr, True)
+    return state
 
 
-def _merge(into: State, other: State) -> bool:
-    """Union-merge *other* into *into*; True when *into* changed."""
-    changed = False
-    for pc, fact in other.items():
-        mine = into.get(pc)
-        if mine is None:
-            into[pc] = fact
-            changed = True
-        elif mine.base_intact and not fact.base_intact:
-            into[pc] = mine.demoted()
-            changed = True
-    return changed
+def _join(a: State, b: State) -> State:
+    """Union of two states, AND on ``base_intact``."""
+    merged = dict(a)
+    for pc, fact in b.items():
+        mine = merged.get(pc)
+        if mine is None or (mine.base_intact and not fact.base_intact):
+            merged[pc] = fact
+    return merged
 
 
 @dataclass(frozen=True)
@@ -169,39 +169,17 @@ class ReachingStores:
     def __init__(self, program: Program, cfg: Optional[ControlFlowGraph] = None):
         self.program = program
         self.cfg = cfg if cfg is not None else build_cfg(program)
-        self._block_in: Dict[int, State] = {}
-        self._block_out: Dict[int, State] = {}
         self._pairs: Optional[List[StaticPair]] = None
-        self._solve()
+        self._block_in: Dict[int, State] = self._solve()
 
-    def _solve(self) -> None:
-        cfg = self.cfg
-        for block in cfg.blocks:
-            self._block_in[block.index] = {}
-            self._block_out[block.index] = {}
-        worklist = list(cfg.reachable_blocks())
-        queued = set(worklist)
-        while worklist:
-            index = worklist.pop(0)
-            queued.discard(index)
-            block = cfg.blocks[index]
-            state = dict(self._block_in[index])
-            for pc in block.pcs():
-                _transfer(self.program[pc], state)
-            if state != self._block_out[index]:
-                self._block_out[index] = state
-                for succ in block.successors:
-                    if _merge(self._block_in[succ], state) and succ not in queued:
-                        worklist.append(succ)
-                        queued.add(succ)
+    def _solve(self) -> Dict[int, State]:
+        """Block entry states, from an empty state at the entry block."""
+        return solve_forward(self.cfg, {self.cfg.entry_block.index: {}}, _transfer, _join)
 
     def state_before(self, pc: int) -> State:
-        """The reaching-store facts immediately before instruction *pc*."""
-        block = self.cfg.block_at(pc)
-        state = dict(self._block_in[block.index])
-        for earlier in range(block.start, pc):
-            _transfer(self.program[earlier], state)
-        return state
+        """The reaching-store facts immediately before instruction *pc*
+        (shared with the solution: do not mutate)."""
+        return state_at(self.cfg, self._block_in, pc, _transfer, {})
 
     def reaching_at(self, load_pc: int) -> List[StoreFact]:
         """Facts that may alias the load at *load_pc*, by store PC."""
@@ -241,24 +219,3 @@ class ReachingStores:
                 )
         self._pairs = pairs
         return pairs
-
-    def observed_stores(self) -> List[int]:
-        """Store PCs that reach at least one may-aliasing load."""
-        observed = set()
-        for pair in self.candidate_pairs():
-            observed.add(pair.store_pc)
-        return sorted(observed)
-
-    def dead_stores(self) -> List[int]:
-        """Reachable stores no load can ever observe (provably dead).
-
-        Because the alias lattice over-approximates, absence from every
-        candidate pair is a *proof* of deadness, not a guess.
-        """
-        reachable = set(self.cfg.reachable_blocks())
-        observed = set(self.observed_stores())
-        return [
-            pc
-            for pc in self.program.static_stores()
-            if pc not in observed and self.cfg.block_at(pc).index in reachable
-        ]

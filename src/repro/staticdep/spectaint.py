@@ -63,6 +63,7 @@ pyproject), like :mod:`repro.staticdep.symbolic` beneath it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.isa.instructions import Instruction
@@ -73,7 +74,7 @@ from repro.staticdep.analysis import (
     SymbolicDependenceAnalysis,
     analyze_program_symbolic,
 )
-from repro.staticdep.cfg import ControlFlowGraph
+from repro.staticdep.cfg import ControlFlowGraph, solve_forward, state_at
 from repro.staticdep.reaching import ReachingStores, access_expr, may_alias
 from repro.staticdep.symbolic import (
     NO,
@@ -264,29 +265,13 @@ class TaintSolution:
         self._solve()
 
     def _run_register_flow(self, load_taints: Dict[int, str]) -> None:
-        self._block_in = {}
-        entry = self.cfg.entry_block.index
-        self._block_in[entry] = _entry_taints()
-        worklist: List[int] = [entry]
-        while worklist:
-            index = worklist.pop()
-            state = self._block_in[index]
-            block = self.cfg.blocks[index]
-            for pc in block.pcs():
-                state = transfer_taint(self.program[pc], state, load_taints)
-            for succ in block.successors:
-                current = self._block_in.get(succ)
-                merged = state if current is None else _join_taints(current, state)
-                if merged != current:
-                    self._block_in[succ] = merged
-                    worklist.append(succ)
+        seeds = {self.cfg.entry_block.index: _entry_taints()}
+        step = partial(transfer_taint, load_taints=load_taints)
+        self._block_in = solve_forward(self.cfg, seeds, step, _join_taints)
 
     def _state_before(self, pc: int, load_taints: Dict[int, str]) -> TaintState:
-        block = self.cfg.block_at(pc)
-        state = self._block_in.get(block.index, _entry_taints())
-        for earlier in range(block.start, pc):
-            state = transfer_taint(self.program[earlier], state, load_taints)
-        return state
+        step = partial(transfer_taint, load_taints=load_taints)
+        return state_at(self.cfg, self._block_in, pc, step, _entry_taints())
 
     def _store_data(self, load_taints: Dict[int, str]) -> Dict[int, str]:
         out: Dict[int, str] = {}
@@ -402,6 +387,14 @@ class Transmitter:
         return {"pc": self.pc, "kind": self.kind}
 
 
+#: Transmitter-slice state: (carrier registers, carrier store PCs).
+Carriers = Tuple[FrozenSet[int], FrozenSet[int]]
+
+
+def _join_carriers(a: Carriers, b: Carriers) -> Carriers:
+    return (a[0] | b[0], a[1] | b[1])
+
+
 class _TransmitterSlice:
     """Forward taint slice from one load's destination register.
 
@@ -412,7 +405,8 @@ class _TransmitterSlice:
     register (standard strongest-postcondition flow); the join is
     componentwise union, so the fixpoint over-approximates every path,
     including paths around back edges — a superset of any finite
-    speculation window.
+    speculation window.  The transmitters are the sinks the carriers
+    reach at that fixpoint.
     """
 
     def __init__(
@@ -425,68 +419,55 @@ class _TransmitterSlice:
         self.cfg = cfg
         self.pair_set = pair_set
 
-    def _transfer(
-        self,
-        inst: Instruction,
-        regs: FrozenSet[int],
-        mem: FrozenSet[int],
-        sinks: Set[Transmitter],
-    ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-        carries = (inst.rs1 is not None and inst.rs1 in regs) or (
-            inst.rs2 is not None and inst.rs2 in regs
-        )
+    def _transfer(self, inst: Instruction, state: Carriers) -> Carriers:
+        regs, mem = state
+        if inst.is_store:
+            if inst.rs2 in regs:
+                return regs, mem | {inst.pc}
+            return state
+        if inst.rd is None or inst.rd == ZERO or inst.is_branch or inst.op is Opcode.JR:
+            return state
+        if inst.is_load:
+            carries = any((s, inst.pc) in self.pair_set for s in mem)
+        else:
+            carries = inst.op not in (Opcode.LI, Opcode.LUI, Opcode.JAL) and (
+                inst.rs1 in regs or inst.rs2 in regs
+            )
+        return (regs | {inst.rd} if carries else regs - {inst.rd}), mem
+
+    @staticmethod
+    def _sink(inst: Instruction, regs: FrozenSet[int]) -> Optional[Transmitter]:
+        """The transmitter *inst* is when *regs* carry the transient value:
+        a memory access through a carrier, or a branch or ``jr`` reading one."""
         if inst.is_memory:
-            if inst.rs1 is not None and inst.rs1 in regs:
-                sinks.add(Transmitter(inst.pc, "address"))
-            if inst.is_store:
-                if inst.rs2 is not None and inst.rs2 in regs:
-                    mem = mem | {inst.pc}
-                return regs, mem
-            forwarded = any((s, inst.pc) in self.pair_set for s in mem)
-            if inst.rd is not None and inst.rd != ZERO:
-                regs = regs | {inst.rd} if forwarded else regs - {inst.rd}
-            return regs, mem
-        if inst.is_branch or inst.op is Opcode.JR:
-            if carries:
-                sinks.add(Transmitter(inst.pc, "branch"))
-            return regs, mem
-        if inst.rd is None or inst.rd == ZERO:
-            return regs, mem
-        if inst.op in (Opcode.LI, Opcode.LUI, Opcode.JAL) or not carries:
-            return regs - {inst.rd}, mem
-        return regs | {inst.rd}, mem
+            return Transmitter(inst.pc, "address") if inst.rs1 in regs else None
+        if (inst.is_branch or inst.op is Opcode.JR) and (
+            inst.rs1 in regs or inst.rs2 in regs
+        ):
+            return Transmitter(inst.pc, "branch")
+        return None
 
     def transmitters(self, load_pc: int) -> Tuple[Transmitter, ...]:
         load = self.program[load_pc]
         if load.rd is None or load.rd == ZERO:
             return ()
         sinks: Set[Transmitter] = set()
-        regs: FrozenSet[int] = frozenset((load.rd,))
-        mem: FrozenSet[int] = frozenset()
+
+        def scan(pcs: range, state: Carriers) -> Carriers:
+            for pc in pcs:
+                inst = self.program[pc]
+                sink = self._sink(inst, state[0])
+                if sink is not None:
+                    sinks.add(sink)
+                state = self._transfer(inst, state)
+            return state
+
         block = self.cfg.block_at(load_pc)
-        for pc in range(load_pc + 1, block.end):
-            regs, mem = self._transfer(self.program[pc], regs, mem, sinks)
-        block_in: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]] = {}
-        worklist: List[int] = []
-        for succ in block.successors:
-            block_in[succ] = (regs, mem)
-            worklist.append(succ)
-        while worklist:
-            index = worklist.pop()
-            regs, mem = block_in[index]
-            if not regs and not mem:
-                continue  # nothing carried; the transfer is the identity
-            for pc in self.cfg.blocks[index].pcs():
-                regs, mem = self._transfer(self.program[pc], regs, mem, sinks)
-            for succ in self.cfg.blocks[index].successors:
-                current = block_in.get(succ)
-                if current is None:
-                    merged = (regs, mem)
-                else:
-                    merged = (current[0] | regs, current[1] | mem)
-                if merged != current:
-                    block_in[succ] = merged
-                    worklist.append(succ)
+        leave = scan(range(load_pc + 1, block.end), (frozenset((load.rd,)), frozenset()))
+        seeds = {succ: leave for succ in block.successors}
+        block_in = solve_forward(self.cfg, seeds, self._transfer, _join_carriers)
+        for index, state in block_in.items():
+            scan(self.cfg.blocks[index].pcs(), state)
         return tuple(sorted(sinks, key=lambda t: (t.pc, t.kind)))
 
 

@@ -53,7 +53,7 @@ from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGS, ZERO
-from repro.staticdep.cfg import ControlFlowGraph, build_cfg
+from repro.staticdep.cfg import ControlFlowGraph, build_cfg, dominator_sets, solve_forward, state_at
 
 #: 32-bit signed bounds: ``sll`` is the only wrapping ALU op in the
 #: interpreter, so scaling by a shift is modelled only when the operand
@@ -555,9 +555,9 @@ class SymbolicSolution:
         self.loops: Dict[int, Set[int]] = self._natural_loops()
         #: block -> bitset of the blocks reachable from its end
         self._forward_reach: List[int] = self._forward_reach_sets()
-        self._block_in: Dict[int, State] = {}
         self._dominators: Optional[Dict[int, Set[int]]] = None
-        self._solve()
+        #: block -> register state on entry
+        self._block_in: Dict[int, State] = self._solve()
 
     # -- structure ---------------------------------------------------------
 
@@ -608,36 +608,13 @@ class SymbolicSolution:
         return best
 
     def dominators(self) -> Dict[int, Set[int]]:
-        """Block -> blocks dominating it (iterative set dataflow)."""
-        if self._dominators is not None:
-            return self._dominators
-        cfg = self.cfg
-        reachable = cfg.reachable_blocks()
-        all_blocks = set(reachable)
-        entry = cfg.entry_block.index
-        dom: Dict[int, Set[int]] = {
-            index: {index} if index == entry else set(all_blocks)
-            for index in reachable
-        }
-        changed = True
-        while changed:
-            changed = False
-            for index in reachable:
-                if index == entry:
-                    continue
-                preds = [
-                    p for p in cfg.blocks[index].predecessors if p in all_blocks
-                ]
-                if preds:
-                    new = set.intersection(*(dom[p] for p in preds))
-                else:
-                    new = set()
-                new.add(index)
-                if new != dom[index]:
-                    dom[index] = new
-                    changed = True
-        self._dominators = dom
-        return dom
+        """Block -> blocks dominating it."""
+        if self._dominators is None:
+            cfg = self.cfg
+            reachable = cfg.reachable_blocks()
+            preds = {index: cfg.blocks[index].predecessors for index in reachable}
+            self._dominators = dominator_sets(reachable, preds, cfg.entry_block.index)
+        return self._dominators
 
     def executes_every_iteration(self, pc: int) -> bool:
         """Does *pc* run on every iteration of its innermost loop?
@@ -659,54 +636,16 @@ class SymbolicSolution:
 
     # -- fixpoint ----------------------------------------------------------
 
-    def _block_out(self, index: int, state: State) -> State:
-        for pc in self.cfg.blocks[index].pcs():
-            state = transfer(self.program[pc], state)
-        return state
-
-    def _solve(self) -> None:
-        cfg = self.cfg
-        reachable = cfg.reachable_blocks()
-        entry = cfg.entry_block.index
-        outs: Dict[int, State] = {}
-        self._block_in[entry] = _entry_state()
-        worklist: List[int] = [entry]
-        queued = {entry}
-        while worklist:
-            index = worklist.pop(0)
-            queued.discard(index)
-            in_state = self._block_in.get(index)
-            if in_state is None:
-                continue
-            out = self._block_out(index, in_state)
-            if outs.get(index) == out:
-                continue
-            outs[index] = out
-            for succ in cfg.blocks[index].successors:
-                is_back = (index, succ) in self.back_edges
-                current = self._block_in.get(succ)
-                if current is None:
-                    new = out
-                elif is_back:
-                    new = _widen_states(current, out, succ)
-                else:
-                    new = _join_states(current, out)
-                if new != current:
-                    self._block_in[succ] = new
-                    if succ not in queued:
-                        worklist.append(succ)
-                        queued.add(succ)
-        for index in reachable:
-            self._block_in.setdefault(index, _top_state())
+    def _solve(self) -> Dict[int, State]:
+        """Block entry states from the entry block, widened on back edges
+        (the result depends on :func:`solve_forward`'s fixed order)."""
+        seeds = {self.cfg.entry_block.index: _entry_state()}
+        return solve_forward(self.cfg, seeds, transfer, _join_states, _widen_states)
 
     # -- queries -----------------------------------------------------------
 
     def state_before(self, pc: int) -> State:
-        block = self.cfg.block_at(pc)
-        state = self._block_in.get(block.index, _top_state())
-        for earlier in range(block.start, pc):
-            state = transfer(self.program[earlier], state)
-        return state
+        return state_at(self.cfg, self._block_in, pc, transfer, _top_state())
 
     def address_value(self, pc: int) -> SymValue:
         """The symbolic address of the memory instruction at *pc*."""

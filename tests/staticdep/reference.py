@@ -16,16 +16,28 @@ they replace:
 
 ``test_analysis_differential.py`` holds the two equal on random
 programs, the example programs and every registered workload.
+
+The dataflow analyses share three helpers in :mod:`repro.staticdep.cfg`
+(``solve_forward``, ``state_at`` and ``dominator_sets``).  The
+``Worklist*`` classes below put back the loops those helpers replaced,
+each analysis with its own worklist, dominator loop and prefix replay,
+copied verbatim as method overrides (a few annotations aside); a
+``_solve`` that filled ``self._block_in`` in place now starts from an
+empty one and returns it.  ``test_dataflow_differential.py`` holds them equal to the helpers.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.isa.opcodes import is_control
+from repro.isa.instructions import Instruction
+from repro.isa.opcodes import Opcode, is_control
+from repro.isa.program import Program
+from repro.isa.registers import ZERO
 from repro.staticdep.cfg import ControlFlowGraph
 from repro.staticdep.pdg import (
+    _VIRTUAL_EXIT,
     DEFAULT_SLICE_BUDGET,
     LOOP_CARRIED_CUTOFF,
     TOO_EXPENSIVE,
@@ -36,8 +48,33 @@ from repro.staticdep.pdg import (
     ProgramDependenceGraph,
     SliceBudget,
     SliceCost,
+    _defined_register,
 )
-from repro.staticdep.symbolic import NO, SymbolicSolution
+from repro.staticdep.reaching import (
+    ReachingStores,
+    State,
+    StoreFact,
+    _must_alias,
+    _written_register,
+    access_expr,
+)
+from repro.staticdep.spectaint import (
+    TaintSolution,
+    TaintState,
+    Transmitter,
+    _entry_taints,
+    _join_taints,
+    transfer_taint,
+)
+from repro.staticdep.symbolic import (
+    NO,
+    SymbolicSolution,
+    _entry_state,
+    _join_states,
+    _top_state,
+    _widen_states,
+    transfer,
+)
 
 
 def reaches_without_back_edge(solution: SymbolicSolution, src_pc: int, dst_pc: int) -> bool:
@@ -245,3 +282,348 @@ def extract_predictor_slices(
             continue
         slices.append(predictor_slice(pdg, pair, budget=budget))
     return slices
+
+
+# ---------------------------------------------------------------------------
+# the per-analysis dataflow loops
+
+
+def _transfer(inst: Instruction, state: State) -> None:
+    """Apply one instruction's effect to *state* in place."""
+    written = _written_register(inst)
+    if written is not None:
+        for pc, fact in list(state.items()):
+            if fact.base_intact and fact.expr.base == written:
+                state[pc] = fact.demoted()
+    if inst.is_store:
+        expr = access_expr(inst)
+        for pc, fact in list(state.items()):
+            if _must_alias(fact, expr):
+                del state[pc]
+        state[inst.pc] = StoreFact(inst.pc, expr, True)
+
+
+def _merge(into: State, other: State) -> bool:
+    """Union-merge *other* into *into*; True when *into* changed."""
+    changed = False
+    for pc, fact in other.items():
+        mine = into.get(pc)
+        if mine is None:
+            into[pc] = fact
+            changed = True
+        elif mine.base_intact and not fact.base_intact:
+            into[pc] = mine.demoted()
+            changed = True
+    return changed
+
+
+class WorklistReachingStores(ReachingStores):
+    """Reaching stores with every reachable block seeded, FIFO by
+    ``list.pop(0)``, states updated in place."""
+
+    def _solve(self):
+        self._block_in, self._block_out = {}, {}
+        cfg = self.cfg
+        for block in cfg.blocks:
+            self._block_in[block.index] = {}
+            self._block_out[block.index] = {}
+        worklist = list(cfg.reachable_blocks())
+        queued = set(worklist)
+        while worklist:
+            index = worklist.pop(0)
+            queued.discard(index)
+            block = cfg.blocks[index]
+            state = dict(self._block_in[index])
+            for pc in block.pcs():
+                _transfer(self.program[pc], state)
+            if state != self._block_out[index]:
+                self._block_out[index] = state
+                for succ in block.successors:
+                    if _merge(self._block_in[succ], state) and succ not in queued:
+                        worklist.append(succ)
+                        queued.add(succ)
+        return self._block_in
+
+    def state_before(self, pc: int) -> State:
+        """The reaching-store facts immediately before instruction *pc*."""
+        block = self.cfg.block_at(pc)
+        state = dict(self._block_in[block.index])
+        for earlier in range(block.start, pc):
+            _transfer(self.program[earlier], state)
+        return state
+
+
+class WorklistSymbolicSolution(SymbolicSolution):
+    """The symbolic interpreter seeded at the entry, FIFO, widening on
+    back edges; dominators by a round-robin loop of its own."""
+
+    def dominators(self) -> Dict[int, Set[int]]:
+        """Block -> blocks dominating it (iterative set dataflow)."""
+        if self._dominators is not None:
+            return self._dominators
+        cfg = self.cfg
+        reachable = cfg.reachable_blocks()
+        all_blocks = set(reachable)
+        entry = cfg.entry_block.index
+        dom: Dict[int, Set[int]] = {
+            index: {index} if index == entry else set(all_blocks)
+            for index in reachable
+        }
+        changed = True
+        while changed:
+            changed = False
+            for index in reachable:
+                if index == entry:
+                    continue
+                preds = [
+                    p for p in cfg.blocks[index].predecessors if p in all_blocks
+                ]
+                if preds:
+                    new = set.intersection(*(dom[p] for p in preds))
+                else:
+                    new = set()
+                new.add(index)
+                if new != dom[index]:
+                    dom[index] = new
+                    changed = True
+        self._dominators = dom
+        return dom
+
+    def _block_out(self, index: int, state):
+        for pc in self.cfg.blocks[index].pcs():
+            state = transfer(self.program[pc], state)
+        return state
+
+    def _solve(self):
+        self._block_in = {}
+        cfg = self.cfg
+        reachable = cfg.reachable_blocks()
+        entry = cfg.entry_block.index
+        outs = {}
+        self._block_in[entry] = _entry_state()
+        worklist: List[int] = [entry]
+        queued = {entry}
+        while worklist:
+            index = worklist.pop(0)
+            queued.discard(index)
+            in_state = self._block_in.get(index)
+            if in_state is None:
+                continue
+            out = self._block_out(index, in_state)
+            if outs.get(index) == out:
+                continue
+            outs[index] = out
+            for succ in cfg.blocks[index].successors:
+                is_back = (index, succ) in self.back_edges
+                current = self._block_in.get(succ)
+                if current is None:
+                    new = out
+                elif is_back:
+                    new = _widen_states(current, out, succ)
+                else:
+                    new = _join_states(current, out)
+                if new != current:
+                    self._block_in[succ] = new
+                    if succ not in queued:
+                        worklist.append(succ)
+                        queued.add(succ)
+        for index in reachable:
+            self._block_in.setdefault(index, _top_state())
+        return self._block_in
+
+    def state_before(self, pc: int):
+        block = self.cfg.block_at(pc)
+        state = self._block_in.get(block.index, _top_state())
+        for earlier in range(block.start, pc):
+            state = transfer(self.program[earlier], state)
+        return state
+
+
+class WorklistPDG(ProgramDependenceGraph):
+    """Reaching definitions on a deque with an O(n) membership test;
+    post-dominators by a round-robin loop of their own."""
+
+    def _reaching_definitions(self) -> Dict[int, Dict[int, FrozenSet[int]]]:
+        """Per-use reaching definitions: pc -> reg -> defining PCs.
+
+        Registers are implicitly zero at entry, so a use with no
+        reaching definition simply has no incoming register edge."""
+        program, cfg = self.program, self.cfg
+        reachable = set(self._reachable_blocks)
+        Defs = Dict[int, FrozenSet[int]]
+        block_in: Dict[int, Defs] = {index: {} for index in reachable}
+        block_out: Dict[int, Defs] = {}
+
+        def transfer(index: int, state: Defs) -> Defs:
+            out = dict(state)
+            for pc in cfg.blocks[index].pcs():
+                reg = _defined_register(program[pc])
+                if reg is not None:
+                    out[reg] = frozenset((pc,))
+            return out
+
+        worklist = deque(self._reachable_blocks)
+        while worklist:
+            index = worklist.popleft()
+            out = transfer(index, block_in[index])
+            if block_out.get(index) == out:
+                continue
+            block_out[index] = out
+            for succ in cfg.blocks[index].successors:
+                if succ not in reachable:
+                    continue
+                merged = dict(block_in[succ])
+                changed = False
+                for reg, defs in out.items():
+                    joined = merged.get(reg, frozenset()) | defs
+                    if joined != merged.get(reg):
+                        merged[reg] = joined
+                        changed = True
+                if changed or succ not in block_out:
+                    block_in[succ] = merged
+                    if succ not in worklist:
+                        worklist.append(succ)
+
+        use_defs: Dict[int, Dict[int, FrozenSet[int]]] = {}
+        for index in self._reachable_blocks:
+            state: Defs = dict(block_in[index])
+            for pc in cfg.blocks[index].pcs():
+                inst = program[pc]
+                use_defs[pc] = {
+                    reg: state.get(reg, frozenset()) for reg in inst.sources()
+                }
+                reg = _defined_register(inst)
+                if reg is not None:
+                    state[reg] = frozenset((pc,))
+        return use_defs
+
+    def _post_dominators(self) -> Dict[int, Set[int]]:
+        """Block-level post-dominator sets over a virtual exit node."""
+        cfg = self.cfg
+        reachable = set(self._reachable_blocks)
+        succs = {
+            index: [s for s in cfg.blocks[index].successors if s in reachable]
+            or [_VIRTUAL_EXIT]
+            for index in reachable
+        }
+        universe = reachable | {_VIRTUAL_EXIT}
+        pdom: Dict[int, Set[int]] = {index: set(universe) for index in reachable}
+        pdom[_VIRTUAL_EXIT] = {_VIRTUAL_EXIT}
+        changed = True
+        while changed:
+            changed = False
+            for index in sorted(reachable, reverse=True):
+                meet: Set[int] = set.intersection(*(pdom[s] for s in succs[index]))
+                new = meet | {index}
+                if new != pdom[index]:
+                    pdom[index] = new
+                    changed = True
+        return pdom
+
+
+class WorklistTaintSolution(TaintSolution):
+    """Register taint on a LIFO stack with no queued set."""
+
+    def _run_register_flow(self, load_taints: Dict[int, str]) -> None:
+        self._block_in = {}
+        entry = self.cfg.entry_block.index
+        self._block_in[entry] = _entry_taints()
+        worklist: List[int] = [entry]
+        while worklist:
+            index = worklist.pop()
+            state = self._block_in[index]
+            block = self.cfg.blocks[index]
+            for pc in block.pcs():
+                state = transfer_taint(self.program[pc], state, load_taints)
+            for succ in block.successors:
+                current = self._block_in.get(succ)
+                merged = state if current is None else _join_taints(current, state)
+                if merged != current:
+                    self._block_in[succ] = merged
+                    worklist.append(succ)
+
+    def _state_before(self, pc: int, load_taints: Dict[int, str]) -> TaintState:
+        block = self.cfg.block_at(pc)
+        state = self._block_in.get(block.index, _entry_taints())
+        for earlier in range(block.start, pc):
+            state = transfer_taint(self.program[earlier], state, load_taints)
+        return state
+
+
+class WorklistTransmitterSlice:
+    """The transmitter slice on a LIFO stack seeded from the load block's
+    successors, collecting sinks as it visits."""
+
+    def __init__(
+        self,
+        program: Program,
+        cfg: ControlFlowGraph,
+        pair_set: FrozenSet[Tuple[int, int]],
+    ) -> None:
+        self.program = program
+        self.cfg = cfg
+        self.pair_set = pair_set
+
+    def _transfer(
+        self,
+        inst: Instruction,
+        regs: FrozenSet[int],
+        mem: FrozenSet[int],
+        sinks: Set[Transmitter],
+    ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+        carries = (inst.rs1 is not None and inst.rs1 in regs) or (
+            inst.rs2 is not None and inst.rs2 in regs
+        )
+        if inst.is_memory:
+            if inst.rs1 is not None and inst.rs1 in regs:
+                sinks.add(Transmitter(inst.pc, "address"))
+            if inst.is_store:
+                if inst.rs2 is not None and inst.rs2 in regs:
+                    mem = mem | {inst.pc}
+                return regs, mem
+            forwarded = any((s, inst.pc) in self.pair_set for s in mem)
+            if inst.rd is not None and inst.rd != ZERO:
+                regs = regs | {inst.rd} if forwarded else regs - {inst.rd}
+            return regs, mem
+        if inst.is_branch or inst.op is Opcode.JR:
+            if carries:
+                sinks.add(Transmitter(inst.pc, "branch"))
+            return regs, mem
+        if inst.rd is None or inst.rd == ZERO:
+            return regs, mem
+        if inst.op in (Opcode.LI, Opcode.LUI, Opcode.JAL) or not carries:
+            return regs - {inst.rd}, mem
+        return regs | {inst.rd}, mem
+
+    def transmitters(self, load_pc: int) -> Tuple[Transmitter, ...]:
+        load = self.program[load_pc]
+        if load.rd is None or load.rd == ZERO:
+            return ()
+        sinks: Set[Transmitter] = set()
+        regs: FrozenSet[int] = frozenset((load.rd,))
+        mem: FrozenSet[int] = frozenset()
+        block = self.cfg.block_at(load_pc)
+        for pc in range(load_pc + 1, block.end):
+            regs, mem = self._transfer(self.program[pc], regs, mem, sinks)
+        block_in: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]] = {}
+        worklist: List[int] = []
+        for succ in block.successors:
+            block_in[succ] = (regs, mem)
+            worklist.append(succ)
+        while worklist:
+            index = worklist.pop()
+            regs, mem = block_in[index]
+            if not regs and not mem:
+                continue  # nothing carried; the transfer is the identity
+            for pc in self.cfg.blocks[index].pcs():
+                regs, mem = self._transfer(self.program[pc], regs, mem, sinks)
+            for succ in self.cfg.blocks[index].successors:
+                current = block_in.get(succ)
+                if current is None:
+                    merged = (regs, mem)
+                else:
+                    merged = (current[0] | regs, current[1] | mem)
+                if merged != current:
+                    block_in[succ] = merged
+                    worklist.append(succ)
+        return tuple(sorted(sinks, key=lambda t: (t.pc, t.kind)))

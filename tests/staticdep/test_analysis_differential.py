@@ -11,13 +11,21 @@ scratch per call.  These tests hold the two equal:
 * every classified pair's static distance;
 * the PCs, cost and loop-carried flag of every reachable PC's backward
   slice under each criterion;
-* the whole :func:`extract_predictor_slices` list.
+* the whole :func:`extract_predictor_slices` list;
+* the dataflow analyses against the per-analysis loops the shared
+  helpers replaced: ``state_before`` of reaching stores, the symbolic
+  interpreter and register taint at every PC (with the taint pass's
+  load and store-data taints), the PDG's use-definitions, control edges
+  and post-dominator sets, the symbolic dominator sets, and every
+  load's transmitters.
 
 Random programs come from ``random_gen`` (one loop with forward
 branches), with a few task-entry marks toggled so blocks start tasks
 mid-block or hold several task entries.  They yield no lagged MUST
 pair, so strided loops, with one or two tasks per iteration, cover
-the static distance of a dependence several iterations long.
+the static distance of a dependence several iterations long.  Some
+declare their first shared words secret, so the taint pass has a
+secret range to propagate.
 """
 
 from pathlib import Path
@@ -31,6 +39,7 @@ from repro.isa.parser import parse_file
 from repro.staticdep import analyze_program_symbolic, build_pdg, extract_predictor_slices
 from repro.staticdep.cfg import TaskDistances
 from repro.staticdep.pdg import SLICE_CRITERIA
+from repro.staticdep.spectaint import TaintSolution, _TransmitterSlice, valid_ranges
 from repro.workloads import all_workloads
 from repro.workloads.random_gen import RandomProgramConfig, generate_program
 from tests.staticdep import reference
@@ -45,6 +54,7 @@ configs = st.builds(
     stores_per_task=st.integers(min_value=0, max_value=3),
     shared_words=st.integers(min_value=1, max_value=8),
     branch_probability=st.floats(min_value=0.0, max_value=0.8),
+    secret_words=st.integers(min_value=0, max_value=6),
     seed=st.integers(min_value=0, max_value=10_000),
 )
 
@@ -90,6 +100,40 @@ def assert_slices_match(pdg):
     assert extract_predictor_slices(pdg) == reference.extract_predictor_slices(pdg)
 
 
+def assert_dataflow_matches(program):
+    """The shared solver gives what each analysis's own loop gave."""
+    analysis = analyze_program_symbolic(program)
+    cfg, reaching, solution = analysis.cfg, analysis.reaching, analysis.solution
+    pcs = range(len(program))
+    old_reaching = reference.WorklistReachingStores(program, cfg)
+    for pc in pcs:
+        assert reaching.state_before(pc) == old_reaching.state_before(pc), pc
+    old_solution = reference.WorklistSymbolicSolution(program, cfg)
+    for pc in pcs:
+        assert solution.state_before(pc) == old_solution.state_before(pc), pc
+    assert solution.dominators() == old_solution.dominators()
+
+    pdg = build_pdg(program, analysis=analysis)
+    old_pdg = reference.WorklistPDG(program, analysis=analysis)
+    assert pdg._use_defs == old_pdg._use_defs
+    assert pdg._post_dominators() == old_pdg._post_dominators()
+    assert pdg.control_edges == old_pdg.control_edges
+
+    ranges = valid_ranges(program.secret_ranges)
+    taint = TaintSolution(program, cfg, solution, reaching, ranges)
+    old_taint = reference.WorklistTaintSolution(program, cfg, solution, reaching, ranges)
+    assert taint.load_taints == old_taint.load_taints
+    assert taint.store_data_taints == old_taint.store_data_taints
+    for pc in pcs:
+        assert taint.taint_before(pc) == old_taint.taint_before(pc), pc
+
+    pair_set = frozenset(analysis.pair_set)
+    slicer = _TransmitterSlice(program, cfg, pair_set)
+    old_slicer = reference.WorklistTransmitterSlice(program, cfg, pair_set)
+    for pc in program.static_loads():
+        assert slicer.transmitters(pc) == old_slicer.transmitters(pc), pc
+
+
 def assert_all_pairs_match(program):
     analysis = analyze_program_symbolic(program)
     pcs = build_pdg(program, analysis=analysis).reachable_pcs()
@@ -107,6 +151,12 @@ def test_random_program_paths_match_reference(program):
 @given(program=random_programs())
 def test_random_program_slices_match_reference(program):
     assert_slices_match(build_pdg(program))
+
+
+@settings(max_examples=40, deadline=None)
+@given(program=random_programs())
+def test_random_program_dataflow_matches_reference(program):
+    assert_dataflow_matches(program)
 
 
 def strided_loop(load_back, tasks_per_iteration):
@@ -143,6 +193,7 @@ def test_example_program_matches_reference(program_path):
     program = parse_file(str(program_path))
     assert_all_pairs_match(program)
     assert_slices_match(build_pdg(program))
+    assert_dataflow_matches(program)
 
 
 @pytest.mark.parametrize("workload", all_workloads(), ids=lambda w: w.name)
@@ -156,3 +207,4 @@ def test_workload_matches_reference(workload):
     assert_paths_match(analysis, sorted(pairs))
     assert_static_distances_match(analysis)
     assert_slices_match(build_pdg(program, analysis=analysis))
+    assert_dataflow_matches(program)

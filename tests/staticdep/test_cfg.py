@@ -1,7 +1,17 @@
-"""CFG construction: block boundaries, edges, reachability, distances."""
+"""CFG construction: block boundaries, edges, reachability, distances,
+and the dataflow helpers every analysis runs on."""
+
+from pathlib import Path
+
+import pytest
 
 from repro.isa.assembler import Assembler
-from repro.staticdep import build_cfg
+from repro.isa.parser import parse_file
+from repro.staticdep import build_cfg, build_pdg
+from repro.staticdep.cfg import dominator_sets, solve_forward, state_at
+from repro.staticdep.symbolic import SymbolicSolution
+
+EXAMPLES = sorted(Path("examples/programs").glob("*.s"))
 
 
 def straight_line():
@@ -130,3 +140,144 @@ def test_computed_jr_targets_all_labels():
     targets = {cfg.blocks[s].start for s in jr_block.successors}
     assert {2, 4} <= targets
     assert cfg.unreachable_blocks() == []
+
+
+def loop_with_join():
+    a = Assembler("loop_with_join")
+    a.li("t0", 0)              # 0  block 0
+    a.li("t1", 4)              # 1
+    a.label("loop")
+    a.beq("t0", "t2", "skip")  # 2  block 1
+    a.addi("t2", "t2", 1)      # 3  block 2
+    a.label("skip")
+    a.addi("t0", "t0", 1)      # 4  block 3: joins blocks 1 and 2
+    a.blt("t0", "t1", "loop")  # 5  back edge to block 1
+    a.halt()                   # 6  block 4
+    return a.assemble()
+
+
+def executed(inst, state):
+    """A transfer for the tests: the PCs run on some path to here."""
+    return state | {inst.pc}
+
+
+def test_solve_forward_widens_only_on_back_edges():
+    program = loop_with_join()
+    cfg = build_cfg(program)
+    joins, heads, visits = [], [], []
+
+    def step(inst, state):
+        if inst.pc == cfg.block_at(inst.pc).start:
+            visits.append(cfg.block_at(inst.pc).index)
+        return executed(inst, state)
+
+    def join(current, incoming):
+        joins.append((current, incoming))
+        return current | incoming
+
+    def widen(current, incoming, head):
+        heads.append(head)
+        return current | incoming
+
+    entry = cfg.entry_block.index
+    block_in = solve_forward(cfg, {entry: frozenset()}, step, join, widen)
+    # first in, first out: block 1 queues 3 before 2, so 3 runs first
+    assert [b.successors for b in cfg.blocks] == [[1], [3, 2], [3], [1, 4], []]
+    assert visits == [0, 1, 3, 2, 1, 4, 3, 2, 1, 4, 2]
+    back_heads = {head for _, head in SymbolicSolution(program, cfg).back_edges}
+    assert back_heads == {cfg.block_at(2).index}
+    assert heads and set(heads) == back_heads
+    assert joins  # the forward join into pc 4's block
+    assert block_in[cfg.block_at(2).index] == frozenset(range(6))
+    assert block_in[cfg.block_at(6).index] == frozenset(range(6))
+    # without a widen, the back edge joins like any other edge
+    assert solve_forward(cfg, {entry: frozenset()}, executed, join) == block_in
+
+
+def test_solve_forward_leaves_out_blocks_no_seed_reaches():
+    a = Assembler("dead")
+    a.li("t0", 1)          # 0
+    a.j("end")             # 1
+    a.label("orphan")
+    a.addi("t0", "t0", 1)  # 2: unreachable
+    a.addi("t0", "t0", 1)  # 3
+    a.label("end")
+    a.halt()               # 4
+    cfg = build_cfg(a.assemble())
+    union = frozenset.union
+    block_in = solve_forward(cfg, {cfg.entry_block.index: frozenset()}, executed, union)
+    assert set(block_in) == set(cfg.reachable_blocks())
+    assert cfg.block_at(2).index not in block_in
+    assert block_in[cfg.block_at(4).index] == {0, 1}
+    # seeded past the entry, the walk starts there
+    assert solve_forward(cfg, {cfg.block_at(2).index: frozenset()}, executed, union) == {
+        cfg.block_at(2).index: frozenset(),
+        cfg.block_at(4).index: frozenset({2, 3}),
+    }
+    # state_at: the block's entry state (or the default) through the prefix
+    assert state_at(cfg, block_in, 1, executed, None) == {0}
+    assert state_at(cfg, block_in, 3, executed, frozenset({-1})) == {-1, 2}
+
+
+def test_dominator_sets_on_the_graph_and_its_reverse():
+    program = diamond_program()
+    cfg = build_cfg(program)
+    entry, then, else_, join = (cfg.block_at(pc).index for pc in (0, 2, 4, 5))
+    nodes = cfg.reachable_blocks()
+    preds = {index: cfg.blocks[index].predecessors for index in nodes}
+    dom = dominator_sets(nodes, preds, entry)
+    assert dom == {
+        entry: {entry},
+        then: {entry, then},
+        else_: {entry, else_},
+        join: {entry, join},
+    }
+    assert SymbolicSolution(program, cfg).dominators() == dom
+    # post-dominators: the reversed graph, rooted at a virtual exit
+    exit_ = -1
+    succs = {index: cfg.blocks[index].successors or [exit_] for index in nodes}
+    pdom = dominator_sets([exit_] + nodes, succs, exit_)
+    assert pdom == {
+        exit_: {exit_},
+        entry: {entry, join, exit_},
+        then: {then, join, exit_},
+        else_: {else_, join, exit_},
+        join: {join, exit_},
+    }
+    assert build_pdg(program)._post_dominators() == pdom
+
+
+def cut_dominators(nodes, succs, root):
+    """d dominates n when n is unreachable from *root* once d is removed
+    (every node, vacuously, when n is unreachable anyway)."""
+
+    def reach(without):
+        seen, stack = set(), [root]
+        while stack:
+            node = stack.pop()
+            if node == without or node in seen:
+                continue
+            seen.add(node)
+            stack.extend(succs.get(node, ()))
+        return seen
+
+    return {n: {d for d in nodes if d == n or n not in reach(d)} for n in nodes}
+
+
+@pytest.mark.parametrize("program_path", EXAMPLES, ids=lambda p: p.stem)
+def test_dominator_sets_match_the_cut_definition(program_path):
+    program = parse_file(str(program_path))
+    cfg = build_cfg(program)
+    nodes = cfg.reachable_blocks()
+    succs = {index: cfg.blocks[index].successors for index in nodes}
+    preds = {index: cfg.blocks[index].predecessors for index in nodes}
+    entry = cfg.entry_block.index
+    assert dominator_sets(nodes, preds, entry) == cut_dominators(nodes, succs, entry)
+    exit_ = -1
+    to_exit = {index: succs[index] or [exit_] for index in nodes}
+    reversed_succs = {exit_: [index for index in nodes if not succs[index]]}
+    for index in nodes:
+        reversed_succs[index] = [p for p in preds[index] if p in to_exit]
+    assert dominator_sets([exit_] + nodes, to_exit, exit_) == cut_dominators(
+        [exit_] + nodes, reversed_succs, exit_
+    )

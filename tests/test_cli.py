@@ -579,7 +579,15 @@ def test_interpreter_fault_is_a_usage_error(capsys, tmp_path, command, program):
      for command in ("simulate", "compare", "profile", "explain")]
     + [["simulate", "sc", "--scale", "tiny", "--metrics", "{missing}/m.json"],
        ["compare", "sc", "--scale", "tiny", "--trace-events", "{missing}/t.json"],
-       ["pdg", LEAK_DEMO, "--dot", "{missing}/g.dot"]],
+       ["pdg", LEAK_DEMO, "--dot", "{missing}/g.dot"],
+       ["explain", "compress", "--scale", "tiny", "--top", "0"],
+       ["trace", "compress", "--scale", "tiny", "--top", "-1"],
+       ["staticdep", "compress", "--scale", "tiny", "--top", "-1"],
+       ["profile", "compress", "--scale", "tiny", "--top", "0"],
+       ["lint", LEAK_DEMO, "--mdpt", "0"],
+       ["lint", LEAK_DEMO, "--mdst", "-3"],
+       ["pdg", LEAK_DEMO, "--budget-length", "-1"],
+       ["pdg", LEAK_DEMO, "--budget-loads", "-1"]],
 )
 def test_bad_flag_value_or_output_path_is_a_usage_error(capsys, tmp_path, argv):
     """An invalid flag value, or an output file in a directory that does
@@ -764,11 +772,18 @@ def test_sweep_unknown_workload_exits_two(capsys):
 @pytest.mark.parametrize(
     "axis, label",
     [(["--policies", "esync,bogus"], "sweep:sc/bogus"),
-     (["--override", "nosuchfield=1,2"], "sweep:sc/always[nosuchfield=1]")],
+     (["--override", "nosuchfield=1,2"], "sweep:sc/always[nosuchfield=1]"),
+     (["--policies", "esync", "--policy-override", "capacity=0"],
+      "sweep:sc/esync[capacity=0]"),
+     (["--policies", "esync", "--policy-override", "threshold=99"],
+      "sweep:sc/esync[threshold=99]"),
+     (["--policies", "storeset", "--policy-override", "ssit_size=0"],
+      "sweep:sc/storeset[ssit_size=0]")],
 )
 def test_sweep_unbuildable_cell_stops_before_any_cell_runs(capsys, tmp_path, axis, label):
-    """An unknown policy or config field is a usage error naming its
-    first cell: nothing is printed, run or cached."""
+    """An unknown policy or config field, or a policy value its tables
+    or predictor reject, is a usage error naming its first cell: nothing
+    is printed, run or cached."""
     cache = tmp_path / "cache"
     assert main(["sweep", "sc", "--scale", "tiny", "--cache-dir", str(cache)] + axis) == 2
     captured = capsys.readouterr()
