@@ -56,7 +56,9 @@ line on stderr, or a FAILED cell of ``experiment`` or ``sweep``.
 Usage errors are an unknown workload, scale, experiment, policy or run
 id; an unreadable or unwritable file; a target that does not assemble
 or that faults when interpreted; and an invalid flag value such as
-``-n 0``, ``--top 0``, ``--mdpt 0`` or ``--budget-length -1``.
+``-n 0``, ``--top 0``, ``--mdpt 0`` or ``--budget-length -1``, a count
+the run cannot use (``--jobs 0``, ``--workers -1``, ``--retries -1``,
+``--repeat 0``, ``--max-tasks -1``) or a ``--timeout`` not above 0.
 Handlers raise the error they meet (``ValueError`` for the CLI's own
 checks) and :func:`main` alone turns it into exit 2; any other
 exception is a bug and keeps its traceback.
@@ -730,7 +732,7 @@ def cmd_compare(args) -> int:
 def _resolved_jobs(args):
     """--jobs, else $REPRO_EXECUTOR_JOBS, else None (inline)."""
     if args.jobs is not None:
-        return max(1, args.jobs)
+        return args.jobs
     env = os.environ.get("REPRO_EXECUTOR_JOBS", "").strip()
     if env:
         try:
@@ -1055,8 +1057,6 @@ def cmd_sweep(args) -> int:
 def cmd_worker(args) -> int:
     from repro.experiments.queuedir import run_worker
 
-    if args.max_tasks is not None and args.max_tasks < 0:
-        raise ValueError("--max-tasks must be >= 0")
     stats = run_worker(
         args.queue_dir,
         worker_id=args.worker_id,
@@ -1091,7 +1091,7 @@ def cmd_profile(args) -> int:
         with PROFILER.scope("dependence-profile"):
             profile_dependences(trace)
         stats = None
-        for _ in range(max(1, args.repeat)):
+        for _ in range(args.repeat):
             policy = make_policy(args.policy)
             sim = MultiscalarSimulator(
                 trace, MultiscalarConfig(stages=args.stages), policy
@@ -1108,7 +1108,7 @@ def cmd_profile(args) -> int:
                     "policy": args.policy,
                     "stages": args.stages,
                     "scale": args.scale,
-                    "repeat": max(1, args.repeat),
+                    "repeat": args.repeat,
                     "profile": PROFILER.summary(since=mark),
                     "nested": PROFILER.nested(since=mark),
                     "phases": PROFILER.phases(since=mark),
@@ -1120,7 +1120,7 @@ def cmd_profile(args) -> int:
         return 0
     print(
         "%s (scale %s) under %s on %d stages, %d simulation run(s):"
-        % (args.workload, args.scale, args.policy.upper(), args.stages, max(1, args.repeat))
+        % (args.workload, args.scale, args.policy.upper(), args.stages, args.repeat)
     )
     print(PROFILER.to_text(since=mark, top=args.top))
     print(
@@ -1792,8 +1792,13 @@ def cmd_bench_report(args) -> int:
 
 #: Integer flags (by dest) and the least value any command can use:
 #: ``--top`` counts rows to show, ``--mdpt``/``--mdst`` table entries,
-#: ``--budget-length``/``--budget-loads`` a slice's instructions and loads.
-_FLAG_MINIMUMS = {"top": 1, "mdpt": 1, "mdst": 1, "budget_length": 0, "budget_loads": 0}
+#: ``--budget-length``/``--budget-loads`` a slice's instructions and loads,
+#: ``--jobs``/``--workers`` processes, ``--retries`` re-attempts,
+#: ``--repeat`` simulations and ``--max-tasks`` a worker's tasks.
+_FLAG_MINIMUMS = {
+    "top": 1, "mdpt": 1, "mdst": 1, "budget_length": 0, "budget_loads": 0,
+    "jobs": 1, "workers": 0, "retries": 0, "repeat": 1, "max_tasks": 0,
+}
 
 
 def _check_flag_minimums(args) -> None:
@@ -1803,6 +1808,9 @@ def _check_flag_minimums(args) -> None:
             raise ValueError(
                 "--%s must be at least %d, got %d" % (dest.replace("_", "-"), minimum, value)
             )
+    timeout = getattr(args, "timeout", None)
+    if timeout is not None and not timeout > 0:
+        raise ValueError("--timeout must be above 0, got %s" % timeout)
 
 
 def main(argv=None) -> int:

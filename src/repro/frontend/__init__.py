@@ -7,7 +7,6 @@ from repro.frontend.interpreter import (
     TraceLimitExceeded,
     run_program,
 )
-from repro.frontend.slice_executor import SliceError, SliceEvent, SliceExecutor
 from repro.frontend.static_index import TraceIndex
 from repro.frontend.trace import Trace, TraceEntry
 from repro.frontend.trace_cache import (
@@ -24,9 +23,6 @@ from repro.frontend.trace_cache import (
 __all__ = [
     "Interpreter",
     "InterpreterError",
-    "SliceError",
-    "SliceEvent",
-    "SliceExecutor",
     "TRACE_FORMAT_VERSION",
     "Trace",
     "TraceAnalysis",

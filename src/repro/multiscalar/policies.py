@@ -551,6 +551,31 @@ class StaticPrimedSyncPolicy(MechanismPolicy):
         telemetry.metrics.gauge("mdpt.primed").set(self.primed_pairs)
 
 
+def replay_slice(pcs, task_of, addr, start, budget, union, watch):
+    """Pre-execute a slice by replaying a trace's columns.
+
+    Walks the committed *pcs* from seq *start*.  Each entry whose pc is
+    in *union* counts as one executed slice instruction, until *budget*
+    of them have run; other pcs are skipped for free.  Returns
+    ``(events, stop, executed)``: the ``(pc, task, address)`` of every
+    executed entry whose pc is in *watch*, read from the *task_of* and
+    *addr* columns; the seq to resume from (``len(pcs)`` once the trace
+    is replayed); and how many slice instructions ran.
+    """
+    events = []
+    executed = 0
+    seq = start
+    n = len(pcs)
+    while executed < budget and seq < n:
+        pc = pcs[seq]
+        if pc in union:
+            executed += 1
+            if pc in watch:
+                events.append((pc, task_of[seq], addr[seq]))
+        seq += 1
+    return events, seq, executed
+
+
 class SliceWarmedSyncPolicy(StaticPrimedSyncPolicy):
     """PRIMED extended with Prophet-style pre-computation slices.
 
@@ -559,14 +584,14 @@ class SliceWarmedSyncPolicy(StaticPrimedSyncPolicy):
     "provable at compile time" to "resolvable at runtime ahead of
     need": for every remaining MAY/MUST pair whose address-generation
     slice is affordable (:func:`repro.staticdep.pdg.extract_predictor_slices`),
-    a bounded pre-executor (:class:`repro.frontend.slice_executor.SliceExecutor`)
-    replays the union of those slices ahead of the main sequencer.
-    Each task dispatch grants it ``slice_budget_per_task`` slice
-    instructions; whenever the pre-executed store and load addresses
-    collide across tasks within the window horizon, the pair is
-    installed into the MDPT with a saturated counter — before the
-    first real consumer issues, so even unprovable recurring
-    dependences synchronize from their first dynamic encounter.
+    a bounded pre-execution replays the union of those slices ahead of
+    the main sequencer.  Each task dispatch grants it
+    ``slice_budget_per_task`` slice instructions; whenever the
+    pre-executed store and load addresses collide across tasks within
+    the window horizon, the pair is installed into the MDPT with a
+    saturated counter — before the first real consumer issues, so even
+    unprovable recurring dependences synchronize from their first
+    dynamic encounter.
 
     At most one producer is ever installed per load (the first the
     pre-execution resolves): a load guarded by entries against several
@@ -574,10 +599,14 @@ class SliceWarmedSyncPolicy(StaticPrimedSyncPolicy):
     its task, which costs far more than the one cold-start squash a
     second entry could save.
 
-    A slice fault (the pre-executed path trips a runtime error) or
-    budget exhaustion simply stops the warming: the policy degrades to
-    PRIMED, never corrupting architectural state — the pre-executor
-    owns a private register file and memory image.
+    The pre-execution is a replay of the trace (:func:`replay_slice`):
+    an executable slice computes the full run's value at every
+    instruction it keeps, and loop-carried slices, whose addresses
+    could depend on the stores they skip, are never warmed.  So the
+    sliced walk follows the committed pc stream, and each watched
+    instance's task and address are the trace's.  The replay only
+    reads the trace: it cannot fault or touch architectural state,
+    and once it reaches the trace's end the policy runs as PRIMED.
     """
 
     def __init__(
@@ -595,7 +624,7 @@ class SliceWarmedSyncPolicy(StaticPrimedSyncPolicy):
         self.warmable_pairs = 0
         self.installed_pairs = 0
         self.slice_instructions = 0
-        self._runner = None
+        self._cursor = None
         self._consumers = {}
         self._unresolved = set()
         self._store_events = {}
@@ -607,7 +636,6 @@ class SliceWarmedSyncPolicy(StaticPrimedSyncPolicy):
         return "SLICEWARM"
 
     def bind(self, sim):
-        from repro.frontend.slice_executor import SliceExecutor
         from repro.staticdep.pdg import (
             WARMABLE,
             SliceBudget,
@@ -619,7 +647,7 @@ class SliceWarmedSyncPolicy(StaticPrimedSyncPolicy):
         self.warmable_pairs = 0
         self.installed_pairs = 0
         self.slice_instructions = 0
-        self._runner = None
+        self._cursor = None
         self._consumers = {}
         self._unresolved = set()
         self._store_events = {}
@@ -649,59 +677,52 @@ class SliceWarmedSyncPolicy(StaticPrimedSyncPolicy):
             self._consumers.setdefault(s.load_pc, []).append(s.store_pc)
         self._horizon = sim.config.stages
         self._maximum = getattr(mdpt.predictor, "maximum", None)
-        self._runner = SliceExecutor(program, union, watch_pcs=watch)
+        index = sim.trace.index()
+        self._replay = (index.pc, index.task_of, index.addr, frozenset(union), frozenset(watch))
+        self._cursor = 0
         # Prophet launches its slices ahead of the sequencer: give the
-        # pre-executor one window's worth of head start at spawn time.
+        # pre-execution one window's worth of head start at spawn time.
         self._advance(self.slice_budget_per_task * self._horizon)
 
     def _advance(self, budget):
-        """Run the pre-executor for *budget* slice instructions and
-        resolve store->load collisions into MDPT installs."""
-        from repro.frontend.interpreter import InterpreterError
-
-        runner = self._runner
-        if runner is None:
-            return
-        try:
-            events = runner.run(budget)
-        except InterpreterError:
-            # The sliced path faulted (the program would fault too, or
-            # the walk limit tripped): stop warming, keep what we have.
-            self._runner = None
-            return
-        delta = runner.executed - self.slice_instructions
-        self.slice_instructions = runner.executed
-        if self._telemetry.enabled and delta:
-            self._telemetry.metrics.counter("slice.pre_exec_instructions").inc(delta)
+        """Replay *budget* more slice instructions and resolve
+        store->load collisions into MDPT installs."""
+        pcs, task_of, addr, union, watch = self._replay
+        events, self._cursor, executed = replay_slice(
+            pcs, task_of, addr, self._cursor, budget, union, watch
+        )
+        self.slice_instructions += executed
+        if self._telemetry.enabled and executed:
+            self._telemetry.metrics.counter("slice.pre_exec_instructions").inc(executed)
         mdpt = self.engine.mdpt
-        for ev in events:
-            consumers = self._consumers.get(ev.pc)
+        for pc, task, address in events:
+            consumers = self._consumers.get(pc)
             if consumers is None:
                 # store-side watch: remember (task, addr), pruned to the
                 # window horizon — older producers cannot synchronize.
-                history = self._store_events.setdefault(ev.pc, [])
-                history.append((ev.task_id, ev.addr))
-                while history and history[0][0] < ev.task_id - self._horizon:
+                history = self._store_events.setdefault(pc, [])
+                history.append((task, address))
+                while history and history[0][0] < task - self._horizon:
                     history.pop(0)
                 continue
             for store_pc in consumers:
-                if (store_pc, ev.pc) not in self._unresolved:
+                if (store_pc, pc) not in self._unresolved:
                     continue
-                if mdpt.has_entry_for_load(ev.pc):
+                if mdpt.has_entry_for_load(pc):
                     # One producer per load: a second entry (learned,
                     # primed, or warmed meanwhile) would make the load
                     # also wait on a store that may never execute in
                     # its task — far costlier than one cold start.
-                    self._unresolved.discard((store_pc, ev.pc))
+                    self._unresolved.discard((store_pc, pc))
                     continue
                 for store_task, store_addr in reversed(
                     self._store_events.get(store_pc, ())
                 ):
-                    if store_addr != ev.addr or store_task >= ev.task_id:
+                    if store_addr != address or store_task >= task:
                         continue
-                    distance = ev.task_id - store_task
+                    distance = task - store_task
                     if distance < self._horizon:
-                        entry = mdpt.install(store_pc, ev.pc, distance)
+                        entry = mdpt.install(store_pc, pc, distance)
                         if self._maximum is not None and hasattr(
                             entry.state, "value"
                         ):
@@ -709,14 +730,14 @@ class SliceWarmedSyncPolicy(StaticPrimedSyncPolicy):
                         self.installed_pairs += 1
                         # retire every sibling candidate of this load
                         for sibling in consumers:
-                            self._unresolved.discard((sibling, ev.pc))
+                            self._unresolved.discard((sibling, pc))
                     break
-        if not self._unresolved:
-            self._runner = None  # every pair resolved: stop pre-executing
+        if not self._unresolved or self._cursor == len(pcs):
+            self._cursor = None  # every pair resolved or the trace replayed
 
     def on_task_dispatched(self, task_id, now):
         super().on_task_dispatched(task_id, now)
-        if self._runner is not None:
+        if self._cursor is not None:
             self._advance(self.slice_budget_per_task)
 
     def publish_telemetry(self, telemetry):

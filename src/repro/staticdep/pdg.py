@@ -286,12 +286,23 @@ class ProgramDependenceGraph:
     def _post_dominators(self) -> Dict[int, Set[int]]:
         """Block-level post-dominator sets: the dominators of the reversed
         graph, rooted at a virtual exit that every block without a
-        successor flows to."""
+        successor flows to.  So does the latch of a loop that nothing
+        leaves: a block that cannot reach the exit and has a successor
+        at the same or a lower index.  Without that edge every block of
+        such a loop would keep the maximal set and control nothing."""
         blocks = self.cfg.blocks
-        succs = {
-            index: blocks[index].successors or [_VIRTUAL_EXIT]
-            for index in self._reachable_blocks
-        }
+        reachable = set(self._reachable_blocks)
+        succs = {index: list(blocks[index].successors) for index in reachable}
+        reaches_exit = {index for index, out in succs.items() if not out}
+        stack = list(reaches_exit)
+        while stack:
+            for pred in blocks[stack.pop()].predecessors:
+                if pred in reachable and pred not in reaches_exit:
+                    reaches_exit.add(pred)
+                    stack.append(pred)
+        for index, out in succs.items():
+            if not out or (index not in reaches_exit and min(out) <= index):
+                out.append(_VIRTUAL_EXIT)
         nodes = [_VIRTUAL_EXIT] + sorted(self._reachable_blocks, reverse=True)
         return dominator_sets(nodes, succs, _VIRTUAL_EXIT)
 

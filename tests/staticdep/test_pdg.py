@@ -17,7 +17,7 @@ The worked example throughout is ``examples/programs/prefix_sum.s``:
 
 import pytest
 
-from repro.isa.parser import parse_file
+from repro.isa.parser import parse_assembly, parse_file
 from repro.staticdep import (
     CTRL_EDGE,
     LOOP_CARRIED_CUTOFF,
@@ -91,6 +91,38 @@ def test_single_block_loop_body_is_control_dependent_on_latch(prefix_pdg):
     assert all(dst not in (0, 1, 2, 10) for _, dst in ctrl)
     for edge in prefix_pdg.control_edges:
         assert edge.kind == CTRL_EDGE
+
+
+#: a loop that nothing leaves: the task loop at pc 4 only spins, and
+#: only the bne at pc 3 reaches the halt
+SPIN = """
+        li   s0, 0x1000
+        li   s1, 0
+        lw   t1, 0(s0)
+        bne  t1, zero, done
+spin:
+        .task
+        lw   t0, 4(s0)
+        beq  t0, zero, skip
+        addi s1, s1, 1
+skip:
+        blt  s1, t0, other
+        sw   s1, 4(s0)
+other:
+        addi s0, s0, 4
+        j    spin
+done:
+        halt
+"""
+
+
+def test_branches_inside_a_loop_nothing_leaves_control_their_arms():
+    # the loop's latch flows to the virtual exit, so its blocks get
+    # real post-dominators instead of the maximal set
+    ctrl = {(e.src, e.dst) for e in build_pdg(parse_assembly(SPIN)).control_edges}
+    assert (5, 6) in ctrl  # the beq guards the addi
+    assert (7, 8) in ctrl  # the blt guards the sw
+    assert (3, 11) in ctrl  # the bne guards the halt
 
 
 def test_memory_edges_carry_verdicts_and_distances(prefix_pdg):

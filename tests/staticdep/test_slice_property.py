@@ -5,8 +5,9 @@ the program while executing *only* the slice's PCs — every other
 instruction skipped as a no-op — reproduces the criterion's observable
 stream from the full run.  For the ``address`` criterion of a store,
 that stream is the store's effective-address sequence, which is exactly
-what the ``sync_slice_warmed`` policy's pre-executor relies on to
-resolve store->load collisions ahead of the sequencer.
+why the ``sync_slice_warmed`` policy may read a slice's addresses off the
+trace instead of executing it.  The executor is the test-only
+:class:`tests.frontend.reference.SliceExecutor`.
 
 Slices flagged ``loop_carried`` are exempt by design: their address
 computation consumes a load fed by a loop-carried memory edge, so the
@@ -17,9 +18,10 @@ cutoff status exists precisely to exclude them from warming.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend import SliceExecutor, run_program
+from repro.frontend import run_program
 from repro.staticdep import build_pdg
 from repro.workloads.random_gen import RandomProgramConfig, generate_program
+from tests.frontend.reference import SliceExecutor
 
 configs = st.builds(
     RandomProgramConfig,

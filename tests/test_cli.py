@@ -587,17 +587,31 @@ def test_interpreter_fault_is_a_usage_error(capsys, tmp_path, command, program):
        ["lint", LEAK_DEMO, "--mdpt", "0"],
        ["lint", LEAK_DEMO, "--mdst", "-3"],
        ["pdg", LEAK_DEMO, "--budget-length", "-1"],
-       ["pdg", LEAK_DEMO, "--budget-loads", "-1"]],
+       ["pdg", LEAK_DEMO, "--budget-loads", "-1"],
+       ["sweep", "sc", "--scale", "tiny", "--override", "stages=4",
+        "--queue-dir", "{tmp}/queue", "--workers", "-1"],
+       ["sweep", "sc", "--scale", "tiny", "--cache-dir", "{tmp}/cache", "--timeout", "-1"],
+       ["experiment", "table3", "--scale", "tiny", "--cache-dir", "{tmp}/cache",
+        "--timeout", "0"],
+       ["sweep", "sc", "--scale", "tiny", "--cache-dir", "{tmp}/cache", "--retries", "-1"],
+       ["experiment", "table3", "--scale", "tiny", "--cache-dir", "{tmp}/cache",
+        "--jobs", "0"],
+       ["sweep", "sc", "--scale", "tiny", "--cache-dir", "{tmp}/cache", "--jobs", "-3"],
+       ["profile", "sc", "--scale", "tiny", "--repeat", "0"],
+       ["worker", "{tmp}/queue", "--max-tasks", "-1"]],
 )
 def test_bad_flag_value_or_output_path_is_a_usage_error(capsys, tmp_path, argv):
     """An invalid flag value, or an output file in a directory that does
-    not exist, exits 2 with one ``error:`` line and nothing on stdout."""
-    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    not exist, exits 2 with one ``error:`` line and nothing on stdout,
+    before any cache or queue directory is created."""
+    argv = [arg.format(missing=tmp_path / "missing", tmp=tmp_path) for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    assert not (tmp_path / "cache").exists()
+    assert not (tmp_path / "queue").exists()
 
 
 def test_broken_pipe_still_exits_zero(monkeypatch):
