@@ -58,8 +58,10 @@ id; an unreadable or unwritable file; a target that does not assemble
 or that faults when interpreted; and an invalid flag value such as
 ``-n 0``, ``--top 0``, ``--mdpt 0`` or ``--budget-length -1``, a count
 the run cannot use (``--jobs 0``, ``--workers -1``, ``--retries -1``,
-``--repeat 0``, ``--max-tasks -1``) or a ``--timeout`` not above 0.
-Handlers raise the error they meet (``ValueError`` for the CLI's own
+``--repeat 0``, ``--max-tasks -1``), a ``--timeout``, ``--poll`` or
+``--heartbeat`` not above 0, or a ``--timeout`` longer than a timer can
+wait.  :func:`main` checks the flag values, ``--scale`` included,
+before any command runs.  Handlers raise the error they meet (``ValueError`` for the CLI's own
 checks) and :func:`main` alone turns it into exit 2; any other
 exception is a bug and keeps its traceback.
 """
@@ -70,11 +72,13 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
-from typing import Optional
+from typing import List, NamedTuple, Optional
 
 from repro.core.stats import speedup
 from repro.experiments import EXPERIMENT_IDS
+from repro.fileio import read_jsonl
 from repro.frontend import InterpreterError, analyze_trace, run_program
 from repro.isa import ProgramError
 from repro.multiscalar import (
@@ -84,7 +88,7 @@ from repro.multiscalar import (
     make_policy,
 )
 from repro.telemetry import make_telemetry, merged_trace
-from repro.workloads import WorkloadError, all_workloads, get_workload
+from repro.workloads import WorkloadError, all_workloads, get_workload, resolve_scale
 
 #: Derived from the policy registry so new policies surface here
 #: automatically (order is the registry's presentation order).
@@ -325,7 +329,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument("--json", action="store_true", dest="as_json")
 
-    p_static = sub.add_parser(
+    analyses = []
+
+    def add_analysis(name, help, description):
+        """A program-analysis command: a target, ``--scale`` and, added
+        last, ``--json``; :func:`cmd_analysis` runs it."""
+        p = sub.add_parser(name, help=help, description=description)
+        p.add_argument("target", help="workload name or assembly (.s) file")
+        p.add_argument("--scale", default="test")
+        analyses.append(p)
+        return p
+
+    p_static = add_analysis(
         "staticdep",
         help="static dependence analysis, cross-checked against the oracle",
         description="Static dependence analysis, cross-checked against "
@@ -333,25 +348,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "violation (a dynamic dependence escaped the static set), "
         "2 usage error.",
     )
-    p_static.add_argument("target", help="workload name or assembly (.s) file")
-    p_static.add_argument("--scale", default="test")
     p_static.add_argument("--top", type=int, default=5, help="pairs to display")
     p_static.add_argument(
         "--symbolic", action="store_true",
         help="refine candidate pairs with the symbolic affine classifier "
         "(MUST/MAY/NO verdicts, static dependence distances, primable set)",
     )
-    p_static.add_argument("--json", action="store_true", dest="as_json")
 
-    p_lint = sub.add_parser(
+    p_lint = add_analysis(
         "lint", help="run the speculation linter over a program",
         description="Speculation linter. Exit codes: 0 no errors "
         "(warnings/infos allowed), 1 at least one error-severity "
         "finding, 2 usage error (unknown workload, unreadable file, a "
         "file that does not assemble).",
     )
-    p_lint.add_argument("target", help="workload name or assembly (.s) file")
-    p_lint.add_argument("--scale", default="test")
     p_lint.add_argument(
         "--mdpt", type=int, default=64, metavar="ENTRIES",
         help="MDPT capacity to check the static pair set against (default 64)",
@@ -370,9 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="lowest severity that makes the exit code 1 (default: error; "
         "'warn'/'note' are aliases for warning/info)",
     )
-    p_lint.add_argument("--json", action="store_true", dest="as_json")
 
-    p_pdg = sub.add_parser(
+    p_pdg = add_analysis(
         "pdg",
         help="program dependence graph, predictor slices, DOT export",
         description="Build the whole-program dependence graph (register "
@@ -382,8 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "outputs produced), 1 --strict and at least one pair has no "
         "affordable predictor slice, 2 usage error.",
     )
-    p_pdg.add_argument("target", help="workload name or assembly (.s) file")
-    p_pdg.add_argument("--scale", default="test")
     p_pdg.add_argument(
         "--slices", action="store_true",
         help="list every MAY/MUST pair's predictor slice (cost, status, PCs)",
@@ -405,9 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit 1 when any MAY/MUST pair's slice is unaffordable "
         "(too expensive or loop-carried)",
     )
-    p_pdg.add_argument("--json", action="store_true", dest="as_json")
 
-    p_slice = sub.add_parser(
+    p_slice = add_analysis(
         "slice",
         help="backward slice of one instruction over the PDG",
         description="Extract the executable backward slice of the "
@@ -415,17 +421,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "print its cost and instruction listing. Exit codes: 0 slice "
         "extracted, 2 usage error (bad PC, unreadable target).",
     )
-    p_slice.add_argument("target", help="workload name or assembly (.s) file")
     p_slice.add_argument("pc", type=int, help="PC of the criterion instruction")
     p_slice.add_argument(
         "--criterion", default="address", choices=("address", "value", "full"),
         help="which facet of the instruction the slice must reproduce "
         "(default: address)",
     )
-    p_slice.add_argument("--scale", default="test")
-    p_slice.add_argument("--json", action="store_true", dest="as_json")
 
-    p_leak = sub.add_parser(
+    p_leak = add_analysis(
         "leakcheck",
         help="static + dynamic speculative-leak analysis of a program",
         description="Classify every static store->load pair as LEAK / "
@@ -435,8 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "0 clean (no leaks, no gated pairs, no contradictions), "
         "1 leak-relevant findings, 2 usage error.",
     )
-    p_leak.add_argument("target", help="workload name or assembly (.s) file")
-    p_leak.add_argument("--scale", default="test")
     p_leak.add_argument(
         "--secret-range", action="append", dest="secret_ranges",
         metavar="LO:HI", default=None,
@@ -448,7 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="speculation policy for the dynamic replay (default: always, "
         "i.e. blind speculation — the adversarial baseline)",
     )
-    p_leak.add_argument("--json", action="store_true", dest="as_json")
 
     p_runs = sub.add_parser(
         "runs", help="inspect the run ledger (list / show / diff)",
@@ -472,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_ledger_flag(p_runs)
     p_runs.add_argument("--json", action="store_true", dest="as_json")
 
-    p_explain = sub.add_parser(
+    p_explain = add_analysis(
         "explain", help="why did we squash? per-pair causes vs verdicts",
         description="Run a program with the squash ledger attached and "
         "explain every surviving squash: static pair, dependence "
@@ -481,15 +481,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "Exit codes: 0 no contradictions, 1 a squash happened on a "
         "pair the symbolic analysis proved non-aliasing, 2 usage error.",
     )
-    p_explain.add_argument("target", help="workload name or assembly (.s) file")
-    p_explain.add_argument("--scale", default="test")
     p_explain.add_argument("--policy", default="esync", choices=POLICIES)
     p_explain.add_argument("-n", "--stages", type=int, default=8)
     p_explain.add_argument(
         "--top", type=int, default=10, metavar="K",
         help="show only the K hottest squashing pairs (default 10)",
     )
-    p_explain.add_argument("--json", action="store_true", dest="as_json")
+    for p in analyses:
+        p.add_argument("--json", action="store_true", dest="as_json")
 
     p_serve = sub.add_parser(
         "metrics-serve",
@@ -547,9 +546,10 @@ def _load_program(target, scale):
 
 
 def cmd_workloads(_args) -> int:
-    print("%-12s %-10s %s" % ("name", "suite", "description"))
+    row = "%-12s %-10s %s"
+    print(row % ("name", "suite", "description"))
     for workload in all_workloads():
-        print("%-12s %-10s %s" % (workload.name, workload.suite, workload.description))
+        print(row % (workload.name, workload.suite, workload.description))
     return 0
 
 
@@ -569,17 +569,18 @@ def cmd_trace(args) -> int:
     print("dependences:", profile.summary())
     top = profile.top_pairs(args.top)
     if top:
+        row = "%-10s %-10s %8s %6s %10s"
         print("\nhottest static dependence pairs:")
-        print("%-10s %-10s %8s %6s %10s" % ("store PC", "load PC", "count", "DIST", "stability"))
+        print(row % ("store PC", "load PC", "count", "DIST", "stability"))
         for pair in top:
             print(
-                "%-10d %-10d %8d %6d %9.0f%%"
+                row
                 % (
                     pair.store_pc,
                     pair.load_pc,
                     pair.dynamic_count,
                     pair.modal_task_distance,
-                    100 * pair.distance_stability(),
+                    "%.0f%%" % (100 * pair.distance_stability()),
                 )
             )
     return 0
@@ -719,12 +720,19 @@ def cmd_compare(args) -> int:
         "%s, %d stages (%d instructions, %d tasks)"
         % (args.workload, args.stages, len(trace), trace.count_tasks())
     )
-    print("%-8s %8s %6s %10s %6s" % ("policy", "cycles", "IPC", "vs NEVER", "ms"))
+    row = "%-8s %8s %6s %10s %6s"
+    print(row % ("policy", "cycles", "IPC", "vs NEVER", "ms"))
     for name in POLICIES:
         stats = results[name]
         print(
-            "%-8s %8d %6.2f %9.1f%% %6d"
-            % (name.upper(), stats.cycles, stats.ipc, speedup(base, stats), stats.mis_speculations)
+            row
+            % (
+                name.upper(),
+                stats.cycles,
+                "%.2f" % stats.ipc,
+                "%.1f%%" % speedup(base, stats),
+                stats.mis_speculations,
+            )
         )
     return 0
 
@@ -1062,8 +1070,8 @@ def cmd_worker(args) -> int:
         worker_id=args.worker_id,
         max_tasks=args.max_tasks,
         idle_timeout=args.idle_timeout,
-        poll_interval=max(0.001, args.poll),
-        heartbeat_interval=max(0.01, args.heartbeat),
+        poll_interval=args.poll,
+        heartbeat_interval=args.heartbeat,
     )
     print(
         "worker %s: %d task(s), %d cell(s), %d failed"
@@ -1130,165 +1138,156 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_staticdep(args) -> int:
-    from repro.staticdep import (
-        analyze_program,
-        analyze_program_symbolic,
-        cross_check,
-    )
+class _Report(NamedTuple):
+    """What a program-analysis command found: its ``--json`` payload,
+    its text (stdout lines, then finding lines for stderr), and whether
+    the findings make the exit code 1."""
+
+    payload: object
+    text: List[str]
+    findings: List[str]
+    failed: bool
+
+
+def cmd_analysis(args) -> int:
+    """Run one program-analysis command (``staticdep``, ``lint``, ``pdg``,
+    ``slice``, ``leakcheck`` or ``explain``) on ``args.target`` and print
+    its ``--json`` payload or its text; exit 1 on findings."""
+    report = _ANALYSES[args.command](args)
+    if args.as_json:
+        print(json.dumps(report.payload, indent=2))
+    else:
+        for line in report.text:
+            print(line)
+        for line in report.findings:
+            print(line, file=sys.stderr)
+    return 1 if report.failed else 0
+
+
+#: staticdep's tables: symbolic verdicts and static candidate pairs
+_VERDICT_ROW = "%-10s %-10s %-7s %5s %9s  %-16s %-16s"
+_PAIR_ROW = "%-10s %-10s %-12s %-12s %9s %9s"
+
+
+def _staticdep(args) -> _Report:
+    from repro.staticdep import analyze_program, analyze_program_symbolic, cross_check
 
     program = _load_program(args.target, args.scale)
-    if args.symbolic:
-        analysis = analyze_program_symbolic(program)
-    else:
-        analysis = analyze_program(program)
+    analysis = (analyze_program_symbolic if args.symbolic else analyze_program)(program)
     result = cross_check(run_program(program), analysis)
-    if args.as_json:
-        payload = dict(analysis.summary())
-        payload.update(result.summary())
-        payload["pairs"] = [
+    observed = result.dynamic_pairs
+    payload = dict(analysis.summary())
+    payload.update(result.summary())
+    payload["pairs"] = [
+        {
+            "store_pc": p.store_pc,
+            "load_pc": p.load_pc,
+            "store_expr": str(p.store_expr),
+            "load_expr": str(p.load_expr),
+            "min_task_distance": p.min_task_distance,
+            "observed": p.pair in observed,
+        }
+        for p in analysis.pairs
+    ]
+    text = [
+        "static analysis: %s" % (analysis.summary(),),
+        "vs dynamic oracle: %s" % (result.summary(),),
+    ]
+    if args.symbolic:
+        primable = analysis.primable()
+        payload["classified"] = [
             {
                 "store_pc": p.store_pc,
                 "load_pc": p.load_pc,
-                "store_expr": str(p.store_expr),
-                "load_expr": str(p.load_expr),
-                "min_task_distance": p.min_task_distance,
-                "observed": p.pair in result.dynamic_pairs,
+                "verdict": p.verdict,
+                "lag": p.lag,
+                "static_distance": p.static_distance,
+                "store_addr": str(p.store_addr),
+                "load_addr": str(p.load_addr),
             }
-            for p in analysis.pairs
+            for p in analysis.classified
         ]
-        if args.symbolic:
-            payload["classified"] = [
-                {
-                    "store_pc": p.store_pc,
-                    "load_pc": p.load_pc,
-                    "verdict": p.verdict,
-                    "lag": p.lag,
-                    "static_distance": p.static_distance,
-                    "store_addr": str(p.store_addr),
-                    "load_addr": str(p.load_addr),
-                }
-                for p in analysis.classified
-            ]
-            payload["primable"] = [
-                {"store_pc": s, "load_pc": l, "distance": d}
-                for s, l, d in analysis.primable()
-            ]
-        print(json.dumps(payload, indent=2))
-        return 0 if result.sound else 1
-    print("static analysis:", analysis.summary())
-    print("vs dynamic oracle:", result.summary())
-    if args.symbolic:
+        payload["primable"] = [
+            {"store_pc": s, "load_pc": l, "distance": d} for s, l, d in primable
+        ]
         shown_classified = sorted(
             analysis.classified,
             key=lambda p: (p.verdict != "must", p.store_pc, p.load_pc),
         )[: args.top]
         if shown_classified:
-            print("\nsymbolic verdicts (MUST first):")
-            print(
-                "%-10s %-10s %-7s %5s %9s  %-16s %-16s"
-                % ("store PC", "load PC", "verdict", "lag", "distance",
-                   "store addr", "load addr")
-            )
-            for p in shown_classified:
-                print(
-                    "%-10d %-10d %-7s %5s %9s  %-16s %-16s"
-                    % (
-                        p.store_pc,
-                        p.load_pc,
-                        p.verdict.upper(),
-                        "?" if p.lag is None else p.lag,
-                        "?" if p.static_distance is None else p.static_distance,
-                        p.store_addr,
-                        p.load_addr,
-                    )
+            text += ["", "symbolic verdicts (MUST first):", _VERDICT_ROW % (
+                "store PC", "load PC", "verdict", "lag", "distance", "store addr", "load addr"
+            )]
+            text += [
+                _VERDICT_ROW % (
+                    p.store_pc,
+                    p.load_pc,
+                    p.verdict.upper(),
+                    "?" if p.lag is None else p.lag,
+                    "?" if p.static_distance is None else p.static_distance,
+                    p.store_addr,
+                    p.load_addr,
                 )
-        primable = analysis.primable()
+                for p in shown_classified
+            ]
         if primable:
-            print(
+            text.append(
                 "primable (MDPT pre-install): "
-                + ", ".join(
-                    "(store %d, load %d, dist %d)" % t for t in primable
-                )
+                + ", ".join("(store %d, load %d, dist %d)" % t for t in primable)
             )
     shown = sorted(
-        analysis.pairs,
-        key=lambda p: (p.pair not in result.dynamic_pairs, p.store_pc, p.load_pc),
+        analysis.pairs, key=lambda p: (p.pair not in observed, p.store_pc, p.load_pc)
     )[: args.top]
     if shown:
-        print("\nstatic candidate pairs (observed first):")
-        print(
-            "%-10s %-10s %-12s %-12s %9s %9s"
-            % ("store PC", "load PC", "store expr", "load expr", "min DIST", "observed")
-        )
-        for pair in shown:
-            print(
-                "%-10d %-10d %-12s %-12s %9s %9s"
-                % (
-                    pair.store_pc,
-                    pair.load_pc,
-                    pair.store_expr,
-                    pair.load_expr,
-                    "?" if pair.min_task_distance is None else pair.min_task_distance,
-                    "yes" if pair.pair in result.dynamic_pairs else "no",
-                )
+        text += ["", "static candidate pairs (observed first):", _PAIR_ROW % (
+            "store PC", "load PC", "store expr", "load expr", "min DIST", "observed"
+        )]
+        text += [
+            _PAIR_ROW % (
+                pair.store_pc,
+                pair.load_pc,
+                pair.store_expr,
+                pair.load_expr,
+                "?" if pair.min_task_distance is None else pair.min_task_distance,
+                "yes" if pair.pair in observed else "no",
             )
-    if not result.sound:
-        print(
-            "UNSOUND: dynamic pairs missing from the static set: %s"
-            % sorted(result.missed_pairs),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+            for pair in shown
+        ]
+    findings = [] if result.sound else [
+        "UNSOUND: dynamic pairs missing from the static set: %s" % sorted(result.missed_pairs)
+    ]
+    return _Report(payload, text, findings, not result.sound)
 
 
-def cmd_lint(args) -> int:
+def _lint(args) -> _Report:
     from repro.staticdep import fails_threshold, lint_path, lint_program
 
+    options = dict(mdpt_capacity=args.mdpt, mdst_capacity=args.mdst, symbolic=args.symbolic)
     if _is_assembly_path(args.target):
-        diagnostics = lint_path(
-            args.target,
-            mdpt_capacity=args.mdpt,
-            mdst_capacity=args.mdst,
-            symbolic=args.symbolic,
-        )
+        diagnostics = lint_path(args.target, **options)
         name = args.target
     else:
         program = get_workload(args.target).program(args.scale)
-        diagnostics = lint_program(
-            program,
-            mdpt_capacity=args.mdpt,
-            mdst_capacity=args.mdst,
-            symbolic=args.symbolic,
-        )
+        diagnostics = lint_program(program, **options)
         name = program.name
     unparsable = [d for d in diagnostics if d.rule_id == "parse-error"]
     if unparsable:
         # a file that does not assemble (for a reason no label rule
         # names) is an unparsable target, as for pdg and slice
         raise ProgramError(unparsable[0].message)
-    if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "target": name,
-                    "errors": sum(d.is_error for d in diagnostics),
-                    "diagnostics": [d.to_json() for d in diagnostics],
-                },
-                indent=2,
-            )
-        )
-    else:
-        for diag in diagnostics:
-            print("%s: %s" % (name, diag))
-        errors = sum(d.is_error for d in diagnostics)
-        warnings = sum(d.severity == "warning" for d in diagnostics)
-        print(
-            "%s: %d error(s), %d warning(s), %d finding(s) total"
-            % (name, errors, warnings, len(diagnostics))
-        )
-    return 1 if fails_threshold(diagnostics, args.fail_on) else 0
+    errors = sum(d.is_error for d in diagnostics)
+    warnings = sum(d.severity == "warning" for d in diagnostics)
+    payload = {
+        "target": name,
+        "errors": errors,
+        "diagnostics": [d.to_json() for d in diagnostics],
+    }
+    text = ["%s: %s" % (name, diag) for diag in diagnostics]
+    text.append(
+        "%s: %d error(s), %d warning(s), %d finding(s) total"
+        % (name, errors, warnings, len(diagnostics))
+    )
+    return _Report(payload, text, [], fails_threshold(diagnostics, args.fail_on))
 
 
 def _parse_secret_ranges(specs):
@@ -1305,19 +1304,14 @@ def _parse_secret_ranges(specs):
     return ranges
 
 
-def cmd_pdg(args) -> int:
+def _pdg(args) -> _Report:
     from repro.staticdep.pdg import SliceBudget, build_pdg, pdg_report
 
-    budget = SliceBudget()
-    if args.budget_length is not None or args.budget_loads is not None:
-        budget = SliceBudget(
-            max_length=args.budget_length
-            if args.budget_length is not None
-            else budget.max_length,
-            max_loads=args.budget_loads
-            if args.budget_loads is not None
-            else budget.max_loads,
-        )
+    default = SliceBudget()
+    budget = SliceBudget(
+        max_length=default.max_length if args.budget_length is None else args.budget_length,
+        max_loads=default.max_loads if args.budget_loads is None else args.budget_loads,
+    )
     pdg = build_pdg(_load_program(args.target, args.scale))
     report = pdg_report(pdg, budget=budget)
     if args.dot is not None:
@@ -1328,11 +1322,10 @@ def cmd_pdg(args) -> int:
             with open(args.dot, "w") as handle:
                 handle.write(dot)
             print("wrote %s" % args.dot, file=sys.stderr)
-    if args.as_json:
-        print(json.dumps(report, indent=2))
-    elif args.dot != "-":
+    text = []
+    if args.dot != "-":
         summary = report["summary"]
-        print("pdg: %s" % report["program"])
+        text.append("pdg: %s" % report["program"])
         for key in (
             "nodes",
             "register_edges",
@@ -1340,56 +1333,49 @@ def cmd_pdg(args) -> int:
             "memory_edges",
             "predictor_slices",
         ):
-            print("  %-18s %s" % (key, summary[key]))
-        print("  %-18s %s" % ("memory verdicts", summary["memory_edges_by_verdict"]))
-        print("  %-18s %s" % ("slice statuses", summary["slices_by_status"]))
+            text.append("  %-18s %s" % (key, summary[key]))
+        text.append("  %-18s %s" % ("memory verdicts", summary["memory_edges_by_verdict"]))
+        text.append("  %-18s %s" % ("slice statuses", summary["slices_by_status"]))
         if args.slices:
-            for entry in report["slices"]:
-                print(
-                    "  pair (store %d, load %d) %s d=%s %s: "
-                    "%d instr, %d load(s), pcs %s"
-                    % (
-                        entry["store_pc"],
-                        entry["load_pc"],
-                        entry["verdict"],
-                        entry["static_distance"],
-                        entry["status"],
-                        entry["cost"]["length"],
-                        entry["cost"]["loads"],
-                        entry["pcs"],
-                    )
+            text += [
+                "  pair (store %d, load %d) %s d=%s %s: %d instr, %d load(s), pcs %s"
+                % (
+                    entry["store_pc"],
+                    entry["load_pc"],
+                    entry["verdict"],
+                    entry["static_distance"],
+                    entry["status"],
+                    entry["cost"]["length"],
+                    entry["cost"]["loads"],
+                    entry["pcs"],
                 )
-    if args.strict and any(s["status"] != "warmable" for s in report["slices"]):
-        return 1
-    return 0
+                for entry in report["slices"]
+            ]
+    failed = args.strict and any(s["status"] != "warmable" for s in report["slices"])
+    return _Report(report, text, [], failed)
 
 
-def cmd_slice(args) -> int:
+def _slice(args) -> _Report:
     from repro.staticdep.pdg import slice_report
 
     report = slice_report(_load_program(args.target, args.scale), args.pc, args.criterion)
-    if args.as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(
-            "slice of pc %d (%s) in %s: %d instruction(s), %d load(s), "
-            "ratio %.2f%s"
-            % (
-                report["criterion_pc"],
-                report["criterion"],
-                report["program"],
-                report["cost"]["length"],
-                report["cost"]["loads"],
-                report["cost"]["ratio"],
-                ", loop-carried" if report["loop_carried"] else "",
-            )
+    text = [
+        "slice of pc %d (%s) in %s: %d instruction(s), %d load(s), ratio %.2f%s"
+        % (
+            report["criterion_pc"],
+            report["criterion"],
+            report["program"],
+            report["cost"]["length"],
+            report["cost"]["loads"],
+            report["cost"]["ratio"],
+            ", loop-carried" if report["loop_carried"] else "",
         )
-        for line in report["instructions"]:
-            print("  %s" % line)
-    return 0
+    ]
+    text += ["  %s" % line for line in report["instructions"]]
+    return _Report(report, text, [], False)
 
 
-def cmd_leakcheck(args) -> int:
+def _leakcheck(args) -> _Report:
     from repro.multiscalar.sanitizer import check_program_leaks
 
     secret_ranges = (
@@ -1400,44 +1386,38 @@ def cmd_leakcheck(args) -> int:
     program = _load_program(args.target, args.scale)
     result = check_program_leaks(program, secret_ranges=secret_ranges, policy=args.policy)
     name = program.name or args.target
-    if args.as_json:
-        print(json.dumps({"target": name, **result.summary()}, indent=2))
-    else:
-        analysis, check = result.analysis, result.check
-        counts = analysis.verdict_counts()
-        print(
-            "%s: policy=%s  verdicts: %d leak, %d gated, %d no-leak"
-            % (name, result.policy, counts["leak"], counts["gated"],
-               counts["no-leak"])
+    analysis, check, sanitizer = result.analysis, result.check, result.sanitizer
+    counts = analysis.verdict_counts()
+    text = [
+        "%s: policy=%s  verdicts: %d leak, %d gated, %d no-leak"
+        % (name, result.policy, counts["leak"], counts["gated"], counts["no-leak"])
+    ]
+    for verdict in analysis.leaks() + analysis.gated():
+        sinks = ", ".join(
+            "%s@%d" % (t.kind, t.pc) for t in verdict.transmitters
+        ) or "none"
+        text.append(
+            "  %-6s store %d -> load %d  (%s; sinks: %s)"
+            % (verdict.verdict.upper(), verdict.store_pc,
+               verdict.load_pc, verdict.reason, sinks)
         )
-        for verdict in analysis.leaks() + analysis.gated():
-            sinks = ", ".join(
-                "%s@%d" % (t.kind, t.pc) for t in verdict.transmitters
-            ) or "none"
-            print(
-                "  %-6s store %d -> load %d  (%s; sinks: %s)"
-                % (verdict.verdict.upper(), verdict.store_pc,
-                   verdict.load_pc, verdict.reason, sinks)
-            )
-        sanitizer = result.sanitizer
-        print(
-            "dynamic: %d violation(s), %d transient secret read(s), "
-            "%d transmitted" % (sanitizer.violations, len(sanitizer.events),
-                                len(sanitizer.transmitted_pairs()))
-        )
-        for pair, count in sorted(sanitizer.pair_counts().items()):
-            print("  observed store %d -> load %d: %d event(s)" % (
-                pair[0], pair[1], count))
-        if check.contradictions:
-            for text in check.contradictions:
-                print("CONTRADICTION: %s" % text, file=sys.stderr)
-        print(
-            "cross-check: %s  precision=%s recall=%s"
-            % ("sound" if check.sound else "UNSOUND",
-               "n/a" if check.precision is None else "%.2f" % check.precision,
-               "n/a" if check.recall is None else "%.2f" % check.recall)
-        )
-    return 0 if result.clean else 1
+    text.append(
+        "dynamic: %d violation(s), %d transient secret read(s), "
+        "%d transmitted" % (sanitizer.violations, len(sanitizer.events),
+                            len(sanitizer.transmitted_pairs()))
+    )
+    text += [
+        "  observed store %d -> load %d: %d event(s)" % (pair[0], pair[1], count)
+        for pair, count in sorted(sanitizer.pair_counts().items())
+    ]
+    text.append(
+        "cross-check: %s  precision=%s recall=%s"
+        % ("sound" if check.sound else "UNSOUND",
+           "n/a" if check.precision is None else "%.2f" % check.precision,
+           "n/a" if check.recall is None else "%.2f" % check.recall)
+    )
+    findings = ["CONTRADICTION: %s" % line for line in check.contradictions]
+    return _Report({"target": name, **result.summary()}, text, findings, not result.clean)
 
 
 def cmd_runs(args) -> int:
@@ -1471,7 +1451,8 @@ def cmd_runs(args) -> int:
         if not records:
             print("no runs recorded in %s" % path)
             return 0
-        print("%-12s %-10s %-19s %9s  %s" % ("id", "kind", "when", "wall", "config"))
+        row = "%-12s %-10s %-19s %9s  %s"
+        print(row % ("id", "kind", "when", "wall", "config"))
         for record in shown:
             when = datetime.fromtimestamp(record.get("time", 0)).strftime(
                 "%Y-%m-%d %H:%M:%S"
@@ -1479,7 +1460,7 @@ def cmd_runs(args) -> int:
             wall = record.get("wall_seconds")
             config = record.get("config") or {}
             print(
-                "%-12s %-10s %-19s %9s  %s"
+                row
                 % (
                     record["id"],
                     record.get("kind", "?"),
@@ -1540,18 +1521,18 @@ def _format_decision(decision) -> str:
     )
 
 
-def cmd_explain(args) -> int:
+#: explain's table of squashing pairs
+_SQUASH_ROW = "%-10s %-10s %8s %6s %8s %7s  %s"
+
+
+def _explain(args) -> _Report:
     """Why did we squash? Per-pair causes vs the symbolic verdicts."""
     from repro.multiscalar.explain import explain_program
 
     program = _load_program(args.target, args.scale)
     report = explain_program(program, policy=args.policy, stages=args.stages)
-    if args.as_json:
-        print(json.dumps(report.to_json(), indent=2))
-        return 1 if report.contradictions else 0
-
     stats = report.stats
-    print(
+    text = [
         "%s under %s on %d stages: %s cycles, %s squash(es) over %d static pair(s)"
         % (
             report.program,
@@ -1561,9 +1542,9 @@ def cmd_explain(args) -> int:
             stats.get("mis_speculations", "?"),
             len(report.rows),
         )
-    )
+    ]
     if report.verdict_counts:
-        print(
+        text.append(
             "verdicts: "
             + "  ".join(
                 "%s=%d" % (v, n) for v, n in sorted(report.verdict_counts.items())
@@ -1571,40 +1552,46 @@ def cmd_explain(args) -> int:
         )
     rows = report.top(args.top)
     if not rows:
-        print("no squashes -- nothing to explain")
+        text.append("no squashes -- nothing to explain")
     else:
-        print()
-        print(
-            "%-10s %-10s %8s %6s %8s %7s  %s"
-            % ("store PC", "load PC", "squashes", "DIST", "verdict", "static", "last decision")
-        )
-        for row in rows:
-            static = row.get("static_distance")
-            print(
-                "%-10d %-10d %8d %6d %8s %7s  %s"
-                % (
-                    row["store_pc"],
-                    row["load_pc"],
-                    row["squashes"],
-                    row["modal_distance"],
-                    row["verdict"],
-                    "-" if static is None else static,
-                    _format_decision(row.get("last_decision")),
-                )
+        text += ["", _SQUASH_ROW % (
+            "store PC", "load PC", "squashes", "DIST", "verdict", "static", "last decision"
+        )]
+        text += [
+            _SQUASH_ROW % (
+                row["store_pc"],
+                row["load_pc"],
+                row["squashes"],
+                row["modal_distance"],
+                row["verdict"],
+                "-" if row.get("static_distance") is None else row["static_distance"],
+                _format_decision(row.get("last_decision")),
             )
+            for row in rows
+        ]
         if len(report.rows) > len(rows):
-            print(
+            text.append(
                 "(%d more pair(s); raise --top to see them)"
                 % (len(report.rows) - len(rows))
             )
-    for row in report.contradictions:
-        print(
-            "CONTRADICTION: pair (%d, %d) squashed %d time(s) but the "
-            "symbolic analysis proved it non-aliasing"
-            % (row["store_pc"], row["load_pc"], row["squashes"]),
-            file=sys.stderr,
-        )
-    return 1 if report.contradictions else 0
+    findings = [
+        "CONTRADICTION: pair (%d, %d) squashed %d time(s) but the "
+        "symbolic analysis proved it non-aliasing"
+        % (row["store_pc"], row["load_pc"], row["squashes"])
+        for row in report.contradictions
+    ]
+    return _Report(report.to_json(), text, findings, bool(report.contradictions))
+
+
+#: the program-analysis commands :func:`cmd_analysis` runs
+_ANALYSES = {
+    "staticdep": _staticdep,
+    "lint": _lint,
+    "pdg": _pdg,
+    "slice": _slice,
+    "leakcheck": _leakcheck,
+    "explain": _explain,
+}
 
 
 def cmd_metrics_serve(args) -> int:
@@ -1640,25 +1627,6 @@ def cmd_metrics_serve(args) -> int:
     return 0
 
 
-def _read_bench_history(path) -> list:
-    out = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(entry, dict):
-                    out.append(entry)
-    except OSError:
-        pass
-    return out
-
-
 def _adaptive_of(results) -> Optional[dict]:
     """The adaptive-sweep record inside a benchmark results list."""
     for record in results or []:
@@ -1674,7 +1642,7 @@ ADAPTIVE_SAVINGS_FLOOR = 0.60
 
 def cmd_bench_report(args) -> int:
     """Benchmark trajectory + adaptive-sweep regression gate."""
-    history = _read_bench_history(args.history)
+    history = read_jsonl(args.history)
     latest_results = None
     try:
         with open(args.results) as fh:
@@ -1742,8 +1710,9 @@ def cmd_bench_report(args) -> int:
     from datetime import datetime
 
     if trajectory:
+        row = "%-10s %-19s %-6s %6s %10s"
         print("benchmark history (%s):" % args.history)
-        print("%-10s %-19s %-6s %6s %10s" % ("sha", "when", "scale", "n", "total"))
+        print(row % ("sha", "when", "scale", "n", "total"))
         for point in trajectory:
             when = (
                 datetime.fromtimestamp(point["time"]).strftime("%Y-%m-%d %H:%M:%S")
@@ -1751,13 +1720,13 @@ def cmd_bench_report(args) -> int:
                 else "-"
             )
             print(
-                "%-10s %-19s %-6s %6d %9.1fs"
+                row
                 % (
                     point.get("git_sha") or "-",
                     when,
                     point.get("scale") or "-",
                     point["benchmarks"],
-                    point["total_seconds"],
+                    "%.1fs" % point["total_seconds"],
                 )
             )
     else:
@@ -1801,16 +1770,28 @@ _FLAG_MINIMUMS = {
 }
 
 
-def _check_flag_minimums(args) -> None:
+def _check_flags(args) -> None:
+    """Reject, before any work runs, a flag value no command can use:
+    an unknown ``--scale``, an integer below its :data:`_FLAG_MINIMUMS`
+    entry, a ``--timeout``, ``--poll`` or ``--heartbeat`` not above 0,
+    and a ``--timeout`` past the longest wait a timer accepts."""
+    if getattr(args, "scale", None) is not None:
+        resolve_scale(args.scale)
     for dest, minimum in _FLAG_MINIMUMS.items():
         value = getattr(args, dest, None)
         if value is not None and value < minimum:
             raise ValueError(
                 "--%s must be at least %d, got %d" % (dest.replace("_", "-"), minimum, value)
             )
+    for dest in ("timeout", "poll", "heartbeat"):
+        value = getattr(args, dest, None)
+        if value is not None and not value > 0:
+            raise ValueError("--%s must be above 0, got %s" % (dest, value))
     timeout = getattr(args, "timeout", None)
-    if timeout is not None and not timeout > 0:
-        raise ValueError("--timeout must be above 0, got %s" % timeout)
+    if timeout is not None and timeout > threading.TIMEOUT_MAX:
+        raise ValueError(
+            "--timeout must be at most %.0f, got %s" % (threading.TIMEOUT_MAX, timeout)
+        )
 
 
 def main(argv=None) -> int:
@@ -1827,18 +1808,13 @@ def main(argv=None) -> int:
         "sweep": cmd_sweep,
         "worker": cmd_worker,
         "profile": cmd_profile,
-        "staticdep": cmd_staticdep,
-        "lint": cmd_lint,
-        "pdg": cmd_pdg,
-        "slice": cmd_slice,
-        "leakcheck": cmd_leakcheck,
+        **dict.fromkeys(_ANALYSES, cmd_analysis),
         "runs": cmd_runs,
-        "explain": cmd_explain,
         "metrics-serve": cmd_metrics_serve,
         "bench-report": cmd_bench_report,
     }[args.command]
     try:
-        _check_flag_minimums(args)
+        _check_flags(args)
         return handler(args)
     except BrokenPipeError:
         # stdout was closed early (e.g. piped into head); not an error.

@@ -28,9 +28,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.core.engine import LoadRequestResult, SynchronizationEngine
-from repro.core.mdpt import MDPT
-from repro.core.predictors import make_predictor
-from repro.core.unified import SlottedMDST
+from repro.core.unified import make_unified_engine
 
 
 class DistributedSynchronization:
@@ -45,12 +43,10 @@ class DistributedSynchronization:
         if stages <= 0:
             raise ValueError("need at least one stage")
         self.stages = stages
-        self.copies: List[SynchronizationEngine] = []
-        for _ in range(stages):
-            pred = make_predictor(predictor, **predictor_kwargs)
-            mdpt = MDPT(capacity, pred)
-            mdst = SlottedMDST(capacity * stages, slots_per_pair=stages)
-            self.copies.append(SynchronizationEngine(mdpt, mdst))
+        self.copies: List[SynchronizationEngine] = [
+            make_unified_engine(capacity, stages, predictor, **predictor_kwargs)
+            for _ in range(stages)
+        ]
         self.broadcasts = 0
         self.local_lookups = 0
 

@@ -72,7 +72,7 @@ class SlottedMDST(MDST):
 
 
 def make_unified_engine(
-    capacity=64, stages=8, predictor="sync", **predictor_kwargs
+    capacity=64, stages=8, predictor="sync", metrics=None, **predictor_kwargs
 ) -> SynchronizationEngine:
     """Build the paper's evaluated configuration.
 
@@ -80,9 +80,10 @@ def make_unified_engine(
     slots (so the MDST holds up to ``capacity * stages`` condition
     variables, one per static dependence and stage).  *predictor* is a
     name accepted by :func:`repro.core.predictors.make_predictor`
-    ("always", "sync", or "esync").
+    ("always", "sync", or "esync"); *metrics* is the registry the
+    engine publishes into (none by default).
     """
     pred = make_predictor(predictor, **predictor_kwargs)
     mdpt = MDPT(capacity, pred)
     mdst = SlottedMDST(capacity * stages, slots_per_pair=stages)
-    return SynchronizationEngine(mdpt, mdst)
+    return SynchronizationEngine(mdpt, mdst, metrics=metrics)

@@ -9,10 +9,13 @@ static analysis, oracle and sanitizer code those runners call.
 from importlib import import_module
 from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_names
+
 if TYPE_CHECKING:
     from typing import Callable, Dict, List, Tuple
 
-    from repro.experiments.executor import Cell, workload_trace
+    from repro.experiments import executor
+    from repro.experiments.executor import workload_trace
     from repro.experiments.figures import (
         extension_window_scaling,
         figure5_policy_speedups,
@@ -25,7 +28,6 @@ if TYPE_CHECKING:
     from repro.experiments.staticdep import staticdep_coverage, staticdep_symbolic
     from repro.experiments.sweeps import SweepPoint, SweepResult, sweep, sweep_cells
     from repro.experiments.tables import (
-        RecordingAlwaysPolicy,
         load_traces,
         table1_instruction_counts,
         table2_fu_latencies,
@@ -40,7 +42,7 @@ if TYPE_CHECKING:
 
     ALL_EXPERIMENTS: Dict[str, Callable[..., ExperimentTable]]
     GRID_EXPERIMENTS: Dict[
-        str, Tuple[Callable[..., List[Cell]], Callable[..., ExperimentTable]]
+        str, Tuple[Callable[..., List[executor.Cell]], Callable[..., ExperimentTable]]
     ]
 
 #: experiment id -> (module, runner), in the order of ALL_EXPERIMENTS
@@ -84,11 +86,10 @@ _GRID = {
     "table9": ("tables", "table9_cells", "table9_table"),
 }
 
-#: every other package-level name -> the module that defines it
-_NAMES = {runner: module for module, runner in _RUNNERS.values()}
-_NAMES.update(
+#: each runner and every other lazily loaded name -> its module
+_LAZY = {runner: module for module, runner in _RUNNERS.values()}
+_LAZY.update(
     ExperimentTable="results",
-    RecordingAlwaysPolicy="tables",
     SweepPoint="sweeps",
     SweepResult="sweeps",
     load_traces="tables",
@@ -102,22 +103,17 @@ def _load(module, name):
     return getattr(import_module("repro.experiments." + module), name)
 
 
-def __getattr__(name):
-    if name == "ALL_EXPERIMENTS":
-        # experiment id -> runner, for programmatic access to the whole
-        # set (the CLI, report generator, and benchmarks all go through it)
-        value = {key: _load(*runner) for key, runner in _RUNNERS.items()}
-    elif name == "GRID_EXPERIMENTS":
-        value = {
-            key: (_load(module, cells), _load(module, table))
-            for key, (module, cells, table) in _GRID.items()
-        }
-    elif name in _NAMES:
-        value = _load(_NAMES[name], name)
-    else:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    globals()[name] = value
-    return value
+def _all_experiments():
+    # experiment id -> runner, for programmatic access to the whole set
+    # (the CLI, report generator, and benchmarks all go through it)
+    return {key: _load(*runner) for key, runner in _RUNNERS.items()}
+
+
+def _grid_experiments():
+    return {
+        key: (_load(module, cells), _load(module, table))
+        for key, (module, cells, table) in _GRID.items()
+    }
 
 
 def run_all(scale="test", experiments=None, executor=None):
@@ -169,34 +165,10 @@ def run_all(scale="test", experiments=None, executor=None):
     return assemble_experiments(keys, report, scale), report
 
 
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "EXPERIMENT_IDS",
-    "GRID_EXPERIMENTS",
-    "ExperimentTable",
-    "RecordingAlwaysPolicy",
-    "SweepPoint",
-    "SweepResult",
-    "extension_window_scaling",
-    "slice_warming",
-    "spectaint_leakage",
-    "staticdep_coverage",
-    "staticdep_symbolic",
-    "sweep",
-    "sweep_cells",
-    "table2_fu_latencies",
-    "figure5_policy_speedups",
-    "figure6_mechanism_speedups",
-    "figure7_spec95_speedups",
-    "load_traces",
-    "run_all",
-    "table1_instruction_counts",
-    "table3_window_missspec",
-    "table4_static_coverage",
-    "table5_ddc_missrate",
-    "table6_multiscalar_missspec",
-    "table7_multiscalar_ddc",
-    "table8_prediction_breakdown",
-    "table9_missspec_rates",
-    "workload_trace",
-]
+__getattr__, __all__ = lazy_names(
+    __name__,
+    globals(),
+    _LAZY,
+    eager=("EXPERIMENT_IDS", "run_all"),
+    computed={"ALL_EXPERIMENTS": _all_experiments, "GRID_EXPERIMENTS": _grid_experiments},
+)

@@ -53,7 +53,6 @@ import math
 import os
 import random
 import signal
-import tempfile
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -61,6 +60,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.results import ExperimentTable
+from repro.fileio import canonical_json, write_atomic
 from repro.telemetry import NULL_METRICS, NULL_TRACE, PROFILER
 
 #: cell statuses
@@ -74,11 +74,6 @@ class CellError(Exception):
 
 class CellTimeout(CellError):
     """A cell exceeded its wall-clock budget (raised inside the worker)."""
-
-
-def canonical_json(payload) -> str:
-    """Deterministic JSON: sorted keys, no whitespace."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 #: version of the cell payload layout; bump it when a payload gains or
@@ -194,18 +189,7 @@ class ResultCache:
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         record = {"key": key, "cell": cell.spec(), "payload": payload}
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(record, fh, indent=2)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, json.dumps(record, indent=2) + "\n")
 
     def __contains__(self, key) -> bool:
         return self.path(key).exists()

@@ -44,13 +44,13 @@ from __future__ import annotations
 import importlib
 import json
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.experiments.executor import CellError, _validated, _worker, default_run_cell
+from repro.fileio import write_atomic
 
 QUEUE_VERSION = 1
 
@@ -117,29 +117,15 @@ class QueueDir:
             directory.mkdir(parents=True, exist_ok=True)
         marker = self.root / "queue.json"
         if not marker.exists():
-            self._write_atomic(marker, {"version": QUEUE_VERSION})
+            write_atomic(marker, json.dumps({"version": QUEUE_VERSION}, sort_keys=True) + "\n")
         return self
-
-    def _write_atomic(self, path: Path, payload: dict) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     # -- driver side -------------------------------------------------------
 
     def enqueue(self, task: dict) -> str:
         """Publish one task record; ``task["id"]`` names it."""
         task_id = task["id"]
-        self._write_atomic(self.tasks / (task_id + ".json"), task)
+        write_atomic(self.tasks / (task_id + ".json"), json.dumps(task, sort_keys=True) + "\n")
         return task_id
 
     def read_new_results(self, offsets: Dict[str, int]) -> List[dict]:

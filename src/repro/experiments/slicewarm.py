@@ -78,9 +78,13 @@ def _table_walk(tasks=16):
     return a.assemble()
 
 
+#: the adversarial legs' task counts, by scale name
+LEG_TASKS = {"tiny": 8, "test": 16, "ref": 32, "large": 64}
+
+
 def _extra_traces(scale):
     """The two adversarial legs, interpreted at the given scale."""
-    tasks = {"tiny": 8, "test": 16, "full": 32}.get(scale, 16)
+    tasks = LEG_TASKS[scale]
     legs = {}
     with PROFILER.scope("trace-gen"):
         legs["table-walk"] = run_program(_table_walk(tasks))

@@ -80,10 +80,14 @@ def _leak_demo(iterations=24):
     return a.assemble()
 
 
+#: the random programs' task counts, by scale name
+PROGRAM_TASKS = {"tiny": 12, "test": 20, "ref": 40, "large": 80}
+
+
 def _programs(scale):
     """The experiment's program set: the worked demo plus two random
     secret-region programs (dense shared region -> real violations)."""
-    tasks = {"tiny": 12, "test": 20, "full": 40}.get(scale, 20)
+    tasks = PROGRAM_TASKS[scale]
     programs = [_leak_demo()]
     for seed in (9, 29):
         programs.append(

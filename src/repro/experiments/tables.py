@@ -16,8 +16,7 @@ from __future__ import annotations
 from repro.experiments.executor import workload_trace
 from repro.experiments.results import ExperimentTable
 from repro.experiments.sweeps import run_grid, sweep_cells
-from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator
-from repro.multiscalar.policies import AlwaysPolicy
+from repro.multiscalar import MultiscalarConfig, MultiscalarSimulator, SquashLedger
 from repro.oracle import (
     PAPER_DDC_SIZES_MULTISCALAR,
     PAPER_DDC_SIZES_OOO,
@@ -40,21 +39,6 @@ def load_traces(suite_name=SPECINT92, scale="test"):
 def suite_names(suite_name=SPECINT92):
     """A suite's workload names in sorted order, without interpreting."""
     return sorted(w.name for w in suite(suite_name))
-
-
-class RecordingAlwaysPolicy(AlwaysPolicy):
-    """Blind speculation that records the mis-speculation event stream
-    (static store/load PC pairs in detection order) — the input for the
-    Multiscalar DDC experiment (Table 7)."""
-
-    name = "ALWAYS+record"
-
-    def __init__(self):
-        self.events = []
-
-    def on_violation(self, store_seq, load_seq, now):
-        trace = self.sim.trace
-        self.events.append((trace[store_seq].pc, trace[load_seq].pc))
 
 
 def table1_instruction_counts(scale="test", suites=("specint92", "specint95", "specfp95")):
@@ -193,13 +177,17 @@ def table7_multiscalar_ddc(scale="test", stages=8, ddc_sizes=PAPER_DDC_SIZES_MUL
         "%d-stage Multiscalar: DDC miss rates (%%) vs DDC size" % stages,
         ["CS"] + names,
     )
+    # each benchmark's mis-speculation stream under blind speculation:
+    # static (store PC, load PC) pairs in detection order
     event_streams = {}
     for name in names:
-        policy = RecordingAlwaysPolicy()
-        sim = MultiscalarSimulator(traces[name], MultiscalarConfig(stages=stages), policy)
+        ledger = SquashLedger()
+        sim = MultiscalarSimulator(
+            traces[name], MultiscalarConfig(stages=stages), observers=[ledger]
+        )
         with PROFILER.scope("simulate"):
             sim.run()
-        event_streams[name] = policy.events
+        event_streams[name] = [(c["store_pc"], c["load_pc"]) for c in ledger.causes]
     for cs in ddc_sizes:
         row = [cs]
         for name in names:

@@ -43,6 +43,7 @@ from array import array
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro.fileio import write_atomic
 from repro.frontend.interpreter import run_program
 from repro.frontend.trace import Trace
 from repro.telemetry.profiler import PROFILER
@@ -269,9 +270,7 @@ class TraceCache:
             return
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(path.name + ".%d.tmp" % os.getpid())
-            tmp.write_bytes(serialize_trace(trace, fingerprint=fingerprint))
-            os.replace(str(tmp), str(path))
+            write_atomic(path, serialize_trace(trace, fingerprint=fingerprint))
         except OSError:
             pass  # a read-only or vanished cache dir must never fail a run
 

@@ -19,7 +19,7 @@ from repro.isa.opcodes import (
     is_load,
     is_store,
 )
-from repro.isa.registers import register_name
+from repro.isa.registers import ZERO, register_name
 
 
 @dataclass
@@ -83,6 +83,16 @@ class Instruction:
         if self.rs2 is not None:
             srcs.append(self.rs2)
         return tuple(srcs)
+
+    def written_register(self) -> Optional[int]:
+        """Return the register index this instruction writes, or None.
+
+        Stores write no register, and a write to the hard-wired ``zero``
+        register is discarded, so neither defines a register value.
+        """
+        if self.op is Opcode.SW or self.rd is None or self.rd == ZERO:
+            return None
+        return self.rd
 
     def __str__(self):
         parts = [self.op.value]

@@ -78,13 +78,13 @@ def _sequencer_stream(task_pcs, history):
     predictor = PathBasedTaskPredictor(history=history)
     record = predictor.record
     stream = [record(pc) for pc in task_pcs[1:]]
-    return stream, predictor.predictions, predictor.mispredictions
+    return stream, predictor.mispredictions
 
 
 def run_batched(sim) -> SpeculationStats:
     """Run ``sim`` to completion; returns its stats.
 
-    Run state that policies, the sanitizer, the squash ledger or the
+    Run state that policies, the violation observers or the
     simulator's cold paths read is created on ``sim`` and aliased to
     locals; containers are shared by reference, so mutations made by
     ``sim`` methods called from here stay visible.  Only the scalars
@@ -139,14 +139,13 @@ def run_batched(sim) -> SpeculationStats:
     # is unobservable)
     history = cfg.predictor_history
     task_pcs = sim.task_pcs
-    stream, total_predictions, total_mispredictions = cols.derived(
+    stream, total_mispredictions = cols.derived(
         ("sequencer", history),
         lambda: _sequencer_stream(task_pcs, history),
     )
     pending_correct = [True] * (n_tasks + 1)
     if n_tasks > 1:
         pending_correct[1:n_tasks] = stream
-    sim.sequencer = sequencer = PathBasedTaskPredictor(history=history)
     load_first_attempt: Dict[int, int] = {}
     sim._load_first_attempt = load_first_attempt
 
@@ -770,8 +769,6 @@ def run_batched(sim) -> SpeculationStats:
     cache.hits += cache_hits
     cache.misses += cache_misses
     cache.bank_conflict_cycles += cache_conflicts
-    sequencer.predictions = total_predictions
-    sequencer.mispredictions = total_mispredictions
     stats.cycles = now
     stats.control_mispredictions = total_mispredictions
     if tel_on:

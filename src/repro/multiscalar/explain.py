@@ -2,9 +2,9 @@
 
 The paper's whole argument is about *removing* squashes, so every one
 that survives deserves a structured explanation.  A
-:class:`SquashLedger` attaches to a
-:class:`~repro.multiscalar.processor.MultiscalarSimulator` (the same
-hook pattern as the taint sanitizer) and fires on every dependence
+:class:`SquashLedger` is one of a
+:class:`~repro.multiscalar.processor.MultiscalarSimulator`'s violation
+observers (as the taint sanitizer is) and fires on every dependence
 violation — before the squash, while the issued flags still describe
 the speculative window — recording one cause per event:
 
@@ -153,7 +153,7 @@ def explain_program(
         trace,
         config or MultiscalarConfig(stages=stages),
         make_policy(policy),
-        squash_ledger=ledger,
+        observers=[ledger],
     )
     stats = sim.run()
     analysis = analyze_program_symbolic(program)

@@ -30,7 +30,7 @@ from repro.core.engine import SynchronizationEngine
 from repro.core.mdpt import MDPT
 from repro.core.mdst import MDST
 from repro.core.predictors import make_predictor
-from repro.core.unified import SlottedMDST
+from repro.core.unified import SlottedMDST, make_unified_engine
 from repro.telemetry import NULL_TELEMETRY
 
 
@@ -265,17 +265,20 @@ class MechanismPolicy(SpeculationPolicy):
     def bind(self, sim):
         super().bind(sim)
         stages = sim.config.stages
-        predictor = make_predictor(self.predictor_name, **self.predictor_kwargs)
-        mdpt = MDPT(self.capacity, predictor)
-        if self.structure == "unified":
-            mdst = SlottedMDST(self.capacity * stages, slots_per_pair=stages)
-        else:
-            mdst = MDST(self.mdst_capacity or self.capacity * stages)
         # tolerate facade sims (tests, notebooks) without a telemetry slot
         self._telemetry = getattr(sim, "telemetry", NULL_TELEMETRY)
-        self.engine = SynchronizationEngine(
-            mdpt, mdst, metrics=self._telemetry.metrics
-        )
+        metrics = self._telemetry.metrics
+        if self.structure == "unified":
+            self.engine = make_unified_engine(
+                self.capacity, stages, self.predictor_name, metrics=metrics,
+                **self.predictor_kwargs,
+            )
+        else:
+            self.engine = SynchronizationEngine(
+                MDPT(self.capacity, make_predictor(self.predictor_name, **self.predictor_kwargs)),
+                MDST(self.mdst_capacity or self.capacity * stages),
+                metrics=metrics,
+            )
         n = len(sim.trace)
         self._status = [self._NOT_SEEN] * n
         self._wake_time = [0] * n

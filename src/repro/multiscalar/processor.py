@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.stats import SpeculationStats
 from repro.memsys.cache import BankedCache
@@ -71,7 +71,14 @@ from repro.multiscalar.batched import run_batched  # noqa: E402
 
 
 class MultiscalarSimulator:
-    """Simulates one trace under one configuration and policy."""
+    """Simulates one trace under one configuration and policy.
+
+    *observers* watch violations without changing the run (the taint
+    sanitizer, the squash ledger): ``bind(sim)`` is called here and,
+    with a weak proxy, when the run ends; ``on_violation(store_seq,
+    load_seq, time)`` in the order given, after the policy's and before
+    the squash, while the issued flags still describe the window.
+    """
 
     def __init__(
         self,
@@ -79,8 +86,7 @@ class MultiscalarSimulator:
         config=None,
         policy: Optional[SpeculationPolicy] = None,
         telemetry=None,
-        sanitizer=None,
-        squash_ledger=None,
+        observers: Sequence = (),
     ):
         self.trace = trace
         self.config = config or MultiscalarConfig()
@@ -94,16 +100,9 @@ class MultiscalarSimulator:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._tel_on = self.telemetry.enabled
         self._prepare_static()
-        # optional dynamic taint sanitizer (repro.multiscalar.sanitizer):
-        # observes violations for transient secret reads; counts events
-        # unconditionally, publishes telemetry only when enabled
-        self._sanitizer = sanitizer.bind(self) if sanitizer is not None else None
-        # optional squash ledger (repro.multiscalar.explain): records one
-        # structured cause per violation; observation only, results are
-        # bit-identical with or without it
-        self._squash_ledger = (
-            squash_ledger.bind(self) if squash_ledger is not None else None
-        )
+        self._observers = tuple(observers)
+        for observer in self._observers:
+            observer.bind(self)
 
     # ------------------------------------------------------------------
     # static preprocessing
@@ -205,20 +204,18 @@ class MultiscalarSimulator:
         cold paths the loop calls (violations, squash, register
         violations, the i-cache fetch schedule).
 
-        When the run ends, the policy, the squash ledger and the
-        sanitizer keep only a weak proxy of the simulator, so a finished
-        simulator is freed as soon as its last outside reference goes,
-        without waiting for the cyclic garbage collector.
+        When the run ends, the policy and the observers keep only a weak
+        proxy of the simulator, so a finished simulator is freed as soon
+        as its last outside reference goes, without waiting for the
+        cyclic garbage collector.
         """
         try:
             return run_batched(self)
         finally:
             proxy = weakref.proxy(self)
             self.policy.release(proxy)
-            if self._squash_ledger is not None:
-                self._squash_ledger.bind(proxy)
-            if self._sanitizer is not None:
-                self._sanitizer.bind(proxy)
+            for observer in self._observers:
+                observer.bind(proxy)
 
     def _publish_run_metrics(self):
         """End-of-run gauges (simulated-time totals and machine shape)."""
@@ -412,14 +409,8 @@ class MultiscalarSimulator:
                 },
             )
         self.policy.on_violation(store_seq, load_seq, time)
-        if self._sanitizer is not None:
-            # before the squash: the issued flags still describe the
-            # speculative window the sanitizer inspects
-            self._sanitizer.on_violation(store_seq, load_seq, time)
-        if self._squash_ledger is not None:
-            # after the policy recorded the mis-speculation (so MDPT
-            # state is the squash-time state) and before the squash
-            self._squash_ledger.on_violation(store_seq, load_seq, time)
+        for observer in self._observers:
+            observer.on_violation(store_seq, load_seq, time)
         restart = time + self.config.squash_penalty
         self._squash_from_seq(load_seq, restart)
         # the store itself survives; let it signal for the re-execution

@@ -91,8 +91,8 @@ class TaintSanitizer:
     """Observes a simulator's violations for transient secret reads.
 
     Construct it over the trace (the taint replay is a function of the
-    committed execution alone), pass it to the simulator's
-    ``sanitizer=`` parameter, and read ``events`` after ``run()``.
+    committed execution alone), pass it to the simulator as one of its
+    ``observers``, and read ``events`` after ``run()``.
     One sanitizer serves one simulation; build a fresh one per run.
     """
 
@@ -109,7 +109,7 @@ class TaintSanitizer:
 
     def bind(self, sim):
         """Adopt the simulator whose violations this sanitizer watches
-        (called by the simulator's constructor)."""
+        (called by the simulator)."""
         self._sim = sim
         return self
 
@@ -191,8 +191,7 @@ class TaintSanitizer:
                 elif (
                     value_use
                     and not inst.is_memory
-                    and inst.rd is not None
-                    and inst.rd != 0
+                    and inst.written_register() is not None
                     and consumer not in carriers
                 ):
                     carriers.add(consumer)
@@ -372,7 +371,7 @@ def check_program_leaks(
         trace,
         config or MultiscalarConfig(),
         make_policy(policy),
-        sanitizer=sanitizer,
+        observers=[sanitizer],
     )
     sim.run()
     return LeakCheckResult(

@@ -20,8 +20,9 @@ loads the symbolic classifier and the dependence graph, not the linter,
 the taint classifier or the oracle cross-checker.
 """
 
-from importlib import import_module
 from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_names
 
 if TYPE_CHECKING:
     from repro.staticdep.analysis import (
@@ -140,85 +141,4 @@ _MODULES = {
 }
 _LAZY = {name: module for module, names in _MODULES.items() for name in names}
 
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(import_module("repro.staticdep." + _LAZY[name]), name)
-    globals()[name] = value
-    return value
-
-
-__all__ = [
-    "ALL_RULE_IDS",
-    "AccessExpr",
-    "FAIL_ON_CHOICES",
-    "GATED",
-    "LEAK",
-    "LeakVerdict",
-    "NO_LEAK",
-    "PUBLIC",
-    "RULE_REGISTRY",
-    "SECRET",
-    "SpecTaintAnalysis",
-    "TAINT_TOP",
-    "TaintReplay",
-    "TaintSolution",
-    "Transmitter",
-    "analyze_spec_leaks",
-    "fails_threshold",
-    "normalize_severity",
-    "region_taint",
-    "taint_replay",
-    "valid_ranges",
-    "MAY",
-    "MUST",
-    "NO",
-    "SymValue",
-    "SymbolicDependenceAnalysis",
-    "SymbolicPair",
-    "SymbolicSolution",
-    "analyze_program_symbolic",
-    "classify_addresses",
-    "BackwardSlice",
-    "BasicBlock",
-    "CTRL_EDGE",
-    "ControlFlowGraph",
-    "CrossCheckResult",
-    "DEFAULT_SLICE_BUDGET",
-    "Diagnostic",
-    "LOOP_CARRIED_CUTOFF",
-    "MEM_EDGE",
-    "PDGEdge",
-    "PredictorSlice",
-    "ProgramDependenceGraph",
-    "REG_EDGE",
-    "SliceBudget",
-    "SliceCost",
-    "TOO_EXPENSIVE",
-    "WARMABLE",
-    "build_pdg",
-    "extract_predictor_slices",
-    "pdg_report",
-    "slice_report",
-    "ERROR",
-    "INFO",
-    "ReachingStores",
-    "StaticDependenceAnalysis",
-    "StaticPair",
-    "StoreFact",
-    "WARNING",
-    "access_expr",
-    "analyze_program",
-    "build_cfg",
-    "cross_check",
-    "cross_check_workload",
-    "has_errors",
-    "lint_config",
-    "lint_labels",
-    "lint_path",
-    "lint_program",
-    "lint_source",
-    "may_alias",
-    "sort_diagnostics",
-]
+__getattr__, __all__ = lazy_names(__name__, globals(), _LAZY)

@@ -38,14 +38,7 @@ from typing import Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple, T
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode, is_conditional_branch, is_control
 from repro.isa.program import Program
-from repro.isa.registers import ZERO, parse_register
-
-
-def _writes_register(inst, reg: int) -> bool:
-    """True when *inst* architecturally writes register *reg*."""
-    if inst.op is Opcode.SW or reg == ZERO:
-        return False
-    return inst.rd == reg
+from repro.isa.registers import parse_register
 
 
 class BasicBlock:
@@ -253,7 +246,7 @@ def build_cfg(program: Program) -> ControlFlowGraph:
     label_targets = sorted(set(program.labels.values()))
     ra = parse_register("ra")
     ra_is_pure_link = not any(
-        inst.op is not Opcode.JAL and _writes_register(inst, ra) for inst in program
+        inst.op is not Opcode.JAL and inst.written_register() == ra for inst in program
     )
 
     for block in blocks:

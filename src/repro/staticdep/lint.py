@@ -224,10 +224,9 @@ def _rule_zero_register_writes(analysis: StaticDependenceAnalysis) -> List[Diagn
 def _rule_unwritten_registers(analysis: StaticDependenceAnalysis) -> List[Diagnostic]:
     written: Set[int] = {ZERO}
     for inst in analysis.program:
-        if inst.op is Opcode.SW:
-            continue
-        if inst.rd is not None:
-            written.add(inst.rd)
+        reg = inst.written_register()
+        if reg is not None:
+            written.add(reg)
     out = []
     for inst in analysis.program:
         for src in inst.sources():

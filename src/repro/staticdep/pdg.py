@@ -39,7 +39,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode, is_control
 from repro.isa.program import Program
-from repro.isa.registers import ZERO, register_name
+from repro.isa.registers import register_name
 from repro.staticdep.analysis import SymbolicDependenceAnalysis, analyze_program_symbolic
 from repro.staticdep.cfg import dominator_sets, solve_forward
 from repro.staticdep.symbolic import NO
@@ -182,14 +182,6 @@ class _Closure:
                 worklist.append((pc, reg))
 
 
-def _defined_register(inst: Instruction) -> Optional[int]:
-    """The register *inst* writes, or None (stores, branches, and
-    writes to the hard-wired zero register define nothing)."""
-    if inst.op is Opcode.SW or inst.rd is None or inst.rd == ZERO:
-        return None
-    return inst.rd
-
-
 #: Reaching definitions at one point: register -> defining PCs.
 Defs = Dict[int, FrozenSet[int]]
 
@@ -197,7 +189,7 @@ Defs = Dict[int, FrozenSet[int]]
 def _define(inst: Instruction, state: Defs) -> Defs:
     """Reaching-definitions transfer: the register *inst* writes, if
     any, now has *inst* as its one definition (in a new state)."""
-    reg = _defined_register(inst)
+    reg = inst.written_register()
     if reg is None:
         return state
     out = dict(state)

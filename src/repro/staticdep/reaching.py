@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.isa.registers import ZERO
 from repro.staticdep.cfg import ControlFlowGraph, TaskDistances, build_cfg, solve_forward, state_at
@@ -99,15 +98,6 @@ def _must_alias(fact: StoreFact, store_expr: AccessExpr) -> bool:
     )
 
 
-def _written_register(inst: Instruction) -> Optional[int]:
-    """The register *inst* writes, or None (writes to ``zero`` discarded)."""
-    if inst.op is Opcode.SW:
-        return None
-    if inst.rd is not None and inst.rd != ZERO:
-        return inst.rd
-    return None
-
-
 # A dataflow state maps store PC -> StoreFact.  Keeping one fact per
 # store PC (rather than a set) is sound because the only varying field,
 # base_intact, merges with AND.
@@ -117,7 +107,7 @@ State = Dict[int, StoreFact]
 def _transfer(inst: Instruction, state: State) -> State:
     """One instruction's effect: a new state when it changes *state*,
     *state* itself otherwise."""
-    written = _written_register(inst)
+    written = inst.written_register()
     if written is not None and any(
         f.base_intact and f.expr.base == written for f in state.values()
     ):

@@ -208,7 +208,8 @@ def transfer_taint(
     """One instruction's register-taint transfer.  Loads consume their
     current per-load taint assumption; immediates are public; every
     other value-producing op combines its source taints."""
-    if inst.op is Opcode.SW or inst.rd is None or inst.rd == ZERO:
+    rd = inst.written_register()
+    if rd is None:
         return state
     if inst.is_load:
         result = load_taints.get(inst.pc, TAINT_TOP)
@@ -220,10 +221,10 @@ def transfer_taint(
             result = taint_combine(result, state[inst.rs1])
         if inst.rs2 is not None:
             result = taint_combine(result, state[inst.rs2])
-    if state[inst.rd] == result:
+    if state[rd] == result:
         return state
     out = list(state)
-    out[inst.rd] = result
+    out[rd] = result
     return tuple(out)
 
 
@@ -425,7 +426,8 @@ class _TransmitterSlice:
             if inst.rs2 in regs:
                 return regs, mem | {inst.pc}
             return state
-        if inst.rd is None or inst.rd == ZERO or inst.is_branch or inst.op is Opcode.JR:
+        rd = inst.written_register()
+        if rd is None or inst.is_branch or inst.op is Opcode.JR:
             return state
         if inst.is_load:
             carries = any((s, inst.pc) in self.pair_set for s in mem)
@@ -433,7 +435,7 @@ class _TransmitterSlice:
             carries = inst.op not in (Opcode.LI, Opcode.LUI, Opcode.JAL) and (
                 inst.rs1 in regs or inst.rs2 in regs
             )
-        return (regs | {inst.rd} if carries else regs - {inst.rd}), mem
+        return (regs | {rd} if carries else regs - {rd}), mem
 
     @staticmethod
     def _sink(inst: Instruction, regs: FrozenSet[int]) -> Optional[Transmitter]:
@@ -448,8 +450,8 @@ class _TransmitterSlice:
         return None
 
     def transmitters(self, load_pc: int) -> Tuple[Transmitter, ...]:
-        load = self.program[load_pc]
-        if load.rd is None or load.rd == ZERO:
+        rd = self.program[load_pc].written_register()
+        if rd is None:
             return ()
         sinks: Set[Transmitter] = set()
 
@@ -463,7 +465,7 @@ class _TransmitterSlice:
             return state
 
         block = self.cfg.block_at(load_pc)
-        leave = scan(range(load_pc + 1, block.end), (frozenset((load.rd,)), frozenset()))
+        leave = scan(range(load_pc + 1, block.end), (frozenset((rd,)), frozenset()))
         seeds = {succ: leave for succ in block.successors}
         block_in = solve_forward(self.cfg, seeds, self._transfer, _join_carriers)
         for index, state in block_in.items():
@@ -645,13 +647,14 @@ def taint_replay(trace: Any, ranges: Sequence[SecretRange]) -> TaintReplay:
     loaded: Dict[int, bool] = {}
     for entry in trace.entries:
         inst = entry.inst
+        rd = inst.written_register()
         if inst.is_load:
             taint = mem.get(entry.addr)
             if taint is None:
                 taint = address_in_ranges(entry.addr, checked)
             loaded[entry.seq] = taint
-            if inst.rd is not None and inst.rd != ZERO:
-                regs[inst.rd] = taint
+            if rd is not None:
+                regs[rd] = taint
         elif inst.is_store:
             old = mem.get(entry.addr)
             if old is None:
@@ -660,14 +663,14 @@ def taint_replay(trace: Any, ranges: Sequence[SecretRange]) -> TaintReplay:
             taint = regs[inst.rs2] if inst.rs2 is not None else False
             stored[entry.seq] = taint
             mem[entry.addr] = taint
-        elif inst.rd is not None and inst.rd != ZERO:
+        elif rd is not None:
             if inst.op in (Opcode.LI, Opcode.LUI, Opcode.JAL):
-                regs[inst.rd] = False
+                regs[rd] = False
             else:
                 taint = False
                 if inst.rs1 is not None:
                     taint = taint or regs[inst.rs1]
                 if inst.rs2 is not None:
                     taint = taint or regs[inst.rs2]
-                regs[inst.rd] = taint
+                regs[rd] = taint
     return TaintReplay(stale_before_store=stale, store_secret=stored, load_secret=loaded)

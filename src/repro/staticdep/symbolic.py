@@ -467,9 +467,10 @@ def _widen_states(current: State, incoming: State, loop: int) -> State:
 
 def transfer(inst: Instruction, state: State) -> State:
     """Abstractly execute one instruction."""
-    op = inst.op
-    if op is Opcode.SW or inst.rd is None or inst.rd == ZERO:
+    rd = inst.written_register()
+    if rd is None:
         return state
+    op = inst.op
 
     def get(reg: Optional[int]) -> SymValue:
         return state[reg] if reg is not None else TOP
@@ -539,7 +540,7 @@ def transfer(inst: Instruction, state: State) -> State:
         result = TOP
 
     values = list(state)
-    values[inst.rd] = result
+    values[rd] = result
     return tuple(values)
 
 

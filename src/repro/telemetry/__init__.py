@@ -23,9 +23,9 @@ their names (a PEP 562 module ``__getattr__``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from importlib import import_module
 from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_names
 from repro.telemetry.profiler import PROFILER, Profiler, ProfileRecord, ProfileScope
 from repro.telemetry.registry import (
     NULL_METRICS,
@@ -68,14 +68,6 @@ _LAZY = {
 }
 
 
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(import_module("repro.telemetry." + _LAZY[name]), name)
-    globals()[name] = value
-    return value
-
-
 @dataclass
 class Telemetry:
     """One run's worth of instrumentation sinks."""
@@ -100,31 +92,14 @@ def make_telemetry(metrics=True, trace=True, pid=0) -> Telemetry:
     )
 
 
-__all__ = [
-    "Counter",
-    "DEFAULT_LEDGER",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "MetricsServer",
-    "RunLedger",
-    "diff_records",
-    "make_record",
-    "resolve_ledger_path",
-    "serve_registry",
-    "to_prometheus",
-    "NULL_METRICS",
-    "NULL_TELEMETRY",
-    "NULL_TRACE",
-    "NullMetricRegistry",
-    "NullTraceSink",
-    "PROFILER",
-    "ProfileRecord",
-    "ProfileScope",
-    "Profiler",
-    "Telemetry",
-    "TimeSeries",
-    "TraceEventSink",
-    "make_telemetry",
-    "merged_trace",
-]
+__getattr__, __all__ = lazy_names(
+    __name__,
+    globals(),
+    _LAZY,
+    eager=(
+        "Counter", "Gauge", "Histogram", "MetricRegistry", "NULL_METRICS", "NULL_TELEMETRY",
+        "NULL_TRACE", "NullMetricRegistry", "NullTraceSink", "PROFILER", "ProfileRecord",
+        "ProfileScope", "Profiler", "Telemetry", "TimeSeries", "TraceEventSink",
+        "make_telemetry", "merged_trace",
+    ),
+)

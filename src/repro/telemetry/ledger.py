@@ -29,11 +29,12 @@ default remains the zero-overhead null path.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from repro.fileio import canonical_json, read_jsonl
 
 #: Environment variable naming the default ledger file.
 LEDGER_ENV = "REPRO_LEDGER"
@@ -52,10 +53,6 @@ def resolve_ledger_path(explicit: Optional[str] = None) -> Optional[str]:
         return explicit
     env = os.environ.get(LEDGER_ENV, "").strip()
     return env or None
-
-
-def _canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def make_record(
@@ -98,7 +95,7 @@ def make_record(
     }
     if rungs is not None:
         record["rungs"] = list(rungs)
-    record["id"] = hashlib.sha256(_canonical(record).encode()).hexdigest()[:12]
+    record["id"] = hashlib.sha256(canonical_json(record).encode()).hexdigest()[:12]
     return record
 
 
@@ -112,10 +109,10 @@ class RunLedger:
         """Append one record (assigning an id if absent); returns the id."""
         if "id" not in record:
             record = dict(record)
-            record["id"] = hashlib.sha256(_canonical(record).encode()).hexdigest()[:12]
+            record["id"] = hashlib.sha256(canonical_json(record).encode()).hexdigest()[:12]
         if self.path.parent != Path("."):
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = _canonical(record) + "\n"
+        line = canonical_json(record) + "\n"
         # one write of one line in append mode: concurrent writers (e.g.
         # parallel CI legs sharing a ledger) interleave whole lines
         with open(self.path, "a") as fh:
@@ -124,22 +121,7 @@ class RunLedger:
 
     def records(self) -> List[dict]:
         """Every readable record, oldest first (corrupt lines skipped)."""
-        out: List[dict] = []
-        try:
-            with open(self.path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    if isinstance(record, dict) and "id" in record:
-                        out.append(record)
-        except OSError:
-            return []
-        return out
+        return [record for record in read_jsonl(self.path) if "id" in record]
 
     def get(self, run_id: str) -> Optional[dict]:
         """The record whose id equals (or uniquely starts with) *run_id*."""

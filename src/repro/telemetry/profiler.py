@@ -30,6 +30,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+from repro.telemetry.trace_events import TraceEventSink
+
 
 @dataclass
 class ProfileRecord:
@@ -228,33 +230,19 @@ class Profiler:
         Timestamps are microseconds relative to the earliest reported
         span, all on one track (wall time is single-threaded here).
         """
+        sink = TraceEventSink()
         records = self.records[since:]
-        if not records:
-            return {"traceEvents": [], "displayTimeUnit": "ms"}
-        t0 = min(record.start for record in records)
-        events = [
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "ts": 0,
-                "pid": 0,
-                "tid": 0,
-                "args": {"name": "wall clock"},
-            }
-        ]
-        for record in sorted(records, key=lambda r: r.start):
-            events.append(
-                {
-                    "name": record.name,
-                    "cat": "profile",
-                    "ph": "X",
-                    "ts": round((record.start - t0) * 1e6, 3),
-                    "dur": round(record.seconds * 1e6, 3),
-                    "pid": 0,
-                    "tid": 0,
-                }
-            )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        if records:
+            t0 = min(record.start for record in records)
+            sink.thread_name(0, "wall clock")
+            for record in sorted(records, key=lambda r: r.start):
+                sink.complete(
+                    record.name,
+                    round((record.start - t0) * 1e6, 3),
+                    round(record.seconds * 1e6, 3),
+                    cat="profile",
+                )
+        return sink.to_dict()
 
 
 #: Default profiler the experiment runners publish into.

@@ -83,6 +83,9 @@ class TraceEventSink:
     def thread_name(self, tid, name):
         self._metadata("thread_name", name, tid=tid)
 
+    def process_name(self, name):
+        self._metadata("process_name", name, tid=0)
+
     def _metadata(self, kind, name, tid):
         self.events.append(
             {
@@ -135,18 +138,10 @@ def merged_trace(sinks: Iterable[TraceEventSink], names: Optional[Iterable[str]]
     """
     sinks = list(sinks)
     names = list(names) if names is not None else [None] * len(sinks)
-    events: List[dict] = []
+    merged = TraceEventSink()
     for sink, name in zip(sinks, names):
         if name is not None:
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "ts": 0,
-                    "pid": sink.pid,
-                    "tid": 0,
-                    "args": {"name": name},
-                }
-            )
-        events.extend(sink.events)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+            merged.pid = sink.pid
+            merged.process_name(name)
+        merged.events.extend(sink.events)
+    return merged.to_dict()

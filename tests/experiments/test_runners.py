@@ -92,6 +92,25 @@ def test_slice_warming_experiment():
         assert row[col["cold(warmed)"]] < row[col["cold(primed)"]]
 
 
+@pytest.mark.parametrize(
+    "module, table", [("slicewarm", "LEG_TASKS"), ("spectaint", "PROGRAM_TASKS")]
+)
+def test_adversarial_leg_sizes_cover_every_scale(module, table):
+    """The adversarial programs grow with every scale name, and a name
+    with no size raises instead of falling back to the ``test`` size."""
+    import importlib
+
+    from repro.workloads import SCALES
+
+    runner = importlib.import_module("repro.experiments." + module)
+    tasks = getattr(runner, table)
+    assert set(tasks) == set(SCALES)
+    assert tasks["tiny"] < tasks["test"] < tasks["ref"] < tasks["large"] == 2 * tasks["ref"]
+    legs = runner._extra_traces if module == "slicewarm" else runner._programs
+    with pytest.raises(KeyError):
+        legs("full")
+
+
 def test_spectaint_experiment():
     from repro.experiments import spectaint_leakage
 

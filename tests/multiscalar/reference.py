@@ -39,7 +39,7 @@ def run_cell(trace, policy_name, reference=False, telemetry=None, **config_kwarg
         MultiscalarConfig(**config_kwargs),
         make_policy(policy_name),
         telemetry=telemetry,
-        squash_ledger=ledger,
+        observers=[ledger],
     )
     stats = run_reference(sim) if reference else sim.run()
     return stats.summary(), ledger.causes

@@ -21,7 +21,7 @@ def run_with_ledger(workload="compress", policy="always", stages=8):
         trace,
         MultiscalarConfig(stages=stages),
         make_policy(policy),
-        squash_ledger=ledger,
+        observers=[ledger],
     )
     stats = sim.run()
     return stats, ledger
@@ -45,6 +45,39 @@ def test_ledger_records_one_cause_per_squash():
     assert cause["policy"] == "ALWAYS"
     assert cause["distance"] == cause["load_task"] - cause["store_task"]
     assert cause["decision"]["decision"] == "speculated"
+
+
+class ViolationRecorder:
+    """A minimal violation observer: what it saw, and whether the load
+    was still issued (the squash had not run yet)."""
+
+    def __init__(self):
+        self.seen = []
+
+    def bind(self, sim):
+        self.sim = sim
+
+    def on_violation(self, store_seq, load_seq, time):
+        c_pc = self.sim._c_pc
+        self.seen.append((c_pc[store_seq], c_pc[load_seq], time, self.sim.issued[load_seq]))
+
+
+def test_every_observer_sees_every_violation_in_detection_order():
+    trace = cached_run_program(get_workload("compress").program("tiny"))
+    first, second, ledger = ViolationRecorder(), ViolationRecorder(), SquashLedger()
+    stats = MultiscalarSimulator(
+        trace, MultiscalarConfig(stages=8), make_policy("always"),
+        observers=[first, ledger, second],
+    ).run()
+    assert stats.mis_speculations > 1
+    assert first.seen == second.seen
+    assert len(first.seen) == stats.mis_speculations
+    assert [seen[:3] for seen in first.seen] == [
+        (c["store_pc"], c["load_pc"], c["time"]) for c in ledger.causes
+    ]
+    times = [seen[2] for seen in first.seen]
+    assert times == sorted(times)
+    assert all(issued for *_, issued in first.seen)
 
 
 def test_mechanism_policy_reports_mdpt_state():
@@ -83,7 +116,7 @@ def test_ledger_is_pure_observation():
             config = MultiscalarConfig(stages=stages)
             plain = MultiscalarSimulator(trace, config, make_policy(policy)).run()
             observed = MultiscalarSimulator(
-                trace, config, make_policy(policy), squash_ledger=SquashLedger()
+                trace, config, make_policy(policy), observers=[SquashLedger()]
             ).run()
             assert plain.summary() == observed.summary(), (policy, stages)
 

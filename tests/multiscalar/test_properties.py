@@ -85,7 +85,7 @@ def test_mechanism_pays_at_most_one_cold_start_per_pair(config, stages):
             trace,
             MultiscalarConfig(stages=stages),
             make_policy(policy_name),
-            squash_ledger=ledger,
+            observers=[ledger],
         )
         sim.run()
         counts[policy_name] = ledger.pair_counts()

@@ -50,8 +50,7 @@ def test_finished_simulator_is_freed_without_the_collector(
         trace,
         MultiscalarConfig(stages=4),
         policy,
-        sanitizer=taint,
-        squash_ledger=squash_ledger,
+        observers=[o for o in (taint, squash_ledger) if o is not None],
     )
     stats = sim.run()
     # while the simulator lives, its helpers still reach it

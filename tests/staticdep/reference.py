@@ -48,14 +48,12 @@ from repro.staticdep.pdg import (
     ProgramDependenceGraph,
     SliceBudget,
     SliceCost,
-    _defined_register,
 )
 from repro.staticdep.reaching import (
     ReachingStores,
     State,
     StoreFact,
     _must_alias,
-    _written_register,
     access_expr,
 )
 from repro.staticdep.spectaint import (
@@ -290,7 +288,7 @@ def extract_predictor_slices(
 
 def _transfer(inst: Instruction, state: State) -> None:
     """Apply one instruction's effect to *state* in place."""
-    written = _written_register(inst)
+    written = inst.written_register()
     if written is not None:
         for pc, fact in list(state.items()):
             if fact.base_intact and fact.expr.base == written:
@@ -457,7 +455,7 @@ class WorklistPDG(ProgramDependenceGraph):
         def transfer(index: int, state: Defs) -> Defs:
             out = dict(state)
             for pc in cfg.blocks[index].pcs():
-                reg = _defined_register(program[pc])
+                reg = program[pc].written_register()
                 if reg is not None:
                     out[reg] = frozenset((pc,))
             return out
@@ -492,7 +490,7 @@ class WorklistPDG(ProgramDependenceGraph):
                 use_defs[pc] = {
                     reg: state.get(reg, frozenset()) for reg in inst.sources()
                 }
-                reg = _defined_register(inst)
+                reg = inst.written_register()
                 if reg is not None:
                     state[reg] = frozenset((pc,))
         return use_defs

@@ -311,7 +311,7 @@ def test_sanitizer_publishes_telemetry_when_enabled():
         MultiscalarConfig(),
         make_policy("always"),
         telemetry=telemetry,
-        sanitizer=sanitizer,
+        observers=[sanitizer],
     )
     sim.run()
     assert sanitizer.events

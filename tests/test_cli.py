@@ -35,15 +35,34 @@ def test_trace_streaming_workload_has_no_pairs(capsys):
     assert "hottest" not in out
 
 
-@pytest.mark.parametrize("command", ["trace", "simulate", "compare", "profile"])
 @pytest.mark.parametrize(
-    "target", [["no-such-workload"], ["compress", "--scale", "no-such-scale"]]
+    "argv",
+    [
+        pytest.param([command] + target, id="target%d-%s" % (index, command))
+        for index, target in enumerate(
+            [["no-such-workload"], ["compress", "--scale", "no-such-scale"]]
+        )
+        for command in ("trace", "simulate", "compare", "profile")
+    ]
+    + [
+        pytest.param(argv.split(), id=argv.split()[0] + "-" + argv.split()[1])
+        for argv in (
+            "experiment spectaint --scale bogus",
+            "experiment table2 --scale bogus",
+            "experiment table1 --scale bogus",
+            "sweep sc --scale bogus",
+            "staticdep %s --scale bogus" % HISTOGRAM,
+        )
+    ],
 )
-def test_unknown_workload_or_scale_is_a_usage_error(capsys, command, target):
-    assert main([command] + target) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: unknown ")
-    assert "Traceback" not in err
+def test_unknown_workload_or_scale_is_a_usage_error(capsys, argv):
+    """Checked before any work runs, whether or not the command would
+    read the scale: one ``error:`` line and nothing on stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown ")
+    assert captured.err.count("\n") == 1
 
 
 def test_simulate_command(capsys):
@@ -598,7 +617,11 @@ def test_interpreter_fault_is_a_usage_error(capsys, tmp_path, command, program):
         "--jobs", "0"],
        ["sweep", "sc", "--scale", "tiny", "--cache-dir", "{tmp}/cache", "--jobs", "-3"],
        ["profile", "sc", "--scale", "tiny", "--repeat", "0"],
-       ["worker", "{tmp}/queue", "--max-tasks", "-1"]],
+       ["worker", "{tmp}/queue", "--max-tasks", "-1"],
+       ["experiment", "table2", "--cache-dir", "{tmp}/cache", "--timeout", "inf"],
+       ["sweep", "sc", "--scale", "tiny", "--cache-dir", "{tmp}/cache", "--timeout", "1e12"],
+       ["worker", "{tmp}/queue", "--poll", "0"],
+       ["worker", "{tmp}/queue", "--heartbeat", "-5"]],
 )
 def test_bad_flag_value_or_output_path_is_a_usage_error(capsys, tmp_path, argv):
     """An invalid flag value, or an output file in a directory that does

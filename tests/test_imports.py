@@ -9,11 +9,14 @@ with the simulator so that forked workers inherit it compiled.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -102,4 +105,22 @@ def test_lazy_names_load_their_module_once():
             "repro.staticdep.lint"} <= modules
     assert "repro.telemetry.ledger" not in modules
     assert not modules & RUNNER_MODULES
+
+
+@pytest.mark.parametrize("package", ["repro.experiments", "repro.staticdep", "repro.telemetry"])
+def test_lazy_names_match_their_type_checking_imports(package):
+    """A lazy package declares each name twice: in an import that only
+    type checkers run and in the name -> module map it loads from."""
+    path = ROOT / "src" / Path(*package.split(".")) / "__init__.py"
+    guard = next(
+        node for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+    )
+    imported = {
+        alias.name: node.module[len(package) + 1:]
+        for node in guard.body
+        if isinstance(node, ast.ImportFrom) and node.module.startswith(package + ".")
+        for alias in node.names
+    }
+    assert imported == importlib.import_module(package)._LAZY
 
